@@ -1,15 +1,14 @@
-"""Dense eigenvalue machinery for small general real matrices.
+"""Eigenvalues and stability margins of small general real matrices.
 
-Implements the classic chain Hessenberg reduction -> Francis double-shift
-QR with deflation, returning either the spectrum or a full real Schur
+:func:`eigenvalues` and :func:`spectral_abscissa` call LAPACK through
+``numpy.linalg.eigvals``; they are what the package uses.  The
+Hessenberg reduction and Francis double-shift QR below
+(:func:`hessenberg`, :func:`real_schur`) are a self-contained real Schur
 decomposition A = Q T Q^T with T quasi upper triangular (1x1 and 2x2
-diagonal blocks).  Everything here is sized for the n <= 16 matrices this
-package produces; there is no balancing, blocking, or sparsity handling.
-
-The Schur form deliberately leaves 2x2 blocks with real eigenvalues
-unsplit: the downstream Lyapunov back-substitution solves per-block
-Sylvester systems and does not care, and skipping the standardization
-step keeps the iteration short.
+diagonal blocks), kept as a tested reference off the per-point path.
+Everything here is sized for the n <= 16 matrices this package produces;
+the QR has no balancing, blocking, or sparsity handling, and leaves 2x2
+blocks with real eigenvalues unsplit.
 """
 
 from __future__ import annotations
@@ -20,7 +19,13 @@ import numpy as np
 
 from .errors import EigenFailure
 
-__all__ = ["hessenberg", "real_schur", "eigenvalues", "schur_eigenvalues"]
+__all__ = [
+    "hessenberg",
+    "real_schur",
+    "eigenvalues",
+    "power_of_two_scale",
+    "spectral_abscissa",
+]
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny / _EPS
@@ -180,37 +185,40 @@ def real_schur(a: np.ndarray, accumulate: bool = True):
     return h, q
 
 
-def schur_eigenvalues(t: np.ndarray) -> list[complex]:
-    """Spectrum of a quasi upper-triangular matrix, conjugate pairs exact."""
-    n = t.shape[0]
-    lam: list[complex] = []
-    i = 0
-    while i < n:
-        if i < n - 1 and t[i + 1, i] != 0.0:
-            a, b = t[i, i], t[i, i + 1]
-            c, d = t[i + 1, i], t[i + 1, i + 1]
-            mid = 0.5 * (a + d)
-            disc = 0.25 * (a - d) ** 2 + b * c
-            if disc >= 0.0:
-                root = math.sqrt(disc)
-                lam.append(complex(mid + root, 0.0))
-                lam.append(complex(mid - root, 0.0))
-            else:
-                root = math.sqrt(-disc)
-                lam.append(complex(mid, root))
-                lam.append(complex(mid, -root))
-            i += 2
-        else:
-            lam.append(complex(t[i, i], 0.0))
-            i += 1
-    return lam
-
-
 def eigenvalues(a: np.ndarray) -> list[complex]:
-    """Full spectrum of a general real matrix (order <= 16).
+    """Full spectrum of a general real matrix (order <= 16), by LAPACK.
 
     Complex eigenvalues come out in exact conjugate pairs.  Raises
-    :class:`EigenFailure` on non-convergence.
+    :class:`EigenFailure` on bad input or non-convergence.
     """
-    t, _ = real_schur(a, accumulate=False)
-    return schur_eigenvalues(t)
+    a = _check_input(a)
+    try:
+        lam = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"eigenvalue iteration did not converge: {exc}") from exc
+    return lam.astype(complex).tolist()
+
+
+def power_of_two_scale(a: np.ndarray) -> float:
+    """Smallest power of two at or above max|a|; 0 for the zero matrix.
+
+    Dividing by it is exact, so SI-scale and unit-scale inputs take the
+    same numerical path.
+    """
+    peak = float(np.max(np.abs(a)))
+    if peak == 0.0:
+        return 0.0
+    return 2.0 ** math.ceil(math.log2(peak))
+
+
+def spectral_abscissa(a: np.ndarray) -> float:
+    """Largest real part of the spectrum of ``a``, in the units of ``a``.
+
+    The eigenvalues are taken of ``a`` divided by
+    :func:`power_of_two_scale`; the zero matrix gives 0.
+    """
+    a = _check_input(a)
+    scale = power_of_two_scale(a)
+    if scale == 0.0:
+        return 0.0
+    return scale * max(z.real for z in eigenvalues(a / scale))

@@ -3,24 +3,24 @@
 Quadrature ordering is (q_1, p_1, q_2, p_2, ...) per mode with vacuum
 variance 1/2, so the symplectic form is Omega = diag-blocks [[0, 1], [-1, 0]]
 and a state is physical iff every symplectic eigenvalue is >= 1/2.
+Symplectic eigenvalues are the positive eigenvalues of the Hermitian
+matrix i L^T Omega L, with V = L L^T the Cholesky factorization.
 
 The steady-state covariance of the linear model solves the Lyapunov
-equation A V + V A^T = -D; :func:`solve_lyapunov` implements the
-Bartels-Stewart strategy on top of the in-package real Schur
-decomposition.  An independent vectorized solver lives in
+equation A V + V A^T = -D; :func:`steady_covariance` solves its
+vectorized 36-unknown form with LAPACK and refines the result in
+extended precision.  An independent solver lives in
 :mod:`lgsteer.validation` so the two routes can cross-check each other.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import eigenvalues, real_schur, schur_eigenvalues
+from .eigen import power_of_two_scale, spectral_abscissa
 from .errors import (
-    EigenFailure,
     NonPhysicalInput,
     SolveFailure,
     UnknownMode,
@@ -43,7 +43,10 @@ MODE_ORDER = ("mirror1", "mirror2", "cavity")
 
 _SYM_TOL = 1e-12
 _PHYS_TOL = 1e-9
-_PAIR_TOL = 1e-8
+# refinement stops once a correction is at most this many eps of max|V|
+_FORWARD_FACTOR = 2.0
+_MAX_REFINE = 8
+_EYE6 = np.eye(6)
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,9 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+_OMEGA = {n: symplectic_form(n) for n in (1, 2, 3)}
+
+
 def _mode_index(cm: CovarianceMatrix, label: str) -> int:
     try:
         return cm.mode_labels.index(label)
@@ -131,108 +137,54 @@ def partial_transpose(cm: CovarianceMatrix, mode: str) -> CovarianceMatrix:
 
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> list[float]:
-    """Moduli of eig(i Omega V), paired and deduplicated, ascending.
+    """Symplectic eigenvalues of ``cm``, ascending.
 
-    The 2m eigenvalues of Omega V come in +/- pairs; their moduli are
-    matched to relative tolerance 1e-8 and averaged.  A pairing failure
-    signals a numerical pathology and raises :class:`EigenFailure`.
+    They are the upper half of the spectrum of the Hermitian matrix
+    i L^T Omega L, with V = L L^T (Serafini, *Quantum Continuous
+    Variables*, 2017), whose eigenvalues come in exact +/- pairs.  A
+    matrix that is not positive definite is not a state and raises
+    :class:`NonPhysicalInput`.
     """
-    omega = symplectic_form(cm.n_modes)
-    lam = eigenvalues(omega @ cm.data)
-    mods = sorted(abs(z) for z in lam)
-    out = []
-    for k in range(0, len(mods), 2):
-        a, b = mods[k], mods[k + 1]
-        if b - a > _PAIR_TOL * max(b, 1.0):
-            raise EigenFailure(
-                f"symplectic eigenvalue moduli {a} and {b} do not pair "
-                f"within tolerance"
-            )
-        out.append(0.5 * (a + b))
-    return out
+    n = cm.n_modes
+    try:
+        low = np.linalg.cholesky(cm.data)
+    except np.linalg.LinAlgError:
+        raise NonPhysicalInput(
+            "covariance matrix is not positive definite, so it is not a "
+            "valid state"
+        ) from None
+    omega = _OMEGA.get(n)
+    if omega is None:
+        omega = symplectic_form(n)
+    return np.linalg.eigvalsh(1j * (low.T @ omega @ low))[n:].tolist()
 
 
 def min_pt_symplectic(cm: CovarianceMatrix) -> float:
     """Smallest symplectic eigenvalue of the partially transposed two-mode CM.
 
-    Uses the determinant closed form
-
-        nu = 2^{-1/2} sqrt(aleph - sqrt(aleph^2 - 4 det V)),
-        aleph = det A + det B - 2 det C,
-
-    where A, B are the single-mode blocks and C the cross block.  Values
-    below 1/2 certify entanglement of the two modes.
+    Values below 1/2 certify entanglement of the two modes.  Transposing
+    either mode gives the same spectrum.
     """
     if cm.n_modes != 2:
         raise NonPhysicalInput(
-            f"closed form needs a two-mode CM, got {cm.n_modes} modes"
+            f"partial transpose needs a two-mode CM, got {cm.n_modes} modes"
         )
-    v = cm.data
-    det_a = float(np.linalg.det(v[0:2, 0:2]))
-    det_b = float(np.linalg.det(v[2:4, 2:4]))
-    det_c = float(np.linalg.det(v[0:2, 2:4]))
-    det_v = float(np.linalg.det(v))
-    aleph = det_a + det_b - 2.0 * det_c
-    disc = aleph * aleph - 4.0 * det_v
-    tol = 1e-9 * max(1.0, aleph * aleph)
-    if disc < -tol:
-        raise NonPhysicalInput(
-            f"aleph^2 - 4 det V = {disc} < 0: upstream covariance is not "
-            f"a valid state"
-        )
-    inner = 0.5 * (aleph - math.sqrt(max(disc, 0.0)))
-    if inner < -tol:
-        raise NonPhysicalInput(f"negative nu^2 = {inner} in closed form")
-    return math.sqrt(max(inner, 0.0))
-
-
-def _diag_blocks(t: np.ndarray) -> list[tuple[int, int]]:
-    """(start, size) partition of a quasi-triangular matrix's diagonal."""
-    n = t.shape[0]
-    blocks = []
-    i = 0
-    while i < n:
-        if i < n - 1 and t[i + 1, i] != 0.0:
-            blocks.append((i, 2))
-            i += 2
-        else:
-            blocks.append((i, 1))
-            i += 1
-    return blocks
-
-
-def _back_substitute(t: np.ndarray, q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A X + X A^T = -rhs`` given the real Schur pair of A."""
-    n = t.shape[0]
-    rhs_t = q.T @ rhs @ q
-    y = np.zeros((n, n))
-    eye_n = np.eye(n)
-    for start, size in reversed(_diag_blocks(t)):
-        jj = slice(start, start + size)
-        after = slice(start + size, n)
-        c = -rhs_t[:, jj] - y[:, after] @ t[jj, after].T
-        m = np.kron(np.eye(size), t) + np.kron(t[jj, jj], eye_n)
-        try:
-            x = np.linalg.solve(m, c.reshape(-1, order="F"))
-        except np.linalg.LinAlgError as exc:
-            raise SolveFailure(f"singular Sylvester block at {start}: {exc}") from exc
-        y[:, jj] = x.reshape((n, size), order="F")
-    return q @ y @ q.T
+    return symplectic_eigenvalues(partial_transpose(cm, cm.mode_labels[1]))[0]
 
 
 def steady_covariance(a: np.ndarray, d: np.ndarray):
     """Stability margin and (when stable) steady-state covariance.
 
     Returns ``(margin, cm_or_None)`` with the margin in the units of
-    ``a``.  One Schur decomposition serves both the stability decision
-    and the Bartels-Stewart back-substitution, which keeps grid sweeps
-    cheap and guarantees the two can never disagree at a boundary point.
+    ``a``, from :func:`lgsteer.eigen.spectral_abscissa`.
 
-    Near-marginal systems (margin within ~1e-8 of zero relative to the
-    fastest rate) have steady states with entries of order 1/|margin|;
-    there the plain back-substitution loses backward stability, so the
-    solution is polished by iterative refinement until the residual sits
-    at the backward-stable floor ``eps * |A| * |V|``.
+    A stable system is solved as ``(I (x) A + A (x) I) vec V = -vec D``
+    on power-of-two-scaled inputs.  Near-marginal systems, and equal
+    mirror frequencies, make that operator ill conditioned (cond_2 up to
+    ~1e8), so the solution is refined with residuals accumulated in
+    extended precision until a correction is at most ``2 eps max|V|``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    ch. 12): that is forward accuracy, not just a small backward error.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -242,36 +194,37 @@ def steady_covariance(a: np.ndarray, d: np.ndarray):
         raise SolveFailure("drift or diffusion has non-finite entries")
     if np.max(np.abs(d - d.T)) > _SYM_TOL * max(1.0, np.max(np.abs(d))):
         raise SolveFailure("diffusion matrix is not symmetric")
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return 0.0, None
-    # exact power-of-two scaling keeps SI-scale and unit-scale inputs on
-    # the same numerical path
-    scale = 2.0 ** math.ceil(math.log2(scale))
-    a_s = a / scale
-    d_s = d / scale
-    t, q = real_schur(a_s)
-    margin = max(z.real for z in schur_eigenvalues(t)) * scale
+    margin = spectral_abscissa(a)
     if margin >= 0.0:
         return margin, None
-    v = _back_substitute(t, q, d_s)
+    scale = power_of_two_scale(a)
+    a_s = a / scale
+    d_s = d / scale
+    # I (x) A + A (x) I, indexed [(p, i), (q, j)]
+    kron_sum = (
+        _EYE6[:, None, :, None] * a_s[None, :, None, :]
+        + a_s[:, None, :, None] * _EYE6[None, :, None, :]
+    ).reshape(36, 36)
+    try:
+        inverse = np.linalg.inv(kron_sum)
+    except np.linalg.LinAlgError as exc:
+        raise SolveFailure(f"singular Lyapunov operator: {exc}") from exc
+    # ravel is the column-major vec of the transpose, and X -> A X + X A^T
+    # commutes with transposition, so ravel/reshape solve the same equation
+    v = (inverse @ -d_s.ravel()).reshape(6, 6)
     v = 0.5 * (v + v.T)
     al = a_s.astype(np.longdouble)
     dl = d_s.astype(np.longdouble)
-    amax = float(np.max(np.abs(a_s)))
-    dmax = float(np.max(np.abs(d_s)))
-    eps = float(np.finfo(float).eps)
-    for _ in range(4):
+    limit = _FORWARD_FACTOR * float(np.finfo(float).eps)
+    for _ in range(_MAX_REFINE):
         if not np.all(np.isfinite(v)):
             raise SolveFailure("Lyapunov solution has non-finite entries")
         vl = v.astype(np.longdouble)
         resid_mat = np.asarray(al @ vl + vl @ al.T + dl, dtype=float)
-        resid = float(np.max(np.abs(resid_mat)))
-        floor = 32.0 * eps * max(1.0, dmax, amax * float(np.max(np.abs(v))))
-        if resid <= floor:
+        delta = (inverse @ -resid_mat.ravel()).reshape(6, 6)
+        v = v + 0.5 * (delta + delta.T)
+        if np.max(np.abs(delta)) <= limit * np.max(np.abs(v)):
             break
-        delta = _back_substitute(t, q, resid_mat)
-        v = 0.5 * ((v + delta) + (v + delta).T)
     if not np.all(np.isfinite(v)):
         raise SolveFailure("Lyapunov solution has non-finite entries")
     vmax = float(np.max(np.abs(v)))
@@ -281,7 +234,7 @@ def steady_covariance(a: np.ndarray, d: np.ndarray):
         raise SolveFailure(f"Lyapunov residual {resid} exceeds bound {bound}")
     jitter = 1e-9 * max(1.0, vmax)
     try:
-        np.linalg.cholesky(v + jitter * np.eye(6))
+        np.linalg.cholesky(v + jitter * _EYE6)
     except np.linalg.LinAlgError as exc:
         raise SolveFailure(
             "Lyapunov solution is not positive semidefinite"
@@ -290,7 +243,7 @@ def steady_covariance(a: np.ndarray, d: np.ndarray):
 
 
 def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> CovarianceMatrix:
-    """Steady-state covariance from A V + V A^T = -D (Bartels-Stewart).
+    """Steady-state covariance from A V + V A^T = -D (see :func:`steady_covariance`).
 
     Requires a strictly stable drift; raises :class:`UnstableSystem`
     otherwise (callers sweeping a grid should mask the point instead of

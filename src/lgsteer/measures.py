@@ -1,17 +1,18 @@
 """Entanglement and steering measures on Gaussian states.
 
 All measures act on covariance matrices in the vacuum-variance-1/2
-convention.  Two-mode entanglement uses the logarithmic negativity in
-its closed form; one-versus-two-mode entanglement applies a partial
-transpose to the full three-mode state; steering uses the Renyi-2
-entropy criterion.  :func:`full_report` bundles everything for a single
-linearized model, sharing one Schur decomposition between the stability
-decision and the covariance solve.
+convention.  Entanglement is the logarithmic negativity, from the
+smallest symplectic eigenvalue of a partially transposed state (the
+two-mode pair, or the full three-mode state for a one-versus-two
+split); steering uses the Renyi-2 entropy criterion.
+:func:`full_report` bundles everything for a single linearized model
+and computes each pair and each one-versus-two spectrum once.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,8 +46,7 @@ def log_negativity(cm: CovarianceMatrix) -> float:
     """Logarithmic negativity of a two-mode Gaussian state.
 
     ``EN = max(0, -ln(2 nu))`` with ``nu`` the smaller symplectic
-    eigenvalue of the partially transposed state, obtained in closed
-    form from the block determinants.
+    eigenvalue of the partially transposed state.
     """
     if cm.n_modes != 2:
         raise NonPhysicalInput(
@@ -76,7 +76,7 @@ def one_vs_two_log_negativity(cm: CovarianceMatrix, single: str) -> float:
     return max(0.0, -math.log(2.0 * nu_min))
 
 
-def residual_contangle_min(cm: CovarianceMatrix) -> float:
+def residual_contangle_min(cm: CovarianceMatrix, pair_en=None) -> float:
     """Minimum residual contangle over the three one-vs-two splits.
 
     For each focus mode ``f`` the residual is
@@ -85,17 +85,26 @@ def residual_contangle_min(cm: CovarianceMatrix) -> float:
     Residuals below ``-1e-6`` raise :class:`MonogamyViolation`; small
     negative rounding noise is clamped to zero.  Returns the smallest
     residual.
+
+    ``pair_en`` maps ``frozenset({j, k})`` to ``EN(j|k)`` for each pair
+    of modes, when the caller has them already; by default they are
+    computed here.
     """
     if cm.n_modes != 3:
         raise NonPhysicalInput(
             f"residual_contangle_min needs a three-mode state, got {cm.n_modes}"
         )
     labels = cm.mode_labels
+    if pair_en is None:
+        pair_en = {
+            frozenset(pair): log_negativity(reduce(cm, pair))
+            for pair in itertools.combinations(labels, 2)
+        }
     residuals = []
     for focus in labels:
         others = [lab for lab in labels if lab != focus]
         e_all = one_vs_two_log_negativity(cm, focus)
-        e_pair = [log_negativity(reduce(cm, (focus, other))) for other in others]
+        e_pair = [pair_en[frozenset((focus, other))] for other in others]
         res = e_all**2 - e_pair[0] ** 2 - e_pair[1] ** 2
         if res < -_MONOGAMY_TOL:
             raise MonogamyViolation(
@@ -218,11 +227,12 @@ class CorrelationReport:
 def full_report(model: LinearModel) -> CorrelationReport:
     """Compute every correlation measure for one linearized model.
 
-    Solves the steady state once (stability margin and covariance come
-    from the same decomposition) and evaluates the mirror-mirror and
+    Solves the steady state once and evaluates the mirror-mirror and
     mirror-cavity entanglement, the three-way residual contangle, and
-    the two steering directions with their classification.  Solver
-    errors are re-raised tagged with the detuning of the failing point.
+    the two steering directions with their classification.  Each of the
+    three pair spectra is computed once and shared with the residual
+    contangle.  Solver errors are re-raised tagged with the detuning of
+    the failing point.
 
     At the OPA threshold the mean field diverges and there is no working
     point to linearize about.  The cavity block there has determinant
@@ -241,7 +251,14 @@ def full_report(model: LinearModel) -> CorrelationReport:
         en_m2c = log_negativity(reduce(cm, ("mirror2", "cavity")))
         zeta_m1_m2 = steering(mm, "mirror2")
         zeta_m2_m1 = steering(mm, "mirror1")
-        r_min = residual_contangle_min(cm)
+        r_min = residual_contangle_min(
+            cm,
+            {
+                frozenset(("mirror1", "mirror2")): en_mm,
+                frozenset(("mirror1", "cavity")): en_m1c,
+                frozenset(("mirror2", "cavity")): en_m2c,
+            },
+        )
     except LgsteerError as exc:
         ratio = model.steady.delta_eff / model.derived.params.omega_phi1
         raise type(exc)(f"at detuning_ratio={ratio:g}: {exc}") from exc

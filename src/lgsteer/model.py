@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constants import CLIGHT, HBAR, KBOLTZ
-from .eigen import eigenvalues
+from .eigen import spectral_abscissa
 from .errors import NonPositiveParameter
 
 __all__ = [
@@ -356,18 +356,9 @@ def stability_margin(drift: np.ndarray) -> float:
     """Largest real part of the drift spectrum, in the units of ``drift``.
 
     The linear system has a steady state iff the margin is strictly
-    negative.  The matrix is rescaled by a power of two near its largest
-    entry before the QR iteration so SI-scale and unit-scale inputs take
-    the same numerical path.
+    negative.  See :func:`lgsteer.eigen.spectral_abscissa`.
     """
-    drift = np.asarray(drift, dtype=float)
-    scale = float(np.max(np.abs(drift)))
-    if scale == 0.0:
-        return 0.0
-    # exact (power-of-two) scaling: no rounding introduced
-    scale = 2.0 ** math.ceil(math.log2(scale))
-    lam = eigenvalues(drift / scale)
-    return scale * max(z.real for z in lam)
+    return spectral_abscissa(drift)
 
 
 def with_updates(params: SystemParams, **changes) -> SystemParams:

@@ -13,7 +13,6 @@ never aborts half-way.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import NamedTuple
@@ -152,6 +151,9 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1) -> SweepResult:
     if parallelism == 1:
         rows = [_evaluate_point(p) for p in points]
     else:
+        # imported here so processes that never ask for threads skip it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             rows = list(pool.map(_evaluate_point, points))
     metadata = {

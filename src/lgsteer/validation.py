@@ -1,11 +1,13 @@
 """Independent oracles that certify the core solver pipeline.
 
 Three routes to the steady-state covariance exist in this package: the
-Schur-based :func:`lgsteer.gaussian.solve_lyapunov`, the vectorized
+refined solve of :func:`lgsteer.gaussian.solve_lyapunov`, the plain
 Kronecker solve here, and direct time integration of the covariance
-ODE.  They share no linear-algebra code (this module leans on
-``numpy.linalg`` rather than the in-repo eigensolver), so agreement is
-meaningful evidence.  :func:`run_checks` bundles the cross-checks plus
+ODE.  The oracle solves the same vectorized system as the package
+solver but shares no code with it (no scaling, no refinement, its own
+LAPACK call); the integrator is the independent algorithm, sharing no
+linear algebra with either, so three-way agreement is meaningful
+evidence.  :func:`run_checks` bundles the cross-checks plus
 analytic reference states for the CLI ``verify`` command; the solver
 under test is injectable so a corrupted solver is detectably red.
 """
@@ -44,8 +46,8 @@ def lyapunov_oracle(a: np.ndarray, d: np.ndarray) -> CovarianceMatrix:
 
     Vectorizes ``A V + V A^T = -D`` into
     ``(I (+) A + A (+) I) vec(V) = -vec(D)`` and solves the 4n^2-sized
-    dense system directly.  Slower than the Schur route but entirely
-    independent of it; intended for tests and the ``verify`` command.
+    dense system directly, without the package solver's scaling or
+    refinement; intended for tests and the ``verify`` command.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)

@@ -13,6 +13,7 @@ from lgsteer import (
     UnknownMode,
     UnstableSystem,
     build_model,
+    full_report,
     lyapunov_oracle,
     lyapunov_residual,
     min_pt_symplectic,
@@ -345,6 +346,57 @@ class TestSteadyCovariance:
         )
         cm = solve_lyapunov(m.drift / W1, m.diffusion / W1)
         cm.check_physical()
+
+
+class TestNearMarginalPoint:
+    """Equal mirror frequencies at the margin of stability.
+
+    The point is detuning 0, OPA gain 0.1 w1 at phase 0, T = 0 and
+    omega_phi2 = w1, with the other parameters at their table defaults.
+    Its margin is -2.5e-8 w1 and cond_2(I (x) A + A (x) I) is about 1e8,
+    so a solve that stops at a small backward error is off by ~1e-8.
+
+    Provenance of the reference values: the float64 drift and diffusion
+    of ``build_model`` (SI units) were taken as exact, the 36x36
+    Kronecker system of A V + V A^T = -D was solved in 50-digit mpmath
+    arithmetic, and each symplectic eigenvalue is the modulus of a
+    50-digit eigenvalue of Omega V~, V~ the partially transposed state.
+    """
+
+    NU_PT_M1_CAVITY = 0.8220943092904425
+    NU_MIRROR1_REST = 0.34794529845637273
+    NU_CAVITY_REST = 0.5
+
+    @staticmethod
+    def model():
+        return build_model(
+            make_params(
+                detuning=0.0,
+                opa_gain=0.1 * W1,
+                opa_phase=0.0,
+                temperature=0.0,
+                omega_phi2=W1,
+            )
+        )
+
+    def covariance(self) -> CovarianceMatrix:
+        m = self.model()
+        _, cm = steady_covariance(m.drift, m.diffusion)
+        return cm
+
+    def test_pair_partial_transpose(self):
+        nu = min_pt_symplectic(reduce(self.covariance(), ["mirror1", "cavity"]))
+        assert nu == pytest.approx(self.NU_PT_M1_CAVITY, rel=1e-8)
+
+    def test_one_vs_two_spectra(self):
+        cm = self.covariance()
+        nu_m1 = symplectic_eigenvalues(partial_transpose(cm, "mirror1"))[0]
+        nu_cav = symplectic_eigenvalues(partial_transpose(cm, "cavity"))[0]
+        assert nu_m1 == pytest.approx(self.NU_MIRROR1_REST, rel=1e-8)
+        assert nu_cav == pytest.approx(self.NU_CAVITY_REST, abs=1e-8)
+
+    def test_no_spurious_residual_contangle(self):
+        assert full_report(self.model()).r_min == 0
 
 
 class TestSolveLyapunov:

@@ -10,7 +10,6 @@ from lgsteer import (
     CorrelationReport,
     CovarianceMatrix,
     LinearModel,
-    MonogamyViolation,
     NonPhysicalInput,
     NonPositiveDeterminant,
     SolveFailure,
@@ -165,7 +164,9 @@ class TestResidualContangle:
 
     def test_cloned_correlations_rejected(self):
         # no physical state correlates one mode identically with two
-        # others this strongly; the sharing bound must fire
+        # others this strongly; the matrix is not even positive definite
+        # (smallest eigenvalue cosh(1.6)/2 - sqrt(2) sinh(1.6)/2 < 0), so it
+        # is rejected as a state before any monogamy residual exists
         r = 0.8
         a, c = math.cosh(2.0 * r) / 2.0, math.sinh(2.0 * r) / 2.0
         z = np.diag([1.0, -1.0])
@@ -175,7 +176,7 @@ class TestResidualContangle:
             [[a * eye2, c * z, c * z], [c * z, a * eye2, zero], [c * z, zero, a * eye2]]
         )
         cm = CovarianceMatrix(v, ("alpha", "beta", "gamma"))
-        with pytest.raises(MonogamyViolation, match="residual contangle"):
+        with pytest.raises(NonPhysicalInput, match="not positive definite"):
             residual_contangle_min(cm)
 
     def test_wrong_mode_count(self):
