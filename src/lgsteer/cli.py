@@ -18,7 +18,7 @@ import os
 import sys
 
 from ._version import __version__
-from .config import parse_config, to_sweep_spec, to_system_params
+from .config import parse_config, to_system_params
 from .errors import LgsteerError
 from .io import (
     MEASURE_COLUMNS,
@@ -29,7 +29,7 @@ from .io import (
 )
 from .measures import full_report
 from .model import build_model
-from .sweep import PRESET_NAMES, preset_variants, run_sweep
+from .sweep import PRESET_NAMES, preset_variants, run_sweep, to_sweep_spec
 from .validation import run_checks
 
 _DEFAULT_CONFIG_TEXT = '{"run": {"mode": "point"}}'
@@ -93,7 +93,7 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for path, spec in jobs:
-        result = run_sweep(spec, parallelism=args.parallel)
+        result = run_sweep(spec)
         try:
             write_result(result, path, fmt)
         except OSError as exc:
@@ -145,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--preset", help="built-in figure preset name")
     p_sweep.add_argument("--out", help="output path (variants add suffixes)")
     p_sweep.add_argument("--format", choices=("csv", "json"), default=None)
-    p_sweep.add_argument("--parallel", type=int, default=1, metavar="N")
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_list = sub.add_parser("preset-list", help="list built-in presets")

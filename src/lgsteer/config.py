@@ -8,6 +8,10 @@ defaults.  Frequencies are given as ratios to the left-mirror angular
 frequency except ``omega_phi1_hz`` itself, which is an ordinary
 frequency in hertz.  Unknown keys anywhere are rejected so typos cannot
 silently become defaults.
+
+``_SYSTEM_KEYS`` is the single source of that display-unit convention:
+run-file validation, both directions of the SI conversion, the preset
+defaults (:func:`table_defaults`) and the sweep axes all read it.
 """
 
 from __future__ import annotations
@@ -18,30 +22,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadUnit, InvalidSpec, MissingRequired, UnknownKey, UnknownMode
+from .errors import BadUnit, MissingRequired, UnknownKey, UnknownMode
 from .model import SystemParams
-from .sweep import Axis, SweepSpec
 
-# key -> (default, unit description, sign rule)
-# sign rules: "pos" > 0, "nonneg" >= 0, "any" finite, "posint" positive integer
+# run-file key -> (SystemParams field, scale, default, unit, sign rule), in
+# the key order of the JSON ``spec`` block.  Scales: "ratio" multiplies by
+# omega_phi1, "hz" is omega_phi1 / (2*pi), "int" an integer, "si" as-is.
+# A None default marks an optional key.  Sign rules: "pos" > 0,
+# "nonneg" >= 0, "any" finite, "posint" positive integer.
+_RATIO = "units of omega_phi1"
 _SYSTEM_KEYS: dict = {
-    "cavity_length_m": (1e-3, "meters", "pos"),
-    "mirror_mass_kg": (35e-12, "kilograms", "pos"),
-    "mirror_radius_m": (10e-6, "meters", "pos"),
-    "omega_phi1_hz": (1e7, "hertz", "pos"),
-    "omega_phi2_ratio": (1.5, "units of omega_phi1", "pos"),
-    "laser_power_w": (50e-3, "watts", "pos"),
-    "laser_wavelength_m": (810e-9, "meters", "pos"),
-    "quality_factor": (2e7, "dimensionless", "pos"),
-    "finesse": (5e3, "dimensionless", "pos"),
-    "oam_number": (100, "dimensionless integer", "posint"),
-    "temperature_k": (15e-3, "kelvin", "nonneg"),
-    "opa_gain_ratio": (0.0, "units of omega_phi1", "nonneg"),
-    "opa_phase_rad": (0.0, "radians", "any"),
-    "detuning_ratio": (-1.0, "units of omega_phi1", "any"),
-}
-_OPTIONAL_SYSTEM_KEYS: dict = {
-    "kappa_override_ratio": ("units of omega_phi1", "pos"),
+    "cavity_length_m": ("cavity_length", "si", 1e-3, "meters", "pos"),
+    "mirror_mass_kg": ("mirror_mass", "si", 35e-12, "kilograms", "pos"),
+    "mirror_radius_m": ("mirror_radius", "si", 10e-6, "meters", "pos"),
+    "omega_phi1_hz": ("omega_phi1", "hz", 1e7, "hertz", "pos"),
+    "omega_phi2_ratio": ("omega_phi2", "ratio", 1.5, _RATIO, "pos"),
+    "laser_power_w": ("laser_power", "si", 50e-3, "watts", "pos"),
+    "laser_wavelength_m": ("laser_wavelength", "si", 810e-9, "meters", "pos"),
+    "quality_factor": ("quality_factor", "si", 2e7, "dimensionless", "pos"),
+    "finesse": ("finesse", "si", 5e3, "dimensionless", "pos"),
+    "oam_number": ("oam_number", "int", 100, "dimensionless integer", "posint"),
+    "temperature_k": ("temperature", "si", 15e-3, "kelvin", "nonneg"),
+    "opa_gain_ratio": ("opa_gain", "ratio", 0.0, _RATIO, "nonneg"),
+    "opa_phase_rad": ("opa_phase", "si", 0.0, "radians", "any"),
+    "detuning_ratio": ("detuning", "ratio", -1.0, _RATIO, "any"),
+    "kappa_override_ratio": ("kappa_override", "ratio", None, _RATIO, "pos"),
 }
 
 _RUN_KEYS = {"mode", "axis1", "axis2"}
@@ -163,16 +168,13 @@ def parse_config(text: str) -> RunConfig:
         raise BadUnit("'system' must be an object")
     system: dict = {}
     for key, value in system_raw.items():
-        if key in _SYSTEM_KEYS:
-            _, unit, rule = _SYSTEM_KEYS[key]
-            system[key] = _check_number(key, value, unit, rule)
-        elif key in _OPTIONAL_SYSTEM_KEYS:
-            unit, rule = _OPTIONAL_SYSTEM_KEYS[key]
-            system[key] = _check_number(key, value, unit, rule)
-        else:
+        if key not in _SYSTEM_KEYS:
             raise UnknownKey(f"unknown key {key!r} in 'system'")
-    for key, (default, _, _) in _SYSTEM_KEYS.items():
-        system.setdefault(key, float(default))
+        _, _, _, unit, rule = _SYSTEM_KEYS[key]
+        system[key] = _check_number(key, value, unit, rule)
+    for key, (_, _, default, _, _) in _SYSTEM_KEYS.items():
+        if default is not None:
+            system.setdefault(key, float(default))
 
     run_raw = raw["run"]
     if not isinstance(run_raw, dict):
@@ -226,30 +228,26 @@ def serialize_config(config: RunConfig) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def to_si(key: str, value, omega_phi1: float) -> tuple[str, float]:
+    """The :class:`SystemParams` field and SI value of one run-file key."""
+    name, scale = _SYSTEM_KEYS[key][:2]
+    if scale == "ratio":
+        return name, value * omega_phi1
+    if scale == "hz":
+        return name, 2.0 * math.pi * value
+    if scale == "int":
+        return name, int(value)
+    return name, value
+
+
+def _system_params(system: dict) -> SystemParams:
+    w1 = 2.0 * math.pi * system["omega_phi1_hz"]
+    return SystemParams(**dict(to_si(k, v, w1) for k, v in system.items()))
+
+
 def to_system_params(config: RunConfig) -> SystemParams:
     """Convert the display-unit system section into SI model inputs."""
-    s = config.system
-    w1 = 2.0 * math.pi * s["omega_phi1_hz"]
-    kappa_override = None
-    if "kappa_override_ratio" in s:
-        kappa_override = s["kappa_override_ratio"] * w1
-    return SystemParams(
-        cavity_length=s["cavity_length_m"],
-        mirror_mass=s["mirror_mass_kg"],
-        mirror_radius=s["mirror_radius_m"],
-        omega_phi1=w1,
-        omega_phi2=s["omega_phi2_ratio"] * w1,
-        laser_power=s["laser_power_w"],
-        laser_wavelength=s["laser_wavelength_m"],
-        quality_factor=s["quality_factor"],
-        finesse=s["finesse"],
-        oam_number=int(s["oam_number"]),
-        temperature=s["temperature_k"],
-        opa_gain=s["opa_gain_ratio"] * w1,
-        opa_phase=s["opa_phase_rad"],
-        detuning=s["detuning_ratio"] * w1,
-        kappa_override=kappa_override,
-    )
+    return _system_params(config.system)
 
 
 def system_to_display(params: SystemParams) -> dict:
@@ -257,34 +255,22 @@ def system_to_display(params: SystemParams) -> dict:
     display-unit config keys (frequencies as ratios, hertz for the
     reference frequency)."""
     w1 = params.omega_phi1
-    out = {
-        "cavity_length_m": params.cavity_length,
-        "mirror_mass_kg": params.mirror_mass,
-        "mirror_radius_m": params.mirror_radius,
-        "omega_phi1_hz": w1 / (2.0 * math.pi),
-        "omega_phi2_ratio": params.omega_phi2 / w1,
-        "laser_power_w": params.laser_power,
-        "laser_wavelength_m": params.laser_wavelength,
-        "quality_factor": params.quality_factor,
-        "finesse": params.finesse,
-        "oam_number": params.oam_number,
-        "temperature_k": params.temperature,
-        "opa_gain_ratio": params.opa_gain / w1,
-        "opa_phase_rad": params.opa_phase,
-        "detuning_ratio": params.detuning / w1,
-    }
-    if params.kappa_override is not None:
-        out["kappa_override_ratio"] = params.kappa_override / w1
+    out = {}
+    for key, (name, scale, _, _, _) in _SYSTEM_KEYS.items():
+        value = getattr(params, name)
+        if value is None:
+            continue
+        if scale == "ratio":
+            value = value / w1
+        elif scale == "hz":
+            value = value / (2.0 * math.pi)
+        out[key] = value
     return out
 
 
-def to_sweep_spec(config: RunConfig) -> SweepSpec:
-    """Build the sweep grid from a sweep-mode config."""
-    if config.run.mode != "sweep":
-        raise InvalidSpec("config run.mode is not 'sweep'")
-    base = to_system_params(config)
-    axis1 = Axis(config.run.axis1.name, config.run.axis1.values)
-    axis2 = None
-    if config.run.axis2 is not None:
-        axis2 = Axis(config.run.axis2.name, config.run.axis2.values)
-    return SweepSpec(base, axis1, axis2)
+def table_defaults() -> SystemParams:
+    """Base physical parameters shared by every preset: the run-file
+    defaults in SI units."""
+    return _system_params(
+        {k: float(d) for k, (_, _, d, _, _) in _SYSTEM_KEYS.items() if d is not None}
+    )

@@ -34,32 +34,41 @@ MEASURE_COLUMNS = (
 )
 
 
-def _fmt(value: float | None) -> str:
+# single-point outputs put the margin second
+_POINT_ORDER = ("stable", "stability_margin_ratio") + MEASURE_COLUMNS[1:-1]
+
+
+def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return value
     return repr(float(value))
+
+
+def _report_values(report: CorrelationReport, omega_phi1: float) -> dict:
+    """A report's values keyed by ``MEASURE_COLUMNS``, in that order."""
+    steering_class = report.steering_class
+    return {
+        "stable": report.stable,
+        "EN_mm": report.en_mm,
+        "EN_m1c": report.en_m1c,
+        "EN_m2c": report.en_m2c,
+        "zeta_m1_m2": report.zeta_m1_m2,
+        "zeta_m2_m1": report.zeta_m2_m1,
+        "zeta_M": report.zeta_asym,
+        "steering_class": None if steering_class is None else steering_class.value,
+        "R_min": report.r_min,
+        "stability_margin_ratio": report.stability_margin / omega_phi1,
+    }
 
 
 def _report_cells(report: CorrelationReport | None, omega_phi1: float) -> list[str]:
     if report is None:
         return ["error"] + [""] * (len(MEASURE_COLUMNS) - 1)
-    margin_ratio = report.stability_margin / omega_phi1
-    if not report.stable:
-        cells = ["false"] + [""] * (len(MEASURE_COLUMNS) - 2)
-        cells.append(_fmt(margin_ratio))
-        return cells
-    return [
-        "true",
-        _fmt(report.en_mm),
-        _fmt(report.en_m1c),
-        _fmt(report.en_m2c),
-        _fmt(report.zeta_m1_m2),
-        _fmt(report.zeta_m2_m1),
-        _fmt(report.zeta_asym),
-        report.steering_class.value,
-        _fmt(report.r_min),
-        _fmt(margin_ratio),
-    ]
+    return [_fmt(v) for v in _report_values(report, omega_phi1).values()]
 
 
 def serialize_csv(result: SweepResult) -> str:
@@ -77,23 +86,11 @@ def serialize_csv(result: SweepResult) -> str:
 
 def _row_dict(row, omega_phi1: float) -> dict:
     doc: dict = {name: value for name, value in row.coords}
-    report = row.report
-    if report is None:
+    if row.report is None:
         doc["stable"] = "error"
         doc["error"] = row.error
-        return doc
-    doc["stable"] = report.stable
-    doc["EN_mm"] = report.en_mm
-    doc["EN_m1c"] = report.en_m1c
-    doc["EN_m2c"] = report.en_m2c
-    doc["zeta_m1_m2"] = report.zeta_m1_m2
-    doc["zeta_m2_m1"] = report.zeta_m2_m1
-    doc["zeta_M"] = report.zeta_asym
-    doc["steering_class"] = (
-        None if report.steering_class is None else report.steering_class.value
-    )
-    doc["R_min"] = report.r_min
-    doc["stability_margin_ratio"] = report.stability_margin / omega_phi1
+    else:
+        doc.update(_report_values(row.report, omega_phi1))
     return doc
 
 
@@ -181,43 +178,20 @@ def write_result(result: SweepResult, path: str, fmt: str) -> None:
         fh.write(payload)
 
 
+def _point_values(report: CorrelationReport, omega_phi1: float) -> dict:
+    values = _report_values(report, omega_phi1)
+    return {name: values[name] for name in _POINT_ORDER}
+
+
 def format_report_table(report: CorrelationReport, omega_phi1: float) -> str:
     """Aligned key/value table for a single-point report."""
-    rows = [("stable", "true" if report.stable else "false")]
-    rows.append(
-        ("stability_margin_ratio", _fmt(report.stability_margin / omega_phi1))
-    )
-    if report.stable:
-        rows.extend(
-            [
-                ("EN_mm", _fmt(report.en_mm)),
-                ("EN_m1c", _fmt(report.en_m1c)),
-                ("EN_m2c", _fmt(report.en_m2c)),
-                ("zeta_m1_m2", _fmt(report.zeta_m1_m2)),
-                ("zeta_m2_m1", _fmt(report.zeta_m2_m1)),
-                ("zeta_M", _fmt(report.zeta_asym)),
-                ("steering_class", report.steering_class.value),
-                ("R_min", _fmt(report.r_min)),
-            ]
-        )
+    rows = list(_point_values(report, omega_phi1).items())
+    if not report.stable:
+        rows = rows[:2]
     width = max(len(k) for k, _ in rows)
-    return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
+    return "\n".join(f"{k:<{width}}  {_fmt(v)}" for k, v in rows)
 
 
 def report_to_json(report: CorrelationReport, omega_phi1: float) -> str:
     """JSON document for a single-point report (same field names)."""
-    doc: dict = {
-        "stable": report.stable,
-        "stability_margin_ratio": report.stability_margin / omega_phi1,
-        "EN_mm": report.en_mm,
-        "EN_m1c": report.en_m1c,
-        "EN_m2c": report.en_m2c,
-        "zeta_m1_m2": report.zeta_m1_m2,
-        "zeta_m2_m1": report.zeta_m2_m1,
-        "zeta_M": report.zeta_asym,
-        "steering_class": (
-            None if report.steering_class is None else report.steering_class.value
-        ),
-        "R_min": report.r_min,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_point_values(report, omega_phi1), indent=2) + "\n"

@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from ._version import __version__
+from .config import RunConfig, table_defaults, to_si, to_system_params
 from .constants import CLIGHT, HBAR, KBOLTZ
 from .errors import (
     InvalidSpec,
@@ -31,16 +33,15 @@ from .gaussian import reduce, steady_covariance
 from .measures import CorrelationReport, full_report, log_negativity
 from .model import SystemParams, build_model, with_updates
 
-# closed set of sweepable axes: axis name -> (SystemParams field, kind)
-# kind "ratio" scales by omega_phi1 on application, "direct" passes through
-_SWEEPABLE = {
-    "detuning_ratio": ("detuning", "ratio"),
-    "opa_gain_ratio": ("opa_gain", "ratio"),
-    "opa_phase_rad": ("opa_phase", "direct"),
-    "temperature_k": ("temperature", "direct"),
-    "omega_phi2_ratio": ("omega_phi2", "ratio"),
-    "laser_power_w": ("laser_power", "direct"),
-}
+# closed set of sweepable axes, named and scaled as their run-file keys
+_SWEEPABLE = (
+    "detuning_ratio",
+    "opa_gain_ratio",
+    "opa_phase_rad",
+    "temperature_k",
+    "omega_phi2_ratio",
+    "laser_power_w",
+)
 
 _GRID_1D = 401
 _GRID_2D = 101
@@ -95,10 +96,18 @@ class SweepSpec:
 
 
 def _apply(base: SystemParams, name: str, value: float) -> SystemParams:
-    field_name, kind = _SWEEPABLE[name]
-    if kind == "ratio":
-        value = value * base.omega_phi1
-    return with_updates(base, **{field_name: value})
+    field_name, si_value = to_si(name, value, base.omega_phi1)
+    return with_updates(base, **{field_name: si_value})
+
+
+def to_sweep_spec(config: RunConfig) -> SweepSpec:
+    """Build the sweep grid from a sweep-mode config."""
+    if config.run.mode != "sweep":
+        raise InvalidSpec("config run.mode is not 'sweep'")
+    run = config.run
+    axis1 = Axis(run.axis1.name, run.axis1.values)
+    axis2 = None if run.axis2 is None else Axis(run.axis2.name, run.axis2.values)
+    return SweepSpec(to_system_params(config), axis1, axis2)
 
 
 @dataclass(frozen=True)
@@ -120,8 +129,7 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _evaluate_point(args) -> SweepRow:
-    spec, i, j = args
+def _evaluate_point(spec: SweepSpec, i: int, j: int) -> SweepRow:
     coords = [(spec.axis1.name, spec.axis1.values[i])]
     if spec.axis2 is not None:
         coords.append((spec.axis2.name, spec.axis2.values[j]))
@@ -137,31 +145,16 @@ def _evaluate_point(args) -> SweepRow:
     return SweepRow((i, j), tuple(coords), report)
 
 
-def run_sweep(spec: SweepSpec, parallelism: int = 1) -> SweepResult:
-    """Evaluate the grid; rows come back in (axis1, axis2) index order.
-
-    ``parallelism`` > 1 evaluates rows concurrently but never changes
-    the output: every point is an independent pure computation and the
-    result list is assembled by grid index.
-    """
-    if not isinstance(parallelism, int) or parallelism < 1:
-        raise InvalidSpec(f"parallelism must be a positive integer, got {parallelism}")
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate the grid; rows come back in (axis1, axis2) index order."""
     n1, n2 = spec.shape
-    points = [(spec, i, j) for i in range(n1) for j in range(n2)]
-    if parallelism == 1:
-        rows = [_evaluate_point(p) for p in points]
-    else:
-        # imported here so processes that never ask for threads skip it
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            rows = list(pool.map(_evaluate_point, points))
+    rows = tuple(_evaluate_point(spec, i, j) for i in range(n1) for j in range(n2))
     metadata = {
         "created_at": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
         "constants": {"hbar": HBAR, "kboltz": KBOLTZ, "clight": CLIGHT},
     }
-    return SweepResult(spec, tuple(rows), metadata)
+    return SweepResult(spec, rows, metadata)
 
 
 class OptimumDetuning(NamedTuple):
@@ -232,27 +225,6 @@ def optimum_detuning(base: SystemParams, measure: str = "ENmm") -> OptimumDetuni
     return OptimumDetuning(best_x * base.omega_phi1, best_x, False)
 
 
-def table_defaults() -> SystemParams:
-    """Base physical parameters shared by every preset."""
-    w1 = 2.0 * math.pi * 1e7
-    return SystemParams(
-        cavity_length=1e-3,
-        mirror_mass=35e-12,
-        mirror_radius=10e-6,
-        omega_phi1=w1,
-        omega_phi2=1.5 * w1,
-        laser_power=50e-3,
-        laser_wavelength=810e-9,
-        quality_factor=2e7,
-        finesse=5e3,
-        oam_number=100,
-        temperature=15e-3,
-        opa_gain=0.0,
-        opa_phase=0.0,
-        detuning=-w1,
-    )
-
-
 def _delta_axis() -> Axis:
     return Axis("detuning_ratio", tuple(np.linspace(-2.0, 2.0, _GRID_1D)))
 
@@ -269,8 +241,9 @@ _THETA_TAGS = (
 )
 
 
-def _delta_scan_variants(base: SystemParams):
+def _delta_scan_variants():
     """chi=0 plus the four pumped phases used by the detuning scans."""
+    base = table_defaults()
     w1 = base.omega_phi1
     out = [("chi0", SweepSpec(with_updates(base, opa_gain=0.0), _delta_axis()))]
     for tag, theta in _THETA_TAGS:
@@ -279,7 +252,8 @@ def _delta_scan_variants(base: SystemParams):
     return out
 
 
-def _fig4_variants(base: SystemParams):
+def _fig4_variants():
+    base = table_defaults()
     w1 = base.omega_phi1
     t_axis = Axis("temperature_k", tuple(np.geomspace(1e-3, 1.0, _GRID_1D)))
     out = []
@@ -323,38 +297,29 @@ def _delta_scan_at_ratio(w2_ratio: float):
     return [("", SweepSpec(b, _delta_axis()))]
 
 
-_FIG8_PANELS = {
-    "fig8a": (0.5, 0.0),
-    "fig8b": (0.5, 0.5 * math.pi),
-    "fig8c": (0.5, math.pi),
-    "fig8d": (0.5, 1.5 * math.pi),
-    "fig8e": (1.5, 0.0),
-    "fig8f": (1.5, 0.5 * math.pi),
-    "fig8g": (1.5, math.pi),
-    "fig8h": (1.5, 1.5 * math.pi),
+# preset name -> variant builder, in listing order
+_PRESETS = {
+    "fig2a": _delta_scan_variants,
+    "fig2b": _delta_scan_variants,
+    "fig3": _fig3_variants,
+    "fig4": _fig4_variants,
+    "fig5": _delta_scan_variants,
+    "fig6a": partial(_delta_scan_at_ratio, 0.5),
+    "fig6b": partial(_delta_scan_at_ratio, 1.5),
+    "fig7a": partial(_delta_scan_at_ratio, 0.9),
+    "fig7b": partial(_delta_scan_at_ratio, 0.95),
+    "fig7c": partial(_delta_scan_at_ratio, 1.05),
+    "fig7d": partial(_delta_scan_at_ratio, 1.1),
+    "fig8a": partial(_fig8_variants, 0.5, 0.0),
+    "fig8b": partial(_fig8_variants, 0.5, 0.5 * math.pi),
+    "fig8c": partial(_fig8_variants, 0.5, math.pi),
+    "fig8d": partial(_fig8_variants, 0.5, 1.5 * math.pi),
+    "fig8e": partial(_fig8_variants, 1.5, 0.0),
+    "fig8f": partial(_fig8_variants, 1.5, 0.5 * math.pi),
+    "fig8g": partial(_fig8_variants, 1.5, math.pi),
+    "fig8h": partial(_fig8_variants, 1.5, 1.5 * math.pi),
 }
-
-PRESET_NAMES = (
-    "fig2a",
-    "fig2b",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6a",
-    "fig6b",
-    "fig7a",
-    "fig7b",
-    "fig7c",
-    "fig7d",
-    "fig8a",
-    "fig8b",
-    "fig8c",
-    "fig8d",
-    "fig8e",
-    "fig8f",
-    "fig8g",
-    "fig8h",
-)
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_variants(name: str):
@@ -364,28 +329,9 @@ def preset_variants(name: str):
     phases; the temperature preset carries unpumped and best-phase
     pumped variants; the rest are single grids (empty suffix).
     """
-    if name in ("fig2a", "fig2b", "fig5"):
-        return _delta_scan_variants(table_defaults())
-    if name == "fig3":
-        return _fig3_variants()
-    if name == "fig4":
-        return _fig4_variants(table_defaults())
-    if name == "fig6a":
-        return _delta_scan_at_ratio(0.5)
-    if name == "fig6b":
-        return _delta_scan_at_ratio(1.5)
-    if name == "fig7a":
-        return _delta_scan_at_ratio(0.9)
-    if name == "fig7b":
-        return _delta_scan_at_ratio(0.95)
-    if name == "fig7c":
-        return _delta_scan_at_ratio(1.05)
-    if name == "fig7d":
-        return _delta_scan_at_ratio(1.1)
-    if name in _FIG8_PANELS:
-        w2_ratio, theta = _FIG8_PANELS[name]
-        return _fig8_variants(w2_ratio, theta)
-    raise UnknownPreset(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in _PRESETS:
+        raise UnknownPreset(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return _PRESETS[name]()
 
 
 def preset(name: str) -> SweepSpec:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import table_defaults
 from .errors import LgsteerError, SingularSystem, SolveFailure, StepOverflow
 from .gaussian import (
     CovarianceMatrix,
@@ -28,6 +29,7 @@ from .gaussian import (
     symplectic_eigenvalues,
 )
 from . import measures as _measures
+from .model import build_model, with_updates
 
 # entries beyond this abort the integrator (diverging or bad step size)
 _OVERFLOW = 1e12
@@ -329,25 +331,8 @@ def run_checks(solver=None, seed: int = _DEFAULT_SEED, n_random: int = 20):
             return f"thermal entropy off by {err:g}"
 
     def steady_state_physical():
-        from .model import SystemParams, build_model
-
-        w1 = 2.0 * math.pi * 1e7
-        params = SystemParams(
-            cavity_length=1e-3,
-            mirror_mass=35e-12,
-            mirror_radius=10e-6,
-            omega_phi1=w1,
-            omega_phi2=1.5 * w1,
-            laser_power=50e-3,
-            laser_wavelength=810e-9,
-            quality_factor=2e7,
-            finesse=5e3,
-            oam_number=100,
-            temperature=15e-3,
-            opa_gain=0.0,
-            opa_phase=0.0,
-            detuning=w1,
-        )
+        base = table_defaults()
+        params = with_updates(base, detuning=base.omega_phi1)
         lm = build_model(params)
         v = solver(lm.drift, lm.diffusion)
         resid = lyapunov_residual(lm.drift, lm.diffusion, v.data)

@@ -454,10 +454,10 @@ def test_ac10_determinism_throughput(capsys):
     single-threaded runs give byte-identical CSV, each under 5 s."""
     spec = preset("fig2a")
     t0 = time.perf_counter()
-    first = serialize_csv(run_sweep(spec, parallelism=1))
+    first = serialize_csv(run_sweep(spec))
     e1 = time.perf_counter() - t0
     t0 = time.perf_counter()
-    second = serialize_csv(run_sweep(spec, parallelism=1))
+    second = serialize_csv(run_sweep(spec))
     e2 = time.perf_counter() - t0
     same = first == second
     ok = same and max(e1, e2) < 5.0

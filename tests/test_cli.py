@@ -116,14 +116,6 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_parallel_matches_serial(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, SMALL_SWEEP)
-        a = str(tmp_path / "serial.csv")
-        b = str(tmp_path / "parallel.csv")
-        assert main(["sweep", "--config", cfg, "--out", a]) == 0
-        assert main(["sweep", "--config", cfg, "--out", b, "--parallel", "4"]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
-
     def test_needs_exactly_one_source(self, tmp_path, capsys):
         assert main(["sweep"]) == 2
         assert "exactly one" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from lgsteer import (
     to_sweep_spec,
     to_system_params,
     system_to_display,
+    with_updates,
 )
 
 from conftest import W1, make_params
@@ -234,10 +235,11 @@ class TestConversion:
         params = make_params(
             detuning=0.7 * W1, opa_gain=0.05 * W1, opa_phase=1.25, temperature=0.2
         )
-        display = system_to_display(params)
-        text = json.dumps({"system": display, "run": {"mode": "point"}})
-        back = to_system_params(parse_config(text))
-        assert back == params
+        for p in (params, with_updates(params, kappa_override=0.3 * W1)):
+            display = system_to_display(p)
+            text = json.dumps({"system": display, "run": {"mode": "point"}})
+            back = to_system_params(parse_config(text))
+            assert back == p
 
     def test_to_sweep_spec_requires_sweep_mode(self):
         from lgsteer import InvalidSpec
