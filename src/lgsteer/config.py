@@ -11,7 +11,8 @@ silently become defaults.
 
 ``_SYSTEM_KEYS`` is the single source of that display-unit convention:
 run-file validation, both directions of the SI conversion, the preset
-defaults (:func:`table_defaults`) and the sweep axes all read it.
+defaults (:func:`table_defaults`) and the sweep axes all read it.  The
+sign rules are the model's own (:data:`lgsteer.model.FIELD_RULES`).
 """
 
 from __future__ import annotations
@@ -23,30 +24,35 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadUnit, MissingRequired, UnknownKey, UnknownMode
-from .model import SystemParams
+from .model import FIELD_RULES, SystemParams, rule_breach
 
-# run-file key -> (SystemParams field, scale, default, unit, sign rule), in
-# the key order of the JSON ``spec`` block.  Scales: "ratio" multiplies by
+# run-file key -> (SystemParams field, scale, default, unit), in the key
+# order of the JSON ``spec`` block.  Scales: "ratio" multiplies by
 # omega_phi1, "hz" is omega_phi1 / (2*pi), "int" an integer, "si" as-is.
-# A None default marks an optional key.  Sign rules: "pos" > 0,
-# "nonneg" >= 0, "any" finite, "posint" positive integer.
+# A None default marks an optional key.  Each key obeys its field's rule
+# in :data:`lgsteer.model.FIELD_RULES`.
 _RATIO = "units of omega_phi1"
 _SYSTEM_KEYS: dict = {
-    "cavity_length_m": ("cavity_length", "si", 1e-3, "meters", "pos"),
-    "mirror_mass_kg": ("mirror_mass", "si", 35e-12, "kilograms", "pos"),
-    "mirror_radius_m": ("mirror_radius", "si", 10e-6, "meters", "pos"),
-    "omega_phi1_hz": ("omega_phi1", "hz", 1e7, "hertz", "pos"),
-    "omega_phi2_ratio": ("omega_phi2", "ratio", 1.5, _RATIO, "pos"),
-    "laser_power_w": ("laser_power", "si", 50e-3, "watts", "pos"),
-    "laser_wavelength_m": ("laser_wavelength", "si", 810e-9, "meters", "pos"),
-    "quality_factor": ("quality_factor", "si", 2e7, "dimensionless", "pos"),
-    "finesse": ("finesse", "si", 5e3, "dimensionless", "pos"),
-    "oam_number": ("oam_number", "int", 100, "dimensionless integer", "posint"),
-    "temperature_k": ("temperature", "si", 15e-3, "kelvin", "nonneg"),
-    "opa_gain_ratio": ("opa_gain", "ratio", 0.0, _RATIO, "nonneg"),
-    "opa_phase_rad": ("opa_phase", "si", 0.0, "radians", "any"),
-    "detuning_ratio": ("detuning", "ratio", -1.0, _RATIO, "any"),
-    "kappa_override_ratio": ("kappa_override", "ratio", None, _RATIO, "pos"),
+    "cavity_length_m": ("cavity_length", "si", 1e-3, "meters"),
+    "mirror_mass_kg": ("mirror_mass", "si", 35e-12, "kilograms"),
+    "mirror_radius_m": ("mirror_radius", "si", 10e-6, "meters"),
+    "omega_phi1_hz": ("omega_phi1", "hz", 1e7, "hertz"),
+    "omega_phi2_ratio": ("omega_phi2", "ratio", 1.5, _RATIO),
+    "laser_power_w": ("laser_power", "si", 50e-3, "watts"),
+    "laser_wavelength_m": ("laser_wavelength", "si", 810e-9, "meters"),
+    "quality_factor": ("quality_factor", "si", 2e7, "dimensionless"),
+    "finesse": ("finesse", "si", 5e3, "dimensionless"),
+    "oam_number": ("oam_number", "int", 100, "dimensionless integer"),
+    "temperature_k": ("temperature", "si", 15e-3, "kelvin"),
+    "opa_gain_ratio": ("opa_gain", "ratio", 0.0, _RATIO),
+    "opa_phase_rad": ("opa_phase", "si", 0.0, "radians"),
+    "detuning_ratio": ("detuning", "ratio", -1.0, _RATIO),
+    "kappa_override_ratio": ("kappa_override", "ratio", None, _RATIO),
+}
+_DEFAULTS = {
+    key: float(default)
+    for key, (_, _, default, _) in _SYSTEM_KEYS.items()
+    if default is not None
 }
 
 _RUN_KEYS = {"mode", "axis1", "axis2"}
@@ -56,18 +62,10 @@ _FORMATS = ("csv", "json")
 
 
 def _check_number(key: str, value, unit: str, rule: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise BadUnit(f"{key} must be a number in {unit}, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise BadUnit(f"{key} must be finite, in {unit}, got {value!r}")
-    if rule == "pos" and v <= 0.0:
-        raise BadUnit(f"{key} must be positive, in {unit}, got {value!r}")
-    if rule == "nonneg" and v < 0.0:
-        raise BadUnit(f"{key} must be non-negative, in {unit}, got {value!r}")
-    if rule == "posint" and (v <= 0.0 or v != int(v)):
-        raise BadUnit(f"{key} must be a positive integer ({unit}), got {value!r}")
-    return v
+    need = rule_breach(value, rule)
+    if need is not None:
+        raise BadUnit(f"{key} must be {need}, in {unit}, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -170,11 +168,10 @@ def parse_config(text: str) -> RunConfig:
     for key, value in system_raw.items():
         if key not in _SYSTEM_KEYS:
             raise UnknownKey(f"unknown key {key!r} in 'system'")
-        _, _, _, unit, rule = _SYSTEM_KEYS[key]
-        system[key] = _check_number(key, value, unit, rule)
-    for key, (_, _, default, _, _) in _SYSTEM_KEYS.items():
-        if default is not None:
-            system.setdefault(key, float(default))
+        name, _, _, unit = _SYSTEM_KEYS[key]
+        system[key] = _check_number(key, value, unit, FIELD_RULES[name])
+    for key, default in _DEFAULTS.items():
+        system.setdefault(key, default)
 
     run_raw = raw["run"]
     if not isinstance(run_raw, dict):
@@ -241,6 +238,8 @@ def to_si(key: str, value, omega_phi1: float) -> tuple[str, float]:
 
 
 def _system_params(system: dict) -> SystemParams:
+    """SI model inputs from display-unit keys; absent keys take their defaults."""
+    system = {**_DEFAULTS, **system}
     w1 = 2.0 * math.pi * system["omega_phi1_hz"]
     return SystemParams(**dict(to_si(k, v, w1) for k, v in system.items()))
 
@@ -256,7 +255,7 @@ def system_to_display(params: SystemParams) -> dict:
     reference frequency)."""
     w1 = params.omega_phi1
     out = {}
-    for key, (name, scale, _, _, _) in _SYSTEM_KEYS.items():
+    for key, (name, scale, _, _) in _SYSTEM_KEYS.items():
         value = getattr(params, name)
         if value is None:
             continue
@@ -271,6 +270,4 @@ def system_to_display(params: SystemParams) -> dict:
 def table_defaults() -> SystemParams:
     """Base physical parameters shared by every preset: the run-file
     defaults in SI units."""
-    return _system_params(
-        {k: float(d) for k, (_, _, d, _, _) in _SYSTEM_KEYS.items() if d is not None}
-    )
+    return _system_params({})

@@ -159,17 +159,21 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> list[float]:
     return np.linalg.eigvalsh(1j * (low.T @ omega @ low))[n:].tolist()
 
 
-def min_pt_symplectic(cm: CovarianceMatrix) -> float:
-    """Smallest symplectic eigenvalue of the partially transposed two-mode CM.
+def min_pt_symplectic(cm: CovarianceMatrix, mode: str | None = None) -> float:
+    """Smallest symplectic eigenvalue of ``cm`` partially transposed on ``mode``.
 
-    Values below 1/2 certify entanglement of the two modes.  Transposing
-    either mode gives the same spectrum.
+    Values below 1/2 certify entanglement across the ``mode | rest``
+    cut.  A two-mode state may omit ``mode``: transposing either mode
+    gives the same spectrum.
     """
-    if cm.n_modes != 2:
-        raise NonPhysicalInput(
-            f"partial transpose needs a two-mode CM, got {cm.n_modes} modes"
-        )
-    return symplectic_eigenvalues(partial_transpose(cm, cm.mode_labels[1]))[0]
+    if mode is None:
+        if cm.n_modes != 2:
+            raise NonPhysicalInput(
+                f"only a two-mode state may omit the transposed mode, "
+                f"got {cm.n_modes} modes"
+            )
+        mode = cm.mode_labels[1]
+    return symplectic_eigenvalues(partial_transpose(cm, mode))[0]
 
 
 def steady_covariance(a: np.ndarray, d: np.ndarray):

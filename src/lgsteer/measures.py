@@ -27,10 +27,8 @@ from .errors import (
 from .gaussian import (
     CovarianceMatrix,
     min_pt_symplectic,
-    partial_transpose,
     reduce,
     steady_covariance,
-    symplectic_eigenvalues,
 )
 from .model import LinearModel
 
@@ -42,38 +40,18 @@ _MONOGAMY_TOL = 1e-6
 _HIERARCHY_TOL = 1e-10
 
 
-def log_negativity(cm: CovarianceMatrix) -> float:
-    """Logarithmic negativity of a two-mode Gaussian state.
+def log_negativity(cm: CovarianceMatrix, single: str | None = None) -> float:
+    """Logarithmic negativity across the ``single | rest`` cut.
 
-    ``EN = max(0, -ln(2 nu))`` with ``nu`` the smaller symplectic
-    eigenvalue of the partially transposed state.
+    ``EN = max(0, -ln(2 nu))`` with ``nu`` the smallest symplectic
+    eigenvalue of the state partially transposed on ``single`` (see
+    :func:`lgsteer.gaussian.min_pt_symplectic`); a two-mode state may
+    omit ``single``.
     """
-    if cm.n_modes != 2:
-        raise NonPhysicalInput(
-            f"log_negativity needs a two-mode state, got {cm.n_modes} modes"
-        )
-    nu = min_pt_symplectic(cm)
+    nu = min_pt_symplectic(cm, single)
     if nu <= 0.0:
         raise NonPhysicalInput(f"partial-transpose eigenvalue {nu} is not positive")
     return max(0.0, -math.log(2.0 * nu))
-
-
-def one_vs_two_log_negativity(cm: CovarianceMatrix, single: str) -> float:
-    """Logarithmic negativity across the ``single | rest`` bipartition.
-
-    The partial transpose acts on ``single``; the smallest symplectic
-    eigenvalue of the transposed three-mode state gives
-    ``EN = max(0, -ln(2 nu_min))``.
-    """
-    if cm.n_modes != 3:
-        raise NonPhysicalInput(
-            f"one_vs_two_log_negativity needs a three-mode state, got {cm.n_modes}"
-        )
-    tilde = partial_transpose(cm, single)
-    nu_min = symplectic_eigenvalues(tilde)[0]
-    if nu_min <= 0.0:
-        raise NonPhysicalInput(f"partial-transpose eigenvalue {nu_min} is not positive")
-    return max(0.0, -math.log(2.0 * nu_min))
 
 
 def residual_contangle_min(cm: CovarianceMatrix, pair_en=None) -> float:
@@ -103,7 +81,7 @@ def residual_contangle_min(cm: CovarianceMatrix, pair_en=None) -> float:
     residuals = []
     for focus in labels:
         others = [lab for lab in labels if lab != focus]
-        e_all = one_vs_two_log_negativity(cm, focus)
+        e_all = log_negativity(cm, focus)
         e_pair = [pair_en[frozenset((focus, other))] for other in others]
         res = e_all**2 - e_pair[0] ** 2 - e_pair[1] ** 2
         if res < -_MONOGAMY_TOL:
@@ -125,18 +103,19 @@ def renyi2_entropy(cm: CovarianceMatrix) -> float:
     return 0.5 * math.log(det)
 
 
-def steering(cm: CovarianceMatrix, steered: str) -> float:
-    """Gaussian Renyi-2 steering of mode ``steered`` by the other mode.
+def steering(cm: CovarianceMatrix, by: str) -> float:
+    """Gaussian Renyi-2 steering of the other mode *by* mode ``by``.
 
-    ``zeta = max(0, S(2 V_steered) - S(2 V))`` where ``V_steered`` is
-    the reduced single-mode state.  Positive values certify that the
-    remaining party can steer ``steered``.
+    ``zeta = max(0, S(V_by) - S(V))`` with ``S`` the Renyi-2 entropy and
+    ``V_by`` the reduced single-mode state (Kogias et al., PRL 114,
+    060403, 2015).  Positive values certify that ``by`` can steer the
+    other mode.
     """
     if cm.n_modes != 2:
         raise NonPhysicalInput(
             f"steering needs a two-mode state, got {cm.n_modes} modes"
         )
-    s_local = renyi2_entropy(reduce(cm, (steered,)))
+    s_local = renyi2_entropy(reduce(cm, (by,)))
     s_global = renyi2_entropy(cm)
     return max(0.0, s_local - s_global)
 
@@ -249,8 +228,8 @@ def full_report(model: LinearModel) -> CorrelationReport:
         en_mm = log_negativity(mm)
         en_m1c = log_negativity(reduce(cm, ("mirror1", "cavity")))
         en_m2c = log_negativity(reduce(cm, ("mirror2", "cavity")))
-        zeta_m1_m2 = steering(mm, "mirror2")
-        zeta_m2_m1 = steering(mm, "mirror1")
+        zeta_m1_m2 = steering(mm, "mirror1")
+        zeta_m2_m1 = steering(mm, "mirror2")
         r_min = residual_contangle_min(
             cm,
             {
@@ -260,7 +239,8 @@ def full_report(model: LinearModel) -> CorrelationReport:
             },
         )
     except LgsteerError as exc:
-        ratio = model.steady.delta_eff / model.derived.params.omega_phi1
+        params = model.derived.params
+        ratio = params.detuning / params.omega_phi1
         raise type(exc)(f"at detuning_ratio={ratio:g}: {exc}") from exc
     return CorrelationReport(
         stable=True,

@@ -42,17 +42,42 @@ __all__ = [
     "thermal_occupation",
 ]
 
-_POSITIVE_FIELDS = (
-    "cavity_length",
-    "mirror_mass",
-    "mirror_radius",
-    "omega_phi1",
-    "omega_phi2",
-    "laser_power",
-    "laser_wavelength",
-    "quality_factor",
-    "finesse",
-)
+# SystemParams field -> rule: "pos" > 0, "nonneg" >= 0, "any" finite,
+# "posint" an integer >= 1.  ``kappa_override`` may also be None.  The
+# run-file checks in :mod:`lgsteer.config` read the same table.
+FIELD_RULES = {
+    "cavity_length": "pos",
+    "mirror_mass": "pos",
+    "mirror_radius": "pos",
+    "omega_phi1": "pos",
+    "omega_phi2": "pos",
+    "laser_power": "pos",
+    "laser_wavelength": "pos",
+    "quality_factor": "pos",
+    "finesse": "pos",
+    "oam_number": "posint",
+    "temperature": "nonneg",
+    "opa_gain": "nonneg",
+    "opa_phase": "any",
+    "detuning": "any",
+    "kappa_override": "pos",
+}
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def rule_breach(value, rule: str) -> str | None:
+    """What ``value`` must be to obey ``rule``, or None when it does."""
+    if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+        return "a number"
+    if not math.isfinite(value):
+        return "finite"
+    if rule == "pos" and value <= 0:
+        return "positive"
+    if rule == "nonneg" and value < 0:
+        return "non-negative"
+    if rule == "posint" and (value <= 0 or value != int(value)):
+        return "a positive integer"
+    return None
 
 
 @dataclass(frozen=True)
@@ -111,32 +136,13 @@ class SystemParams:
     kappa_override: float | None = None
 
     def __post_init__(self) -> None:
-        for name in _POSITIVE_FIELDS:
+        for name, rule in FIELD_RULES.items():
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise NonPositiveParameter(
-                    f"{name} must be a strictly positive finite number, got {value!r}"
-                )
-        if not (isinstance(self.oam_number, int) and self.oam_number >= 1):
-            raise NonPositiveParameter(
-                f"oam_number must be an integer >= 1, got {self.oam_number!r}"
-            )
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise NonPositiveParameter(
-                f"temperature must be >= 0, got {self.temperature!r}"
-            )
-        if not (math.isfinite(self.opa_gain) and self.opa_gain >= 0):
-            raise NonPositiveParameter(
-                f"opa_gain must be >= 0, got {self.opa_gain!r}"
-            )
-        if not math.isfinite(self.detuning):
-            raise NonPositiveParameter(f"detuning must be finite, got {self.detuning!r}")
-        if self.kappa_override is not None and not (
-            math.isfinite(self.kappa_override) and self.kappa_override > 0
-        ):
-            raise NonPositiveParameter(
-                f"kappa_override must be strictly positive, got {self.kappa_override!r}"
-            )
+            if value is None and name == "kappa_override":
+                continue
+            need = rule_breach(value, rule)
+            if need is not None:
+                raise NonPositiveParameter(f"{name} must be {need}, got {value!r}")
         # canonical phase in [0, 2*pi)
         object.__setattr__(self, "opa_phase", self.opa_phase % (2.0 * math.pi))
 
@@ -179,7 +185,6 @@ class SteadyState:
     phi20: float
     G1: float
     G2: float
-    delta_eff: float
 
 
 @dataclass(frozen=True)
@@ -287,7 +292,6 @@ def steady_state(derived: DerivedParams) -> SteadyState:
         phi20=phi20,
         G1=root2 * derived.g1 * abs(a0),
         G2=root2 * derived.g2 * abs(a0),
-        delta_eff=delta,
     )
 
 
@@ -306,7 +310,7 @@ def build_drift(derived: DerivedParams, steady: SteadyState) -> np.ndarray:
     gm = derived.gamma_m
     chi = p.opa_gain
     theta = p.opa_phase
-    delta = steady.delta_eff
+    delta = p.detuning
     G1 = steady.G1
     G2 = steady.G2
     mu_p = -derived.kappa + 2.0 * chi * math.cos(theta)

@@ -45,10 +45,8 @@ _SWEEPABLE = (
 
 _GRID_1D = 401
 _GRID_2D = 101
-
-# golden-section interior ratio (3 - sqrt(5)) / 2
-_GOLDEN = 0.3819660112501051
-_REFINE_TOL_RATIO = 1e-3
+# points the optimum search adds inside the winning coarse bracket
+_REFINE_POINTS = 9
 
 
 @dataclass(frozen=True)
@@ -167,9 +165,8 @@ class OptimumDetuning(NamedTuple):
 
 def _measure_at(base: SystemParams, delta_ratio: float, measure: str) -> float:
     """Chosen measure at one detuning; -inf marks unstable or failed."""
-    params = with_updates(base, detuning=delta_ratio * base.omega_phi1)
     try:
-        model = build_model(params)
+        model = build_model(_apply(base, "detuning_ratio", delta_ratio))
         _, cm = steady_covariance(model.drift, model.diffusion)
         if cm is None:
             return -math.inf
@@ -185,9 +182,11 @@ def _measure_at(base: SystemParams, delta_ratio: float, measure: str) -> float:
 def optimum_detuning(base: SystemParams, measure: str = "ENmm") -> OptimumDetuning:
     """Detuning maximizing a measure over [-2, 2] mirror-1 frequencies.
 
-    Scans a 401-point grid, then sharpens the best bracket with a
-    golden-section pass down to 1e-3 of the mirror-1 frequency.  A flat
-    landscape (every stable point identical) skips refinement and
+    Scans a 401-point grid, then evaluates 9 evenly spaced points inside
+    the bracket around the best grid point (one grid step either side),
+    which resolves the optimum to 2e-3 of the mirror-1 frequency; the
+    grid winner stands unless a refined point is strictly better.  A
+    flat landscape (every stable point identical) skips refinement and
     returns the smallest-detuning argmax with ``flat=True``.  Raises
     :class:`NoStableRegion` when no grid point is stable.
     """
@@ -198,30 +197,17 @@ def optimum_detuning(base: SystemParams, measure: str = "ENmm") -> OptimumDetuni
     stable_vals = [v for v in values if v != -math.inf]
     if not stable_vals:
         raise NoStableRegion("every grid point in [-2, 2] is unstable")
-    best = max(values)
-    k = values.index(best)
+    best_v = max(values)
+    k = values.index(best_v)
+    best_x = float(grid[k])
     if max(stable_vals) == min(stable_vals):
-        ratio = float(grid[k])
-        return OptimumDetuning(ratio * base.omega_phi1, ratio, True)
-    lo = float(grid[max(0, k - 1)])
-    hi = float(grid[min(len(grid) - 1, k + 1)])
-    best_x, best_v = float(grid[k]), best
-    x1 = lo + _GOLDEN * (hi - lo)
-    x2 = hi - _GOLDEN * (hi - lo)
-    f1 = _measure_at(base, x1, measure)
-    f2 = _measure_at(base, x2, measure)
-    while hi - lo > _REFINE_TOL_RATIO:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = lo + _GOLDEN * (hi - lo)
-            f1 = _measure_at(base, x1, measure)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = hi - _GOLDEN * (hi - lo)
-            f2 = _measure_at(base, x2, measure)
-        for x, v in ((x1, f1), (x2, f2)):
-            if v > best_v:
-                best_x, best_v = x, v
+        return OptimumDetuning(best_x * base.omega_phi1, best_x, True)
+    lo = grid[max(0, k - 1)]
+    hi = grid[min(len(grid) - 1, k + 1)]
+    for x in np.linspace(lo, hi, _REFINE_POINTS + 2)[1:-1]:
+        v = _measure_at(base, float(x), measure)
+        if v > best_v:
+            best_x, best_v = float(x), v
     return OptimumDetuning(best_x * base.omega_phi1, best_x, False)
 
 

@@ -306,8 +306,8 @@ def run_checks(solver=None, seed: int = _DEFAULT_SEED, n_random: int = 20):
         for r in (0.25, 0.5, 1.0, 2.0):
             ref = reference("tmsv", r)
             en = _measures.log_negativity(ref.cm)
-            za = _measures.steering(ref.cm, "mode2")
-            zb = _measures.steering(ref.cm, "mode1")
+            za = _measures.steering(ref.cm, "mode1")
+            zb = _measures.steering(ref.cm, "mode2")
             ent = _measures.renyi2_entropy(ref.cm)
             nu = min_pt_symplectic(ref.cm)
             exp = ref.expected

@@ -7,8 +7,6 @@ import pytest
 from lgsteer import MEASURE_COLUMNS, PRESET_NAMES, parse_result_csv
 from lgsteer.cli import main
 
-from conftest import make_params
-
 
 def write_config(tmp_path, doc, name="run.json"):
     path = tmp_path / name

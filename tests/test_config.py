@@ -8,6 +8,7 @@ import pytest
 from lgsteer import (
     BadUnit,
     MissingRequired,
+    NonPositiveParameter,
     RunConfig,
     UnknownKey,
     UnknownMode,
@@ -16,8 +17,10 @@ from lgsteer import (
     to_sweep_spec,
     to_system_params,
     system_to_display,
+    table_defaults,
     with_updates,
 )
+from lgsteer.config import _SYSTEM_KEYS
 
 from conftest import W1, make_params
 
@@ -210,6 +213,32 @@ class TestConversion:
     def test_to_system_params_defaults(self):
         params = to_system_params(parse_config(MINIMAL))
         assert params == make_params()
+
+    def test_default_runconfig_converts(self):
+        assert to_system_params(RunConfig()) == table_defaults()
+
+    def test_partial_system_takes_defaults(self):
+        cfg = RunConfig(system={"detuning_ratio": 1.0, "temperature_k": 0.0})
+        assert to_system_params(cfg) == make_params(detuning=W1, temperature=0.0)
+
+    @pytest.mark.parametrize("key", list(_SYSTEM_KEYS))
+    def test_run_file_rule_is_the_model_rule(self, key):
+        # every scale keeps the sign, so a raw value breaks the run-file
+        # key's rule exactly when it breaks its model field's rule
+        name = _SYSTEM_KEYS[key][0]
+        for value in (-1.0, 0.0, 2.5, math.inf):
+            try:
+                make_params(**{name: value})
+                model_ok = True
+            except NonPositiveParameter:
+                model_ok = False
+            doc = json.dumps({"system": {key: value}, "run": {"mode": "point"}})
+            try:
+                parse_config(doc)
+                config_ok = True
+            except BadUnit:
+                config_ok = False
+            assert config_ok is model_ok, (key, value)
 
     def test_ratio_scaling(self):
         cfg = parse_config(

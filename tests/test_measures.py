@@ -21,7 +21,8 @@ from lgsteer import (
     derive,
     full_report,
     log_negativity,
-    one_vs_two_log_negativity,
+    lyapunov_oracle,
+    min_pt_symplectic,
     reduce,
     residual_contangle_min,
     renyi2_entropy,
@@ -121,24 +122,32 @@ class TestOneVsTwo:
     def test_product_vacuum(self):
         cm = CovarianceMatrix(0.5 * np.eye(6), ("alpha", "beta", "gamma"))
         for label in cm.mode_labels:
-            assert one_vs_two_log_negativity(cm, label) == 0.0
+            assert log_negativity(cm, label) == 0.0
 
     def test_pair_plus_spectator(self):
         # spectator mode contributes nothing: E(a|bc) equals E(a|b)
         cm = tmsv_plus_vacuum(0.6)
-        assert one_vs_two_log_negativity(cm, "alpha") == pytest.approx(1.2, rel=1e-9)
-        assert one_vs_two_log_negativity(cm, "gamma") == 0.0
+        assert log_negativity(cm, "alpha") == pytest.approx(1.2, rel=1e-9)
+        assert log_negativity(cm, "gamma") == 0.0
 
     def test_wrong_mode_count(self):
-        with pytest.raises(NonPhysicalInput, match="three-mode"):
-            one_vs_two_log_negativity(tmsv(0.3), "alpha")
+        # only a two-mode state leaves the transposed mode implicit
+        with pytest.raises(NonPhysicalInput, match="two-mode"):
+            log_negativity(tmsv_plus_vacuum(0.5))
+        with pytest.raises(NonPhysicalInput, match="two-mode"):
+            min_pt_symplectic(tmsv_plus_vacuum(0.5))
+
+    def test_two_mode_cut_may_name_either_mode(self):
+        cm = noisy_tmsv(0.5, 0.2)
+        assert log_negativity(cm, "alpha") == log_negativity(cm)
+        assert log_negativity(cm, "beta") == log_negativity(cm)
 
     def test_pumped_cavity_split_regression(self):
         m = build_model(
             make_params(detuning=+W1, opa_gain=0.1 * W1, opa_phase=math.pi / 2)
         )
         cm = solve_lyapunov(m.drift / W1, m.diffusion / W1)
-        assert one_vs_two_log_negativity(cm, "cavity") == pytest.approx(
+        assert log_negativity(cm, "cavity") == pytest.approx(
             REF_EN_CAV_SPLIT_PUMPED, rel=1e-8
         )
 
@@ -226,14 +235,31 @@ class TestSteering:
         assert steering(cm, "beta") == 0.0
 
     def test_one_way_regime(self):
-        # thermal noise on beta breaks the symmetry: alpha can still
-        # steer beta, beta can no longer steer alpha
+        # thermal noise on beta breaks the symmetry: the noisy beta can
+        # still steer alpha, alpha can no longer steer beta
         cm = noisy_tmsv(0.5, 0.3)
-        z_ab = steering(cm, "beta")
-        z_ba = steering(cm, "alpha")
-        assert z_ab > 0.05
-        assert z_ba == 0.0
-        assert classify(z_ab, z_ba) is SteeringClass.ONE_WAY_ALPHA_TO_BETA
+        z_ba = steering(cm, "beta")
+        z_ab = steering(cm, "alpha")
+        assert z_ba > 0.05
+        assert z_ab == 0.0
+        assert classify(z_ab, z_ba) is SteeringClass.ONE_WAY_BETA_TO_ALPHA
+
+    def test_direction_from_conditional_state(self):
+        # beta steers alpha iff alpha conditioned on a Gaussian measurement
+        # of beta is squeezed below vacuum: det 2(V_a - C V_b^-1 C^T) < 1,
+        # and then the steering is -ln(that determinant) / 2
+        cm = noisy_tmsv(0.5, 0.2)
+        v = cm.data
+        va, vb, c = v[:2, :2], v[2:, 2:], v[:2, 2:]
+        det_a_given_b = np.linalg.det(2.0 * (va - c @ np.linalg.inv(vb) @ c.T))
+        det_b_given_a = np.linalg.det(2.0 * (vb - c.T @ np.linalg.inv(va) @ c))
+        assert det_a_given_b == pytest.approx(0.6928, abs=1e-4)
+        assert det_b_given_a > 1.0
+        assert steering(cm, by="beta") == pytest.approx(
+            -0.5 * math.log(det_a_given_b), rel=1e-12
+        )
+        assert steering(cm, by="beta") == pytest.approx(0.1836, abs=1e-4)
+        assert steering(cm, by="alpha") == 0.0
 
     def test_heavy_noise_kills_both_directions(self):
         cm = noisy_tmsv(0.5, 1.0)
@@ -378,6 +404,32 @@ class TestFullReport:
         r = full_report(m)
         assert r.en_m1c == pytest.approx(r.en_m2c, abs=1e-9)
         assert r.zeta_asym == pytest.approx(0.0, abs=1e-9)
+
+    def test_steering_direction(self):
+        # a strongly damped, narrow-cavity point where mirror 1 steers
+        # mirror 2 one way; the direction is fixed by the conditional
+        # state of mirror 2 given mirror 1, from an independent solve
+        m = build_model(
+            make_params(
+                kappa_override=0.05 * W1,
+                quality_factor=10.0,
+                temperature=0.0,
+                opa_gain=0.1 * W1,
+                opa_phase=math.pi / 2,
+                detuning=1.2 * W1,
+            )
+        )
+        v = lyapunov_oracle(m.drift / W1, m.diffusion / W1).data
+        v1, v2, c = v[0:2, 0:2], v[2:4, 2:4], v[0:2, 2:4]
+        det_2_given_1 = np.linalg.det(2.0 * (v2 - c.T @ np.linalg.inv(v1) @ c))
+        det_1_given_2 = np.linalg.det(2.0 * (v1 - c @ np.linalg.inv(v2) @ c.T))
+        assert det_2_given_1 == pytest.approx(0.9606, abs=1e-4)
+        assert det_1_given_2 > 1.0
+        r = full_report(m)
+        assert r.zeta_m1_m2 == pytest.approx(0.0201159, rel=1e-5)
+        assert r.zeta_m1_m2 == pytest.approx(-0.5 * math.log(det_2_given_1), rel=1e-9)
+        assert r.zeta_m2_m1 == 0.0
+        assert r.steering_class is SteeringClass.ONE_WAY_ALPHA_TO_BETA
 
     def test_errors_tagged_with_detuning(self):
         m = blue_model()

@@ -349,6 +349,16 @@ class TestSystemParamsValidation:
         with pytest.raises(NonPositiveParameter, match="opa_gain"):
             make_params(opa_gain=-0.1)
 
+    def test_opa_phase_must_be_finite(self):
+        with pytest.raises(NonPositiveParameter, match="opa_phase"):
+            make_params(opa_phase=math.nan)
+
+    def test_non_numbers_rejected(self):
+        with pytest.raises(NonPositiveParameter, match="temperature"):
+            make_params(temperature="hot")
+        with pytest.raises(NonPositiveParameter, match="oam_number"):
+            make_params(oam_number=True)
+
     def test_detuning_must_be_finite(self):
         with pytest.raises(NonPositiveParameter, match="detuning"):
             make_params(detuning=math.inf)

@@ -4,7 +4,6 @@ import json
 import math
 from datetime import datetime
 
-import numpy as np
 import pytest
 
 from lgsteer import (
@@ -167,6 +166,16 @@ class TestOptimumDetuning:
         assert opt.flat is False
         assert opt.delta_ratio == pytest.approx(1.4017, abs=2e-3)
         assert opt.delta == pytest.approx(opt.delta_ratio * W1, rel=1e-12)
+
+    def test_refinement_lands_on_the_fine_lattice(self):
+        # the grid step is 0.01; the refinement splits the winning
+        # bracket [x_k - 0.01, x_k + 0.01] into steps of 0.002
+        base = table_defaults()
+        opt = optimum_detuning(base, "ENmc")
+        assert opt.delta_ratio == pytest.approx(1.402, abs=1e-12)
+        refined = full_report(build_model(with_updates(base, detuning=opt.delta)))
+        coarse = full_report(build_model(with_updates(base, detuning=1.4 * W1)))
+        assert refined.en_m1c > coarse.en_m1c
 
     def test_flat_landscape_returns_first_argmax(self):
         # mirror-mirror negativity is zero wherever this base is stable,
