@@ -75,9 +75,5 @@ class NonPositiveDeterminant(LgsteerError):
     """Determinant required to be positive (for a log) is not."""
 
 
-class MonogamyViolation(LgsteerError):
-    """Residual contangle came out negative beyond numerical tolerance."""
-
-
 class NoStableRegion(LgsteerError):
     """Every grid point of a detuning scan is unstable."""

@@ -15,6 +15,7 @@ extended precision.  An independent solver lives in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,7 @@ class CovarianceMatrix:
                 f"covariance shape {data.shape} does not match "
                 f"{len(self.mode_labels)} mode labels"
             )
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise NonPhysicalInput("covariance matrix has non-finite entries")
         sym = 0.5 * (data + data.T)
         sym.flags.writeable = False
@@ -100,28 +101,37 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 _OMEGA = {n: symplectic_form(n) for n in (1, 2, 3)}
 
 
-def _mode_index(cm: CovarianceMatrix, label: str) -> int:
-    try:
-        return cm.mode_labels.index(label)
-    except ValueError:
-        raise UnknownMode(
-            f"mode {label!r} not in {cm.mode_labels}"
-        ) from None
+@functools.lru_cache(maxsize=64)
+def _gather(labels: tuple[str, ...], cuts: tuple) -> tuple[np.ndarray, ...]:
+    """Row indices, column indices and signs that take every cut as one stack.
+
+    A cut ``(modes, flipped)`` is the principal submatrix of the
+    ``modes`` subset (original ordering) with the momentum of mode
+    ``flipped`` (None for none) sign-flipped, V -> P V P; all subsets
+    have the same size.
+    """
+    idx, p = [], []
+    for modes, flipped in cuts:
+        named = set(modes) | ({flipped} - {None})
+        if not modes or not named.issubset(labels):
+            raise UnknownMode(f"modes {sorted(named, key=str)} are not all in {labels}")
+        kept = [(i, lb == flipped) for i, lb in enumerate(labels) if lb in modes]
+        idx.append([2 * i + k for i, _ in kept for k in (0, 1)])
+        p.append([-1.0 if k and flip else 1.0 for _, flip in kept for k in (0, 1)])
+    idx, p = np.array(idx), np.array(p)
+    return idx[:, :, None], idx[:, None, :], p[:, :, None] * p[:, None, :]
+
+
+def _stack(cm: CovarianceMatrix, cuts: tuple) -> np.ndarray:
+    rows, cols, signs = _gather(cm.mode_labels, cuts)
+    return cm.data[rows, cols] * signs
 
 
 def reduce(cm: CovarianceMatrix, modes) -> CovarianceMatrix:
     """Principal submatrix for the given mode subset, original ordering."""
-    wanted = set(modes)
-    if not wanted:
-        raise UnknownMode("mode subset must be non-empty")
-    for label in wanted:
-        _mode_index(cm, label)
-    keep_labels = tuple(lb for lb in cm.mode_labels if lb in wanted)
-    idx = []
-    for i, lb in enumerate(cm.mode_labels):
-        if lb in wanted:
-            idx.extend((2 * i, 2 * i + 1))
-    return CovarianceMatrix(cm.data[np.ix_(idx, idx)], keep_labels)
+    modes = tuple(modes)
+    keep_labels = tuple(lb for lb in cm.mode_labels if lb in modes)
+    return CovarianceMatrix(_stack(cm, ((modes, None),))[0], keep_labels)
 
 
 def partial_transpose(cm: CovarianceMatrix, mode: str) -> CovarianceMatrix:
@@ -130,14 +140,11 @@ def partial_transpose(cm: CovarianceMatrix, mode: str) -> CovarianceMatrix:
     An involution; the determinant is preserved (P has det -1 but enters
     twice).
     """
-    i = _mode_index(cm, mode)
-    p = np.ones(2 * cm.n_modes)
-    p[2 * i + 1] = -1.0
-    return CovarianceMatrix(cm.data * np.outer(p, p), cm.mode_labels)
+    return CovarianceMatrix(_stack(cm, ((cm.mode_labels, mode),))[0], cm.mode_labels)
 
 
-def symplectic_eigenvalues(cm: CovarianceMatrix) -> list[float]:
-    """Symplectic eigenvalues of ``cm``, ascending.
+def _spectra(stack: np.ndarray) -> np.ndarray:
+    """Ascending symplectic eigenvalues of each matrix in a (k, 2n, 2n) stack.
 
     They are the upper half of the spectrum of the Hermitian matrix
     i L^T Omega L, with V = L L^T (Serafini, *Quantum Continuous
@@ -145,18 +152,21 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> list[float]:
     matrix that is not positive definite is not a state and raises
     :class:`NonPhysicalInput`.
     """
-    n = cm.n_modes
+    n = stack.shape[-1] // 2
     try:
-        low = np.linalg.cholesky(cm.data)
+        low = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         raise NonPhysicalInput(
             "covariance matrix is not positive definite, so it is not a "
             "valid state"
         ) from None
-    omega = _OMEGA.get(n)
-    if omega is None:
-        omega = symplectic_form(n)
-    return np.linalg.eigvalsh(1j * (low.T @ omega @ low))[n:].tolist()
+    omega = _OMEGA[n] if n in _OMEGA else symplectic_form(n)
+    return np.linalg.eigvalsh(1j * (low.swapaxes(-1, -2) @ omega @ low))[:, n:]
+
+
+def symplectic_eigenvalues(cm: CovarianceMatrix) -> list[float]:
+    """Symplectic eigenvalues of ``cm``, ascending (see :func:`_spectra`)."""
+    return _spectra(cm.data[None])[0].tolist()
 
 
 def min_pt_symplectic(cm: CovarianceMatrix, mode: str | None = None) -> float:
@@ -173,7 +183,7 @@ def min_pt_symplectic(cm: CovarianceMatrix, mode: str | None = None) -> float:
                 f"got {cm.n_modes} modes"
             )
         mode = cm.mode_labels[1]
-    return symplectic_eigenvalues(partial_transpose(cm, mode))[0]
+    return float(_spectra(_stack(cm, ((cm.mode_labels, mode),)))[0, 0])
 
 
 def steady_covariance(a: np.ndarray, d: np.ndarray):
@@ -194,9 +204,9 @@ def steady_covariance(a: np.ndarray, d: np.ndarray):
     d = np.asarray(d, dtype=float)
     if a.shape != (6, 6) or d.shape != (6, 6):
         raise SolveFailure(f"expected 6x6 matrices, got {a.shape} and {d.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
+    if not (np.isfinite(a).all() and np.isfinite(d).all()):
         raise SolveFailure("drift or diffusion has non-finite entries")
-    if np.max(np.abs(d - d.T)) > _SYM_TOL * max(1.0, np.max(np.abs(d))):
+    if np.abs(d - d.T).max() > _SYM_TOL * max(1.0, np.abs(d).max()):
         raise SolveFailure("diffusion matrix is not symmetric")
     margin = spectral_abscissa(a)
     if margin >= 0.0:
@@ -221,19 +231,19 @@ def steady_covariance(a: np.ndarray, d: np.ndarray):
     dl = d_s.astype(np.longdouble)
     limit = _FORWARD_FACTOR * float(np.finfo(float).eps)
     for _ in range(_MAX_REFINE):
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise SolveFailure("Lyapunov solution has non-finite entries")
         vl = v.astype(np.longdouble)
         resid_mat = np.asarray(al @ vl + vl @ al.T + dl, dtype=float)
         delta = (inverse @ -resid_mat.ravel()).reshape(6, 6)
         v = v + 0.5 * (delta + delta.T)
-        if np.max(np.abs(delta)) <= limit * np.max(np.abs(v)):
+        if np.abs(delta).max() <= limit * np.abs(v).max():
             break
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise SolveFailure("Lyapunov solution has non-finite entries")
-    vmax = float(np.max(np.abs(v)))
+    vmax = float(np.abs(v).max())
     resid = lyapunov_residual(a, d, v)
-    bound = 1e-8 * max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(a))) * vmax)
+    bound = 1e-8 * max(1.0, float(np.abs(d).max()), float(np.abs(a).max()) * vmax)
     if resid > bound:
         raise SolveFailure(f"Lyapunov residual {resid} exceeds bound {bound}")
     jitter = 1e-9 * max(1.0, vmax)

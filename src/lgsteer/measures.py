@@ -14,18 +14,15 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    LgsteerError,
-    MonogamyViolation,
-    NonPhysicalInput,
-    NonPositiveDeterminant,
-)
+from .errors import LgsteerError, NonPhysicalInput, NonPositiveDeterminant, UnknownMode
 from .gaussian import (
     CovarianceMatrix,
+    _spectra,
+    _stack,
     min_pt_symplectic,
     reduce,
     steady_covariance,
@@ -40,6 +37,13 @@ _MONOGAMY_TOL = 1e-6
 _HIERARCHY_TOL = 1e-10
 
 
+def _en(nu: float) -> float:
+    """``EN = max(0, -ln(2 nu))`` from a partial-transpose eigenvalue."""
+    if nu <= 0.0:
+        raise NonPhysicalInput(f"partial-transpose eigenvalue {nu} is not positive")
+    return max(0.0, -math.log(2.0 * nu))
+
+
 def log_negativity(cm: CovarianceMatrix, single: str | None = None) -> float:
     """Logarithmic negativity across the ``single | rest`` cut.
 
@@ -48,59 +52,73 @@ def log_negativity(cm: CovarianceMatrix, single: str | None = None) -> float:
     :func:`lgsteer.gaussian.min_pt_symplectic`); a two-mode state may
     omit ``single``.
     """
-    nu = min_pt_symplectic(cm, single)
-    if nu <= 0.0:
-        raise NonPhysicalInput(f"partial-transpose eigenvalue {nu} is not positive")
-    return max(0.0, -math.log(2.0 * nu))
+    return _en(min_pt_symplectic(cm, single))
 
 
-def residual_contangle_min(cm: CovarianceMatrix, pair_en=None) -> float:
-    """Minimum residual contangle over the three one-vs-two splits.
+def _negativities(cm: CovarianceMatrix) -> tuple[list[float], list[float]]:
+    """EN of each pair (``combinations`` order) and each ``mode | rest`` cut.
 
-    For each focus mode ``f`` the residual is
-    ``EN(f|jk)^2 - EN(f|j)^2 - EN(f|k)^2`` using squared logarithmic
-    negativities; monogamy requires each residual to be non-negative.
-    Residuals below ``-1e-6`` raise :class:`MonogamyViolation`; small
-    negative rounding noise is clamped to zero.  Returns the smallest
-    residual.
-
-    ``pair_en`` maps ``frozenset({j, k})`` to ``EN(j|k)`` for each pair
-    of modes, when the caller has them already; by default they are
-    computed here.
+    Each of the two sets is one stacked spectrum.
     """
     if cm.n_modes != 3:
         raise NonPhysicalInput(
             f"residual_contangle_min needs a three-mode state, got {cm.n_modes}"
         )
     labels = cm.mode_labels
-    if pair_en is None:
-        pair_en = {
-            frozenset(pair): log_negativity(reduce(cm, pair))
-            for pair in itertools.combinations(labels, 2)
-        }
+    pairs = tuple((pair, pair[1]) for pair in itertools.combinations(labels, 2))
+    cuts = tuple((labels, focus) for focus in labels)
+    nus = [_spectra(_stack(cm, c))[:, 0].tolist() for c in (pairs, cuts)]
+    return tuple([_en(nu) for nu in row] for row in nus)
+
+
+def _residual_min(pair_en: list[float], cut_en: list[float]) -> float:
+    """:func:`residual_contangle_min` from the output of :func:`_negativities`."""
+    pairs = list(itertools.combinations(range(3), 2))
     residuals = []
-    for focus in labels:
-        others = [lab for lab in labels if lab != focus]
-        e_all = log_negativity(cm, focus)
-        e_pair = [pair_en[frozenset((focus, other))] for other in others]
-        res = e_all**2 - e_pair[0] ** 2 - e_pair[1] ** 2
-        if res < -_MONOGAMY_TOL:
-            raise MonogamyViolation(
-                f"residual contangle {res} for split {focus}|{others} "
-                f"is below -{_MONOGAMY_TOL}"
-            )
-        residuals.append(max(0.0, res))
+    for focus, e_all in enumerate(cut_en):
+        e_j, e_k = (e for pair, e in zip(pairs, pair_en) if focus in pair)
+        res = e_all**2 - e_j**2 - e_k**2
+        residuals.append(res if res < -_MONOGAMY_TOL else max(0.0, res))
     return min(residuals)
+
+
+def residual_contangle_min(cm: CovarianceMatrix) -> float:
+    """Minimum residual contangle over the three one-vs-two splits.
+
+    For each focus mode ``f`` the residual is
+    ``EN(f|jk)^2 - EN(f|j)^2 - EN(f|k)^2`` using squared logarithmic
+    negativities.  That inequality is proven for the Gaussian contangle
+    (Adesso & Illuminati, NJP 8, 15, 2006), not for squared
+    negativities of mixed states, so a negative residual is a result,
+    not an error: residuals below ``-1e-6`` are returned as they are and
+    small negative rounding noise is clamped to zero.  Returns the
+    smallest residual.
+    """
+    return _residual_min(*_negativities(cm))
+
+
+def _renyi2(stack: np.ndarray) -> list[float]:
+    """Renyi-2 entropies ``S = 0.5 ln det(2 V)`` of a (k, 2n, 2n) stack."""
+    dets = np.linalg.det(2.0 * stack).tolist()
+    if min(dets) <= 0.0:
+        raise NonPositiveDeterminant(
+            f"det(2V) = {min(dets)} is not positive; state is unphysical"
+        )
+    return [0.5 * math.log(det) for det in dets]
 
 
 def renyi2_entropy(cm: CovarianceMatrix) -> float:
     """Renyi-2 entropy ``S = 0.5 ln det(2 V)`` of a Gaussian state."""
-    det = float(np.linalg.det(2.0 * cm.data))
-    if det <= 0.0:
-        raise NonPositiveDeterminant(
-            f"det(2V) = {det} is not positive; state is unphysical"
-        )
-    return 0.5 * math.log(det)
+    return _renyi2(cm.data[None])[0]
+
+
+def _steerings(cm: CovarianceMatrix) -> list[float]:
+    """Steering by each mode of a two-mode state, in label order."""
+    if cm.n_modes != 2:
+        raise NonPhysicalInput(f"steering needs a two-mode state, got {cm.n_modes} modes")
+    s_global = renyi2_entropy(cm)
+    singles = tuple(((label,), None) for label in cm.mode_labels)
+    return [max(0.0, s - s_global) for s in _renyi2(_stack(cm, singles))]
 
 
 def steering(cm: CovarianceMatrix, by: str) -> float:
@@ -111,13 +129,10 @@ def steering(cm: CovarianceMatrix, by: str) -> float:
     060403, 2015).  Positive values certify that ``by`` can steer the
     other mode.
     """
-    if cm.n_modes != 2:
-        raise NonPhysicalInput(
-            f"steering needs a two-mode state, got {cm.n_modes} modes"
-        )
-    s_local = renyi2_entropy(reduce(cm, (by,)))
-    s_global = renyi2_entropy(cm)
-    return max(0.0, s_local - s_global)
+    zetas = _steerings(cm)
+    if by not in cm.mode_labels:
+        raise UnknownMode(f"mode {by!r} not in {cm.mode_labels}")
+    return zetas[cm.mode_labels.index(by)]
 
 
 def steering_asymmetry(zeta_ab: float, zeta_ba: float) -> float:
@@ -173,33 +188,20 @@ class CorrelationReport:
     r_min: float | None = None
 
     def __post_init__(self) -> None:
-        measures = (
-            self.en_mm,
-            self.en_m1c,
-            self.en_m2c,
-            self.zeta_m1_m2,
-            self.zeta_m2_m1,
-            self.zeta_asym,
-            self.steering_class,
-            self.r_min,
-        )
+        # every field after the stability margin is a measure
+        present = [getattr(self, f.name) is not None for f in fields(self)[2:]]
         if not self.stable:
-            if any(m is not None for m in measures):
-                raise NonPhysicalInput(
-                    "unstable report must not carry measure values"
-                )
+            if any(present):
+                raise NonPhysicalInput("unstable report must not carry measure values")
             return
-        if any(m is None for m in measures):
+        if not all(present):
             raise NonPhysicalInput("stable report is missing measure values")
         if abs(self.zeta_asym - steering_asymmetry(self.zeta_m1_m2, self.zeta_m2_m1)) > 0.0:
             raise NonPhysicalInput("steering asymmetry does not match ζ values")
-        if (
-            max(self.zeta_m1_m2, self.zeta_m2_m1) > _HIERARCHY_TOL
-            and self.en_mm <= _HIERARCHY_TOL
-        ):
+        zeta = max(self.zeta_m1_m2, self.zeta_m2_m1)
+        if zeta > _HIERARCHY_TOL and self.en_mm <= _HIERARCHY_TOL:
             raise NonPhysicalInput(
-                f"steering {max(self.zeta_m1_m2, self.zeta_m2_m1)} without "
-                f"entanglement {self.en_mm}: hierarchy violated"
+                f"steering {zeta} without entanglement {self.en_mm}: hierarchy violated"
             )
 
 
@@ -208,10 +210,11 @@ def full_report(model: LinearModel) -> CorrelationReport:
 
     Solves the steady state once and evaluates the mirror-mirror and
     mirror-cavity entanglement, the three-way residual contangle, and
-    the two steering directions with their classification.  Each of the
-    three pair spectra is computed once and shared with the residual
-    contangle.  Solver errors are re-raised tagged with the detuning of
-    the failing point.
+    the two steering directions with their classification.  The three
+    pair and three one-vs-two spectra come from two stacked calls and
+    feed both the negativities and the residual contangle; S(m1m2) is
+    computed once for both steering directions.  Solver errors are
+    re-raised tagged with the detuning of the failing point.
 
     At the OPA threshold the mean field diverges and there is no working
     point to linearize about.  The cavity block there has determinant
@@ -224,20 +227,10 @@ def full_report(model: LinearModel) -> CorrelationReport:
         margin, cm = steady_covariance(model.drift, model.diffusion)
         if cm is None:
             return CorrelationReport(stable=False, stability_margin=margin)
-        mm = reduce(cm, ("mirror1", "mirror2"))
-        en_mm = log_negativity(mm)
-        en_m1c = log_negativity(reduce(cm, ("mirror1", "cavity")))
-        en_m2c = log_negativity(reduce(cm, ("mirror2", "cavity")))
-        zeta_m1_m2 = steering(mm, "mirror1")
-        zeta_m2_m1 = steering(mm, "mirror2")
-        r_min = residual_contangle_min(
-            cm,
-            {
-                frozenset(("mirror1", "mirror2")): en_mm,
-                frozenset(("mirror1", "cavity")): en_m1c,
-                frozenset(("mirror2", "cavity")): en_m2c,
-            },
-        )
+        pair_en, cut_en = _negativities(cm)
+        en_mm, en_m1c, en_m2c = pair_en
+        zeta_m1_m2, zeta_m2_m1 = _steerings(reduce(cm, ("mirror1", "mirror2")))
+        r_min = _residual_min(pair_en, cut_en)
     except LgsteerError as exc:
         params = model.derived.params
         ratio = params.detuning / params.omega_phi1

@@ -204,12 +204,16 @@ class LinearModel:
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose occupation n̄ of a mode at ``omega`` (rad/s) and temperature (K).
 
-    Satisfies 2*n̄ + 1 = coth(hbar*omega / (2*kB*T)); returns 0 at T = 0.
+    Satisfies 2*n̄ + 1 = coth(hbar*omega / (2*kB*T)); returns 0 at T = 0
+    and wherever e^(hbar*omega/(kB*T)) overflows a double (n̄ < 1e-308).
     """
     if temperature == 0.0:
         return 0.0
     x = HBAR * omega / (KBOLTZ * temperature)
-    return 1.0 / math.expm1(x)
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:
+        return 0.0
 
 
 def derive(params: SystemParams) -> DerivedParams:

@@ -29,8 +29,7 @@ from .errors import (
     NoStableRegion,
     UnknownPreset,
 )
-from .gaussian import reduce, steady_covariance
-from .measures import CorrelationReport, full_report, log_negativity
+from .measures import CorrelationReport, full_report
 from .model import SystemParams, build_model, with_updates
 
 # closed set of sweepable axes, named and scaled as their run-file keys
@@ -163,37 +162,31 @@ class OptimumDetuning(NamedTuple):
     flat: bool
 
 
-def _measure_at(base: SystemParams, delta_ratio: float, measure: str) -> float:
-    """Chosen measure at one detuning; -inf marks unstable or failed."""
-    try:
-        model = build_model(_apply(base, "detuning_ratio", delta_ratio))
-        _, cm = steady_covariance(model.drift, model.diffusion)
-        if cm is None:
-            return -math.inf
-        if measure == "ENmm":
-            pair = ("mirror1", "mirror2")
-        else:
-            pair = ("mirror1", "cavity")
-        return log_negativity(reduce(cm, pair))
-    except LgsteerError:
-        return -math.inf
+def _scores(base: SystemParams, ratios, measure: str) -> list[float]:
+    """Chosen measure at each detuning ratio; -inf marks unstable or failed rows."""
+    rows = run_sweep(SweepSpec(base, Axis("detuning_ratio", ratios))).rows
+    name = "en_mm" if measure == "ENmm" else "en_m1c"
+    reports = [row.report for row in rows]
+    return [getattr(r, name) if r and r.stable else -math.inf for r in reports]
 
 
 def optimum_detuning(base: SystemParams, measure: str = "ENmm") -> OptimumDetuning:
     """Detuning maximizing a measure over [-2, 2] mirror-1 frequencies.
 
-    Scans a 401-point grid, then evaluates 9 evenly spaced points inside
-    the bracket around the best grid point (one grid step either side),
-    which resolves the optimum to 2e-3 of the mirror-1 frequency; the
-    grid winner stands unless a refined point is strictly better.  A
-    flat landscape (every stable point identical) skips refinement and
-    returns the smallest-detuning argmax with ``flat=True``.  Raises
-    :class:`NoStableRegion` when no grid point is stable.
+    Scans a 401-point grid, then evaluates evenly spaced points inside
+    the bracket around the best grid point (one grid step either side,
+    split in 10, skipping the grid point itself), which resolves the
+    optimum to 2e-3 of the mirror-1 frequency; the grid winner stands
+    unless a refined point is strictly better.  Both grids are
+    :func:`run_sweep` rows.  A flat landscape (every stable point
+    identical) skips refinement and returns the smallest-detuning argmax
+    with ``flat=True``.  Raises :class:`NoStableRegion` when no grid
+    point is stable.
     """
     if measure not in ("ENmm", "ENmc"):
         raise InvalidSpec(f"measure must be ENmm or ENmc, got {measure!r}")
     grid = np.linspace(-2.0, 2.0, _GRID_1D)
-    values = [_measure_at(base, float(d), measure) for d in grid]
+    values = _scores(base, grid, measure)
     stable_vals = [v for v in values if v != -math.inf]
     if not stable_vals:
         raise NoStableRegion("every grid point in [-2, 2] is unstable")
@@ -204,8 +197,11 @@ def optimum_detuning(base: SystemParams, measure: str = "ENmm") -> OptimumDetuni
         return OptimumDetuning(best_x * base.omega_phi1, best_x, True)
     lo = grid[max(0, k - 1)]
     hi = grid[min(len(grid) - 1, k + 1)]
-    for x in np.linspace(lo, hi, _REFINE_POINTS + 2)[1:-1]:
-        v = _measure_at(base, float(x), measure)
+    fine = np.linspace(lo, hi, _REFINE_POINTS + 2)[1:-1]
+    if 0 < k < len(grid) - 1:
+        # the middle point is the grid winner again
+        fine = np.delete(fine, _REFINE_POINTS // 2)
+    for x, v in zip(fine, _scores(base, fine, measure)):
         if v > best_v:
             best_x, best_v = float(x), v
     return OptimumDetuning(best_x * base.omega_phi1, best_x, False)

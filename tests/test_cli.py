@@ -50,6 +50,12 @@ class TestPoint:
         assert doc["stable"] is True
         assert doc["EN_m1c"] > 0.0
 
+    def test_sub_microkelvin_point(self, tmp_path, capsys):
+        system = {"temperature_k": 1e-7, "detuning_ratio": 1.0}
+        cfg = write_config(tmp_path, {"system": system, "run": {"mode": "point"}})
+        assert main(["point", "--format", "json", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["stable"] is True
+
     def test_csv_output(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, {"system": {"detuning_ratio": 1.0}, "run": {"mode": "point"}}

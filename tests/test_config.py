@@ -7,11 +7,14 @@ import pytest
 
 from lgsteer import (
     BadUnit,
+    LgsteerError,
     MissingRequired,
     NonPositiveParameter,
     RunConfig,
     UnknownKey,
     UnknownMode,
+    build_model,
+    full_report,
     parse_config,
     serialize_config,
     to_sweep_spec,
@@ -301,3 +304,24 @@ class TestSerialization:
         cfg = RunConfig()
         assert cfg.run.mode == "point"
         assert cfg.output.format == "csv"
+
+
+class TestExtremeValues:
+    @pytest.mark.parametrize("key", [k for k, v in _SYSTEM_KEYS.items() if v[2]])
+    def test_far_from_default_evaluates_or_raises_package_error(self, key):
+        # six orders of magnitude either side of the default, on both
+        # sides of resonance: a point is a report or a LgsteerError,
+        # never an uncaught Python exception (sub-microkelvin thermal
+        # occupations used to overflow in expm1)
+        default = _SYSTEM_KEYS[key][2]
+        for factor in (1e-6, 1e6):
+            for detuning in (1.0, -1.0):
+                system = {key: default * factor}
+                if key != "detuning_ratio":
+                    system["detuning_ratio"] = detuning
+                doc = json.dumps({"system": system, "run": {"mode": "point"}})
+                try:
+                    params = to_system_params(parse_config(doc))
+                    full_report(build_model(params))
+                except LgsteerError:
+                    pass

@@ -9,6 +9,7 @@ import pytest
 from lgsteer import (
     CorrelationReport,
     CovarianceMatrix,
+    LgsteerError,
     LinearModel,
     NonPhysicalInput,
     NonPositiveDeterminant,
@@ -23,14 +24,20 @@ from lgsteer import (
     log_negativity,
     lyapunov_oracle,
     min_pt_symplectic,
+    preset_variants,
     reduce,
     residual_contangle_min,
     renyi2_entropy,
     solve_lyapunov,
+    steady_covariance,
     steady_state,
     steering,
     steering_asymmetry,
+    symplectic_eigenvalues,
+    table_defaults,
+    with_updates,
 )
+from lgsteer.sweep import _apply
 
 from conftest import (
     REF_EN_CAV_SPLIT_PUMPED,
@@ -170,6 +177,23 @@ class TestResidualContangle:
         r_min = residual_contangle_min(cm)
         assert r_min == pytest.approx(REF_RMIN_BLUE, rel=1e-7)
         assert r_min >= 0.0
+
+    def test_negative_residual_is_a_result(self):
+        # degenerate mirrors at T = 0, far blue of resonance: the squared
+        # negativities of this mixed state break the monogamy inequality
+        # (proven for the Gaussian contangle, not for EN^2), and the
+        # signed residual is reported instead of raising
+        m = build_model(make_params(omega_phi2=W1, temperature=0.0, detuning=1.9 * W1))
+        cm = solve_lyapunov(m.drift, m.diffusion)
+        r_min = residual_contangle_min(cm)
+        # the cavity split is the one that fails
+        e_cut = log_negativity(cm, "cavity") ** 2
+        e_pairs = [
+            log_negativity(reduce(cm, (m, "cavity"))) ** 2 for m in ("mirror1", "mirror2")
+        ]
+        assert r_min == pytest.approx(-2.812e-3, rel=1e-3)
+        assert r_min == pytest.approx(e_cut - sum(e_pairs), rel=1e-12)
+        assert full_report(m).r_min == r_min
 
     def test_cloned_correlations_rejected(self):
         # no physical state correlates one mode identically with two
@@ -443,3 +467,84 @@ class TestFullReport:
         )
         with pytest.raises(SolveFailure, match="detuning_ratio=1"):
             full_report(broken)
+
+
+def _degenerate_zero_temperature_sweep():
+    spec = dict(preset_variants("fig2a"))["chi0p1_thetapi2"]
+    w1 = spec.base.omega_phi1
+    return replace(spec, base=with_updates(spec.base, omega_phi2=w1, temperature=0.0))
+
+
+class TestOnePath:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dict(preset_variants("fig2a"))["chi0"],
+            dict(preset_variants("fig2a"))["chi0p1_thetapi2"],
+            _degenerate_zero_temperature_sweep(),
+        ],
+        ids=["fig2a_chi0", "fig2a_chi0p1_thetapi2", "w2_eq_w1_T0"],
+    )
+    def test_full_report_equals_the_per_state_functions(self, spec):
+        # the stacked spectra of full_report must give exactly what the
+        # public one-state functions give, row by row
+        n_stable = 0
+        for delta in spec.axis1.values:
+            model = build_model(_apply(spec.base, spec.axis1.name, delta))
+            r = full_report(model)
+            if not r.stable:
+                continue
+            n_stable += 1
+            _, cm = steady_covariance(model.drift, model.diffusion)
+            mm = reduce(cm, ("mirror1", "mirror2"))
+            assert r.en_mm == log_negativity(mm)
+            assert r.en_m1c == log_negativity(reduce(cm, ("mirror1", "cavity")))
+            assert r.en_m2c == log_negativity(reduce(cm, ("mirror2", "cavity")))
+            assert r.zeta_m1_m2 == steering(mm, "mirror1")
+            assert r.zeta_m2_m1 == steering(mm, "mirror2")
+            assert r.r_min == residual_contangle_min(cm)
+        assert n_stable > 100
+
+
+class TestStress:
+    def test_random_points_give_physical_reports(self):
+        # seeded draws over near-degenerate mirrors (a quarter exactly
+        # degenerate), 0 to 1 K (a third at T = 0), any OPA phase, gain up
+        # to the cavity threshold sqrt(kappa^2 + Delta^2) / 2, and
+        # |Delta| <= 2 w1; every point is a report, never an error
+        n = 2000
+        rng = np.random.default_rng(20261018)
+        ratio = rng.uniform(0.9, 1.1, n)
+        ratio[::4] = 1.0
+        temperature = 10.0 ** rng.uniform(-4.0, 0.0, n)
+        temperature[::3] = 0.0
+        gain_share = rng.uniform(0.0, 1.0, n)
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        delta = rng.uniform(-2.0, 2.0, n) * W1
+        base = table_defaults()
+        kappa = derive(base).kappa
+        errors, n_stable = [], 0
+        for i in range(n):
+            params = with_updates(
+                base,
+                omega_phi2=ratio[i] * W1,
+                temperature=temperature[i],
+                opa_gain=gain_share[i] * 0.5 * math.hypot(kappa, delta[i]),
+                opa_phase=theta[i],
+                detuning=delta[i],
+            )
+            model = build_model(params)
+            try:
+                r = full_report(model)
+            except LgsteerError as exc:
+                errors.append(f"draw {i}: {type(exc).__name__}: {exc}")
+                continue
+            if not r.stable:
+                continue
+            n_stable += 1
+            _, cm = steady_covariance(model.drift, model.diffusion)
+            assert symplectic_eigenvalues(cm)[0] >= 0.5 - 1e-9, i
+            if max(r.zeta_m1_m2, r.zeta_m2_m1) > 1e-10:
+                assert r.en_mm > 0.0, i
+        assert errors == []
+        assert n_stable > 400

@@ -16,6 +16,7 @@ from lgsteer import (
     build_drift,
     build_model,
     derive,
+    full_report,
     stability_margin,
     steady_state,
     thermal_occupation,
@@ -99,6 +100,20 @@ class TestDerive:
         # high-T asymptote n ~ kT/(hbar w)
         n_hot = thermal_occupation(W1, 300.0)
         assert n_hot == pytest.approx(KBOLTZ * 300.0 / (HBAR * W1) - 0.5, rel=1e-6)
+
+    def test_thermal_occupation_below_a_microkelvin(self):
+        # hbar w / kB T passes ln(DBL_MAX) ~ 709.8 near 1 µK at 10 MHz; n̄
+        # is then below the smallest double and reads 0 instead of
+        # overflowing
+        assert 0.0 < thermal_occupation(W1, 7e-7) < 1e-290
+        assert thermal_occupation(W1, 1e-7) == 0.0
+        assert thermal_occupation(1e6 * W1, 15e-3) == 0.0
+
+    def test_sub_microkelvin_report_equals_zero_temperature(self):
+        cold = full_report(build_model(make_params(temperature=1e-7, detuning=W1)))
+        zero = full_report(build_model(make_params(temperature=0.0, detuning=W1)))
+        assert cold.stable
+        assert cold == zero
 
 
 class TestSteadyState:

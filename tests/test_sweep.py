@@ -6,6 +6,7 @@ from datetime import datetime
 
 import pytest
 
+import lgsteer.sweep
 from lgsteer import (
     Axis,
     InvalidSpec,
@@ -167,12 +168,21 @@ class TestOptimumDetuning:
         assert opt.delta_ratio == pytest.approx(1.4017, abs=2e-3)
         assert opt.delta == pytest.approx(opt.delta_ratio * W1, rel=1e-12)
 
-    def test_refinement_lands_on_the_fine_lattice(self):
+    def test_refinement_lands_on_the_fine_lattice(self, monkeypatch):
         # the grid step is 0.01; the refinement splits the winning
-        # bracket [x_k - 0.01, x_k + 0.01] into steps of 0.002
+        # bracket [x_k - 0.01, x_k + 0.01] into steps of 0.002 and skips
+        # its middle, x_k itself: 401 + 8 evaluations
+        evaluated = []
+
+        def counting_report(model):
+            evaluated.append(model)
+            return full_report(model)
+
+        monkeypatch.setattr(lgsteer.sweep, "full_report", counting_report)
         base = table_defaults()
         opt = optimum_detuning(base, "ENmc")
         assert opt.delta_ratio == pytest.approx(1.402, abs=1e-12)
+        assert len(evaluated) == 409
         refined = full_report(build_model(with_updates(base, detuning=opt.delta)))
         coarse = full_report(build_model(with_updates(base, detuning=1.4 * W1)))
         assert refined.en_m1c > coarse.en_m1c
