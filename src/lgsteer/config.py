@@ -68,12 +68,23 @@ def _check_number(key: str, value, unit: str, rule: str) -> float:
     return float(value)
 
 
+def _check_key(key: str, value) -> float:
+    """``value`` as a float, checked against run-file ``key``'s unit and rule."""
+    name, _, _, unit = _SYSTEM_KEYS[key]
+    return _check_number(key, value, unit, FIELD_RULES[name])
+
+
 @dataclass(frozen=True)
 class AxisConfig:
-    """One sweep axis as written in a run file."""
+    """One sweep axis as written in a run file; values obey its key's rule."""
 
     name: str
     values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if self.name in _SYSTEM_KEYS:
+            for value in self.values:
+                _check_key(self.name, value)
 
 
 @dataclass(frozen=True)
@@ -168,8 +179,7 @@ def parse_config(text: str) -> RunConfig:
     for key, value in system_raw.items():
         if key not in _SYSTEM_KEYS:
             raise UnknownKey(f"unknown key {key!r} in 'system'")
-        name, _, _, unit = _SYSTEM_KEYS[key]
-        system[key] = _check_number(key, value, unit, FIELD_RULES[name])
+        system[key] = _check_key(key, value)
     for key, default in _DEFAULTS.items():
         system.setdefault(key, default)
 

@@ -32,6 +32,7 @@ _TINY = np.finfo(float).tiny / _EPS
 _MAX_SIZE = 16
 _ITER_FACTOR = 100          # total Francis-iteration budget is 100 * n
 _EXCEPTIONAL_EVERY = 10     # ad-hoc shifts after this many stalled sweeps
+_MARGIN_FLOOR = 8.0         # scaled margins within this many eps of 0 read 0
 
 
 def _check_input(a: np.ndarray) -> np.ndarray:
@@ -215,10 +216,13 @@ def spectral_abscissa(a: np.ndarray) -> float:
     """Largest real part of the spectrum of ``a``, in the units of ``a``.
 
     The eigenvalues are taken of ``a`` divided by
-    :func:`power_of_two_scale`; the zero matrix gives 0.
+    :func:`power_of_two_scale` s; the zero matrix gives 0.  A value in
+    (-8 eps s, 0), s < 2 max|a|, is below what the eigensolver resolves: it
+    reads 0.0, not stable (Lyapunov solves there failed up to 2.3 eps max|a|).
     """
     a = _check_input(a)
     scale = power_of_two_scale(a)
     if scale == 0.0:
         return 0.0
-    return scale * max(z.real for z in eigenvalues(a / scale))
+    margin = max(z.real for z in eigenvalues(a / scale))
+    return scale * (0.0 if -_MARGIN_FLOOR * _EPS < margin < 0.0 else margin)

@@ -43,7 +43,7 @@ class UnknownMode(LgsteerError):
 # --- numerics -------------------------------------------------------------
 
 class EigenFailure(LgsteerError):
-    """QR iteration did not converge within its iteration budget.
+    """An eigensolver got a bad matrix or did not converge (LAPACK or the QR).
 
     Signals a numerical pathology, not physical instability.
     """

@@ -13,8 +13,10 @@ Linearizing the Langevin equations around the steady state gives
 
 with a 6x6 drift matrix ``A`` and a diagonal diffusion matrix ``D`` that
 together fix the steady-state covariance through ``A V + V A^T = -D``.
-This module builds ``A`` and ``D`` in SI units (rad/s); everything
-downstream works with the dimensionless ratios.
+Both come from the Hamiltonian matrix H (:func:`hamiltonian`) and a bath
+table: A = Omega H - diag(Gamma) and D = diag(Gamma (2 N + 1)).  This
+module builds ``A`` and ``D`` in SI units (rad/s); everything downstream
+works with the dimensionless ratios.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 from .constants import CLIGHT, HBAR, KBOLTZ
 from .eigen import spectral_abscissa
 from .errors import NonPositiveParameter
+from .gaussian import symplectic_form
 
 __all__ = [
     "SystemParams",
@@ -35,6 +38,7 @@ __all__ = [
     "LinearModel",
     "derive",
     "steady_state",
+    "hamiltonian",
     "build_drift",
     "build_diffusion",
     "build_model",
@@ -63,6 +67,21 @@ FIELD_RULES = {
     "kappa_override": "pos",
 }
 _REAL_TYPES = (int, float, np.integer, np.floating)
+
+# H as data: (row, column, term) per nonzero entry, terms as in hamiltonian(),
+# gathered into the index of each entry's term (7, the last term, is 0)
+_H_ROW, _H_COL, _H_TERM = np.array(
+    [(0, 0, 0), (1, 1, 0), (2, 2, 1), (3, 3, 1), (4, 4, 2), (5, 5, 3)]
+    + [(0, 4, 4), (4, 0, 4), (2, 4, 5), (4, 2, 5), (4, 5, 6), (5, 4, 6)]
+).T
+_H_INDEX = np.full((6, 6), 7)
+_H_INDEX[_H_ROW, _H_COL] = _H_TERM
+# Omega H as rows of H: row i of Omega is _OMEGA_SIGN[i] = +/-1 at _OMEGA_ROW[i]
+_OMEGA_ROW = np.abs(symplectic_form(3)).argmax(axis=1)
+_OMEGA_SIGN = symplectic_form(3).sum(axis=1, keepdims=True)
+# bath table per quadrature: damping (0 none, 1 gamma_m, 2 kappa) and mode
+_DAMPING = np.array([0, 1, 0, 1, 2, 2])
+_MODE = np.array([0, 0, 1, 1, 2, 2])
 
 
 def rule_breach(value, rule: str) -> str | None:
@@ -266,7 +285,7 @@ def steady_state(derived: DerivedParams) -> SteadyState:
     phi_j0 = g_aj |a0|^2 / omega_phij with g_a1 = -g1, g_a2 = +g2.
     The effective couplings G_j = sqrt(2) g_j |a0| drop a0's phase: in
     this frame the fluctuation X is the quadrature along the mean field
-    and :func:`build_drift` applies the pump at phase theta to it.
+    and :func:`hamiltonian` applies the pump at phase theta to it.
 
     At the OPA threshold kappa + i*Delta = 2*chi*e^{i*theta} the
     denominator vanishes and no finite working point exists; ``a0`` is
@@ -274,12 +293,8 @@ def steady_state(derived: DerivedParams) -> SteadyState:
     point as not stable.
     """
     p = derived.params
-    chi = p.opa_gain
-    theta = p.opa_phase
-    delta = p.detuning
-    kappa = derived.kappa
-    re = kappa - 2.0 * chi * math.cos(theta)
-    im = delta - 2.0 * chi * math.sin(theta)
+    re = derived.kappa - 2.0 * p.opa_gain * math.cos(p.opa_phase)
+    im = p.detuning - 2.0 * p.opa_gain * math.sin(p.opa_phase)
     denom = re**2 + im**2
     if denom == 0.0:
         a0 = complex(math.inf, 0.0)
@@ -287,77 +302,61 @@ def steady_state(derived: DerivedParams) -> SteadyState:
         e_amp = derived.drive_amplitude
         a0 = complex(re * e_amp / denom, -im * e_amp / denom)
     mag2 = abs(a0) ** 2
-    phi10 = -derived.g1 * mag2 / p.omega_phi1
-    phi20 = +derived.g2 * mag2 / p.omega_phi2
     root2 = math.sqrt(2.0)
     return SteadyState(
         a0=a0,
-        phi10=phi10,
-        phi20=phi20,
+        phi10=-derived.g1 * mag2 / p.omega_phi1,
+        phi20=+derived.g2 * mag2 / p.omega_phi2,
         G1=root2 * derived.g1 * abs(a0),
         G2=root2 * derived.g2 * abs(a0),
     )
 
 
-def build_drift(derived: DerivedParams, steady: SteadyState) -> np.ndarray:
-    """Assemble the 6x6 drift matrix.
+def hamiltonian(derived: DerivedParams, steady: SteadyState) -> np.ndarray:
+    """Symmetric 6x6 matrix H of the linearized quadratic Hamiltonian.
 
-    Cavity block entries: mu_pm = -kappa +/- 2*chi*cos(theta) on the
-    diagonal, rho_plus = +Delta + 2*chi*sin(theta) in the X row and
-    rho_minus = -Delta + 2*chi*sin(theta) in the Y row.  The mirrors
-    couple to the amplitude quadrature with opposite signs (-G1, +G2),
-    mirroring the opposite angular-momentum transfer at the two mirrors.
+    Diagonal (w1, w1, w2, w2, Delta - 2 chi sin(theta), Delta + 2 chi
+    sin(theta)); the torque couplings H[phi1, X] = G1 and H[phi2, X] = -G2
+    carry the opposite angular-momentum transfer at the two mirrors, and
+    the pump adds H[X, Y] = 2 chi cos(theta).
     """
     p = derived.params
-    w1 = p.omega_phi1
-    w2 = p.omega_phi2
-    gm = derived.gamma_m
-    chi = p.opa_gain
-    theta = p.opa_phase
-    delta = p.detuning
-    G1 = steady.G1
-    G2 = steady.G2
-    mu_p = -derived.kappa + 2.0 * chi * math.cos(theta)
-    mu_m = -derived.kappa - 2.0 * chi * math.cos(theta)
-    rho_p = +delta + 2.0 * chi * math.sin(theta)
-    rho_m = -delta + 2.0 * chi * math.sin(theta)
-    return np.array(
-        [
-            [0.0, w1, 0.0, 0.0, 0.0, 0.0],
-            [-w1, -gm, 0.0, 0.0, -G1, 0.0],
-            [0.0, 0.0, 0.0, w2, 0.0, 0.0],
-            [0.0, 0.0, -w2, -gm, G2, 0.0],
-            [0.0, 0.0, 0.0, 0.0, mu_p, rho_p],
-            [-G1, 0.0, G2, 0.0, rho_m, mu_m],
-        ]
-    )
+    pump = 2.0 * p.opa_gain
+    squeeze = pump * math.sin(p.opa_phase)
+    terms = [p.omega_phi1, p.omega_phi2, p.detuning - squeeze, p.detuning + squeeze]
+    terms += [steady.G1, -steady.G2, pump * math.cos(p.opa_phase), 0.0]
+    return np.array(terms)[_H_INDEX]
+
+
+def _bath(derived: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
+    """Damping Gamma and occupation N per quadrature (mirror baths damp only L_z)."""
+    damping = np.array([0.0, derived.gamma_m, derived.kappa])[_DAMPING]
+    return damping, np.array([derived.nbar1, derived.nbar2, 0.0])[_MODE]
+
+
+def build_drift(derived: DerivedParams, steady: SteadyState) -> np.ndarray:
+    """Drift matrix A = Omega H - diag(Gamma) (see :func:`hamiltonian`).
+
+    Omega is applied as the row swap and sign it encodes, not as a product,
+    so infinite couplings at the OPA threshold stay +/-inf, not 0 * inf = NaN.
+    """
+    a = _OMEGA_SIGN * hamiltonian(derived, steady)[_OMEGA_ROW]
+    a.reshape(36)[::7] -= _bath(derived)[0]
+    return a + 0.0  # negated zeros become +0
 
 
 def build_diffusion(derived: DerivedParams) -> np.ndarray:
-    """Diagonal diffusion matrix diag(0, gamma*(2n1+1), 0, gamma*(2n2+1), kappa, kappa)."""
-    gm = derived.gamma_m
-    return np.diag(
-        [
-            0.0,
-            gm * (2.0 * derived.nbar1 + 1.0),
-            0.0,
-            gm * (2.0 * derived.nbar2 + 1.0),
-            derived.kappa,
-            derived.kappa,
-        ]
-    )
+    """Diagonal diffusion matrix D = diag(Gamma (2 N + 1)) (see :func:`_bath`)."""
+    damping, occupation = _bath(derived)
+    return np.diag(damping * (2.0 * occupation + 1.0))
 
 
 def build_model(params: SystemParams) -> LinearModel:
     """Full pipeline: params -> derived -> steady state -> (A, D)."""
     derived = derive(params)
     steady = steady_state(derived)
-    return LinearModel(
-        drift=build_drift(derived, steady),
-        diffusion=build_diffusion(derived),
-        steady=steady,
-        derived=derived,
-    )
+    drift = build_drift(derived, steady)
+    return LinearModel(drift, build_diffusion(derived), steady, derived)
 
 
 def stability_margin(drift: np.ndarray) -> float:

@@ -65,6 +65,16 @@ class TestPoint:
         assert lines[0] == ",".join(MEASURE_COLUMNS)
         assert lines[1].startswith("true,")
 
+    def test_point_at_the_stability_boundary_exits_zero(self, tmp_path, capsys):
+        # the margin here is below what the eigensolver resolves: it reads
+        # 0.0, not stable, instead of failing the Lyapunov solve
+        system = {"omega_phi2_ratio": 1.0, "detuning_ratio": -4.649928699652051e-08}
+        cfg = write_config(tmp_path, {"system": system, "run": {"mode": "point"}})
+        assert main(["point", "--format", "json", "--config", cfg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["stable"] is False
+        assert doc["stability_margin_ratio"] == 0.0
+
     def test_bad_config_value_exits_two(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, {"system": {"laser_power_w": 0.0}, "run": {"mode": "point"}}
@@ -136,6 +146,25 @@ class TestSweep:
         missing_dir = str(tmp_path / "no" / "such" / "dir" / "x.csv")
         assert main(["sweep", "--config", cfg, "--out", missing_dir]) == 3
         assert "error writing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, values, need",
+        [
+            ("temperature_k", [-0.01, 0.01], "non-negative, in kelvin"),
+            ("laser_power_w", [0.0, 0.05], "positive, in watts"),
+            ("omega_phi2_ratio", [0.0, 1.0], "positive, in units of omega_phi1"),
+            ("opa_gain_ratio", [-0.1, 0.1], "non-negative, in units of omega_phi1"),
+        ],
+    )
+    def test_axis_value_breaking_its_key_rule_exits_two(
+        self, tmp_path, capsys, name, values, need
+    ):
+        out = tmp_path / "scan.csv"
+        axis = {"name": name, "values": values}
+        cfg = write_config(tmp_path, {"run": {"mode": "sweep", "axis1": axis}})
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{name} must be {need}, got {values[0]!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_point_mode_config_rejected_for_sweep(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"run": {"mode": "point"}})

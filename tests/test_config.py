@@ -201,6 +201,22 @@ class TestAxisParsing:
                 ' "points": 1}}}'
             )
 
+    @pytest.mark.parametrize("name", ["temperature_k", "laser_power_w", "opa_gain_ratio"])
+    def test_axis_values_obey_their_key_rule(self, name):
+        # a value an axis sweeps is held to the rule of the system key of
+        # that name, with the same message, for listed and ranged axes
+        def error(doc):
+            with pytest.raises(BadUnit) as info:
+                parse_config(json.dumps(doc))
+            return str(info.value)
+
+        system = error({"system": {name: -0.01}, "run": {"mode": "point"}})
+        for axis in (
+            {"name": name, "values": [-0.01, 0.01]},
+            {"name": name, "start": -0.01, "stop": 0.01, "points": 3},
+        ):
+            assert error({"run": {"mode": "sweep", "axis1": axis}}) == system
+
     def test_two_axes(self):
         cfg = parse_config(
             '{"run": {"mode": "sweep",'

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lgsteer import EigenFailure, eigenvalues, hessenberg, real_schur
+from lgsteer.eigen import spectral_abscissa
 
 
 def _sorted(vals):
@@ -116,6 +117,17 @@ def test_defective_jordan_like_block():
 
 def test_zero_matrix():
     _assert_spectra_match(eigenvalues(np.zeros((4, 4))), [0.0] * 4, tol=1e-12)
+
+
+def test_margin_below_the_floor_reads_zero():
+    # LAPACK resolves a margin only beyond about eps max|A|; within 8 eps s
+    # of 0, s = max|A| rounded up to a power of two, it reads 0.0 (not
+    # stable), beyond it is kept
+    eps = np.finfo(float).eps
+    assert spectral_abscissa(np.diag([-4.0 * eps, -1.0])) == 0.0
+    assert spectral_abscissa(np.diag([-4.0 * eps, -1.0]) * 1e8) == 0.0
+    assert spectral_abscissa(np.diag([-16.0 * eps, -1.0])) == -16.0 * eps
+    assert spectral_abscissa(np.diag([4.0 * eps, -1.0])) == 4.0 * eps
 
 
 def test_size_cap_enforced():

@@ -17,7 +17,11 @@ from lgsteer import (
     build_model,
     derive,
     full_report,
+    hamiltonian,
+    lyapunov_oracle,
     stability_margin,
+    symplectic_form,
+    table_defaults,
     steady_state,
     thermal_occupation,
     with_updates,
@@ -197,6 +201,26 @@ class TestDrift:
             ]
         )
         assert np.array_equal(a, expected)
+        # pumped at a phase with both quadrature terms nonzero
+        chi, theta = 0.1 * W1, 0.7
+        p = make_params(detuning=+W1, opa_gain=chi, opa_phase=theta)
+        d = derive(p)
+        s = steady_state(d)
+        mu_p = -d.kappa + 2.0 * chi * math.cos(theta)
+        mu_m = -d.kappa - 2.0 * chi * math.cos(theta)
+        rho_p = +W1 + 2.0 * chi * math.sin(theta)
+        rho_m = -W1 + 2.0 * chi * math.sin(theta)
+        expected = np.array(
+            [
+                [0.0, W1, 0.0, 0.0, 0.0, 0.0],
+                [-W1, -d.gamma_m, 0.0, 0.0, -s.G1, 0.0],
+                [0.0, 0.0, 0.0, w2, 0.0, 0.0],
+                [0.0, 0.0, -w2, -d.gamma_m, s.G2, 0.0],
+                [0.0, 0.0, 0.0, 0.0, mu_p, rho_p],
+                [-s.G1, 0.0, s.G2, 0.0, rho_m, mu_m],
+            ]
+        )
+        assert np.array_equal(build_drift(d, s), expected)
 
     def test_amplifier_entries(self):
         chi = 0.1 * W1
@@ -245,6 +269,129 @@ class TestDrift:
         s[4, 4] = s[5, 5] = -1.0
         assert np.array_equal(s @ m.drift @ s.T, m.drift)
         assert np.array_equal(s @ m.diffusion @ s.T, m.diffusion)
+
+
+class TestHamiltonian:
+    def test_entries(self):
+        chi, theta = 0.1 * W1, 0.7
+        d = derive(make_params(detuning=+W1, opa_gain=chi, opa_phase=theta))
+        s = steady_state(d)
+        h = hamiltonian(d, s)
+        assert np.array_equal(h, h.T)
+        pump_y = 2.0 * chi * math.sin(theta)
+        w2 = 1.5 * W1
+        assert np.array_equal(
+            np.diag(h), [W1, W1, w2, w2, W1 - pump_y, W1 + pump_y]
+        )
+        off = h - np.diag(np.diag(h))
+        assert off[0, 4] == s.G1
+        assert off[2, 4] == -s.G2
+        assert off[4, 5] == 2.0 * chi * math.cos(theta)
+        assert np.count_nonzero(off) == 6
+
+    def test_drift_and_diffusion_share_one_bath(self):
+        # A = Omega H - diag(Gamma), D = diag(Gamma (2N + 1)), with
+        # Gamma = (0, g, 0, g, kappa, kappa) and N = (n1, n1, n2, n2, 0, 0)
+        d = derive(make_params(detuning=+W1, opa_gain=0.1 * W1, opa_phase=2.0))
+        s = steady_state(d)
+        gamma = np.array([0.0, d.gamma_m, 0.0, d.gamma_m, d.kappa, d.kappa])
+        occupation = np.array([d.nbar1, d.nbar1, d.nbar2, d.nbar2, 0.0, 0.0])
+        omega_h = symplectic_form(3) @ hamiltonian(d, s)
+        assert np.array_equal(build_drift(d, s), omega_h - np.diag(gamma))
+        assert np.array_equal(
+            build_diffusion(d), np.diag(gamma * (2.0 * occupation + 1.0))
+        )
+
+    def test_threshold_couplings_stay_infinite(self):
+        # at the OPA threshold the couplings are infinite; a product with
+        # Omega's zeros would turn them into NaN
+        base = make_params()
+        kappa = derive(base).kappa
+        d = derive(with_updates(base, opa_gain=0.5 * kappa, opa_phase=0.0, detuning=0.0))
+        s = steady_state(d)
+        a = build_drift(d, s)
+        assert not np.isnan(a).any()
+        assert a[1, 4] == a[5, 0] == -math.inf
+        assert a[3, 4] == a[5, 2] == math.inf
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(symplectic_form(3) @ hamiltonian(d, s)).any()
+
+
+class TestClosedFormLimits:
+    """Exact limits of the model, solved by the independent oracle."""
+
+    @pytest.mark.parametrize("gain", [0.1, 0.3, 0.7])
+    def test_opa_alone(self, gain):
+        # no drive, Delta = 0, theta = 0: the OPA squeezes Y and amplifies X,
+        # V_X = (1/2) kappa / (kappa - 2 chi), V_Y = (1/2) kappa / (kappa + 2 chi)
+        chi = gain * W1
+        p = make_params(detuning=0.0, opa_gain=chi, opa_phase=0.0)
+        d = replace(derive(p), drive_amplitude=0.0)
+        v = lyapunov_oracle(build_drift(d, steady_state(d)), build_diffusion(d)).data
+        kappa = d.kappa
+        assert v[4, 4] == pytest.approx(0.5 * kappa / (kappa - 2.0 * chi), rel=1e-12)
+        assert v[5, 5] == pytest.approx(0.5 * kappa / (kappa + 2.0 * chi), rel=1e-12)
+        assert abs(v[4, 5]) <= 1e-12 * v[4, 4]
+
+    def test_equal_mirrors_dark_mode_stays_thermal(self):
+        # at w2 = w1 the couplings G1 = G2 leave (phi1 + phi2)/sqrt2,
+        # (L1 + L2)/sqrt2 coupled to nothing but its bath: (nbar + 1/2) I.
+        # Its own margin is -gamma_m/2, so the unrefined oracle is held to
+        # the dense solve's forward-error bound eps cond(L) max|V|
+        rng = np.random.default_rng(31)
+        base = table_defaults()
+        kappa = derive(base).kappa
+        eps = np.finfo(float).eps
+        dark = np.zeros((2, 6))
+        dark[0, [0, 2]] = dark[1, [1, 3]] = 1.0 / math.sqrt(2.0)
+        n_stable = 0
+        while n_stable < 300:
+            delta = rng.uniform(-2.0, 2.0) * W1
+            p = with_updates(
+                base,
+                omega_phi2=W1,
+                detuning=delta,
+                temperature=rng.choice([0.0, 10.0 ** rng.uniform(-4.0, 0.0)]),
+                laser_power=10.0 ** rng.uniform(-3.0, -1.0),
+                opa_gain=rng.uniform(0.0, 0.5) * 0.5 * math.hypot(kappa, delta),
+                opa_phase=rng.uniform(0.0, 2.0 * math.pi),
+            )
+            m = build_model(p)
+            a = m.drift
+            if np.linalg.eigvals(a).real.max() >= 0.0:
+                continue
+            n_stable += 1
+            v = lyapunov_oracle(a, m.diffusion).data
+            thermal = (m.derived.nbar1 + 0.5) * np.eye(2)
+            lyap = np.kron(np.eye(6), a) + np.kron(a, np.eye(6))
+            bound = eps * np.linalg.cond(lyap) * np.abs(v).max()
+            assert np.abs(dark @ v @ dark.T - thermal).max() <= bound, n_stable
+
+    def test_single_mirror_routh_hurwitz(self):
+        # mirror 1 and the cavity alone (chi = 0): det A4 = w1 s2 with
+        # s2 = w1 (kappa^2 + Delta^2) - G1^2 Delta (Vitali et al., PRL 98,
+        # 030405, 2007).  s2 < 0 needs Delta > 0 and leaves A4 unstable,
+        # so Delta > 0 is the side where the optical spring can overcome w1
+        keep = np.ix_([0, 1, 4, 5], [0, 1, 4, 5])
+        n_static = 0
+        for kappa in np.linspace(0.1, 2.0, 10) * W1:
+            for power in (1e-3, 5e-3, 2e-2, 5e-2, 0.2, 1.0):
+                for ratio in np.linspace(-2.0, 2.0, 41):
+                    delta = ratio * W1
+                    p = make_params(
+                        detuning=delta, laser_power=power, kappa_override=kappa
+                    )
+                    m = build_model(p)
+                    a4 = m.drift[keep]
+                    g1 = m.steady.G1
+                    s2 = W1 * (kappa**2 + delta**2) - g1**2 * delta
+                    scale = W1 * (W1 * (kappa**2 + delta**2) + g1**2 * abs(delta))
+                    assert abs(np.linalg.det(a4) - W1 * s2) <= 1e-12 * scale
+                    if s2 < 0.0:
+                        n_static += 1
+                        assert delta > 0.0
+                        assert np.linalg.eigvals(a4).real.max() >= 0.0
+        assert n_static > 100
 
 
 class TestDiffusion:
