@@ -1,7 +1,8 @@
 """Eigenvalues and stability margins of small general real matrices.
 
 :func:`eigenvalues` and :func:`spectral_abscissa` call LAPACK through
-``numpy.linalg.eigvals``; they are what the package uses.  The
+``numpy.linalg.eigvals``; they are what the package uses, and
+:func:`spectral_abscissae` takes a whole stack of matrices in one call.  The
 Hessenberg reduction and Francis double-shift QR below
 (:func:`hessenberg`, :func:`real_schur`) are a self-contained real Schur
 decomposition A = Q T Q^T with T quasi upper triangular (1x1 and 2x2
@@ -25,6 +26,7 @@ __all__ = [
     "eigenvalues",
     "power_of_two_scale",
     "spectral_abscissa",
+    "spectral_abscissae",
 ]
 
 _EPS = np.finfo(float).eps
@@ -200,16 +202,30 @@ def eigenvalues(a: np.ndarray) -> list[complex]:
     return lam.astype(complex).tolist()
 
 
-def power_of_two_scale(a: np.ndarray) -> float:
+def power_of_two_scale(a: np.ndarray):
     """Smallest power of two at or above max|a|; 0 for the zero matrix.
 
-    Dividing by it is exact, so SI-scale and unit-scale inputs take the
-    same numerical path.
+    Taken over the last two axes, so a (N, n, n) stack gets one scale per
+    matrix.  Dividing by it is exact, so SI-scale and unit-scale inputs
+    take the same numerical path.
     """
-    peak = float(np.max(np.abs(a)))
-    if peak == 0.0:
-        return 0.0
-    return 2.0 ** math.ceil(math.log2(peak))
+    # max|a| = m 2^e with m in [0.5, 1), or m = 0 for the zero matrix
+    m, e = np.frexp(np.abs(a).max(axis=(-2, -1)))
+    return np.ldexp(np.ceil(m), e - (m == 0.5))
+
+
+def spectral_abscissae(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """:func:`spectral_abscissa` of each matrix in a finite (N, n, n) stack.
+
+    ``scale`` is :func:`power_of_two_scale` of ``a``.  One batched LAPACK
+    call; raises ``numpy.linalg.LinAlgError`` when it does not converge
+    on some matrix.
+    """
+    # the zero matrix has eigenvalues 0 at any scale
+    unit = scale + (scale == 0.0)
+    margin = np.linalg.eigvals(a / unit[:, None, None]).real.max(axis=-1)
+    margin[(-_MARGIN_FLOOR * _EPS < margin) & (margin < 0.0)] = 0.0
+    return unit * margin
 
 
 def spectral_abscissa(a: np.ndarray) -> float:
@@ -220,9 +236,8 @@ def spectral_abscissa(a: np.ndarray) -> float:
     (-8 eps s, 0), s < 2 max|a|, is below what the eigensolver resolves: it
     reads 0.0, not stable (Lyapunov solves there failed up to 2.3 eps max|a|).
     """
-    a = _check_input(a)
-    scale = power_of_two_scale(a)
-    if scale == 0.0:
-        return 0.0
-    margin = max(z.real for z in eigenvalues(a / scale))
-    return scale * (0.0 if -_MARGIN_FLOOR * _EPS < margin < 0.0 else margin)
+    a = _check_input(a)[None]
+    try:
+        return float(spectral_abscissae(a, power_of_two_scale(a))[0])
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"eigenvalue iteration did not converge: {exc}") from exc

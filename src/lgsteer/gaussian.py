@@ -7,10 +7,13 @@ Symplectic eigenvalues are the positive eigenvalues of the Hermitian
 matrix i L^T Omega L, with V = L L^T the Cholesky factorization.
 
 The steady-state covariance of the linear model solves the Lyapunov
-equation A V + V A^T = -D; :func:`steady_covariance` solves its
-vectorized 36-unknown form with LAPACK and refines the result in
-extended precision.  An independent solver lives in
-:mod:`lgsteer.validation` so the two routes can cross-check each other.
+equation A V + V A^T = -D; :func:`steady_covariances` solves its
+vectorized 36-unknown form for a whole stack of systems with batched
+LAPACK calls and refines the results in extended precision, and
+:func:`steady_covariance` is its one-system case.  A system that fails
+a check carries its own error and leaves the rest of the stack alone.
+An independent solver lives in :mod:`lgsteer.validation` so the two
+routes can cross-check each other.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import power_of_two_scale, spectral_abscissa
+from .eigen import power_of_two_scale, spectral_abscissae
 from .errors import (
+    EigenFailure,
+    LgsteerError,
     NonPhysicalInput,
     SolveFailure,
     UnknownMode,
@@ -36,6 +41,7 @@ __all__ = [
     "symplectic_eigenvalues",
     "min_pt_symplectic",
     "steady_covariance",
+    "steady_covariances",
     "solve_lyapunov",
     "lyapunov_residual",
 ]
@@ -122,16 +128,19 @@ def _gather(labels: tuple[str, ...], cuts: tuple) -> tuple[np.ndarray, ...]:
     return idx[:, :, None], idx[:, None, :], p[:, :, None] * p[:, None, :]
 
 
-def _stack(cm: CovarianceMatrix, cuts: tuple) -> np.ndarray:
-    rows, cols, signs = _gather(cm.mode_labels, cuts)
-    return cm.data[rows, cols] * signs
+def _stack(data: np.ndarray, labels: tuple[str, ...], cuts: tuple) -> np.ndarray:
+    """Every cut of ``data`` as one stack; a (K, 6, 6) input gives (K, cuts, n, n)."""
+    rows, cols, signs = _gather(labels, cuts)
+    return data[..., rows, cols] * signs
 
 
 def reduce(cm: CovarianceMatrix, modes) -> CovarianceMatrix:
     """Principal submatrix for the given mode subset, original ordering."""
     modes = tuple(modes)
     keep_labels = tuple(lb for lb in cm.mode_labels if lb in modes)
-    return CovarianceMatrix(_stack(cm, ((modes, None),))[0], keep_labels)
+    return CovarianceMatrix(
+        _stack(cm.data, cm.mode_labels, ((modes, None),))[0], keep_labels
+    )
 
 
 def partial_transpose(cm: CovarianceMatrix, mode: str) -> CovarianceMatrix:
@@ -140,7 +149,8 @@ def partial_transpose(cm: CovarianceMatrix, mode: str) -> CovarianceMatrix:
     An involution; the determinant is preserved (P has det -1 but enters
     twice).
     """
-    return CovarianceMatrix(_stack(cm, ((cm.mode_labels, mode),))[0], cm.mode_labels)
+    cut = ((cm.mode_labels, mode),)
+    return CovarianceMatrix(_stack(cm.data, cm.mode_labels, cut)[0], cm.mode_labels)
 
 
 def _spectra(stack: np.ndarray) -> np.ndarray:
@@ -183,14 +193,187 @@ def min_pt_symplectic(cm: CovarianceMatrix, mode: str | None = None) -> float:
                 f"got {cm.n_modes} modes"
             )
         mode = cm.mode_labels[1]
-    return float(_spectra(_stack(cm, ((cm.mode_labels, mode),)))[0, 0])
+    cut = ((cm.mode_labels, mode),)
+    return float(_spectra(_stack(cm.data, cm.mode_labels, cut))[0, 0])
+
+
+def _rowwise(fn, *stacks: np.ndarray):
+    """``fn`` of whole stacks, falling back to one row at a time.
+
+    ``fn`` takes aligned stacks (equal first axes).  Returns ``(out,
+    rejected)``: ``out`` holds ``fn``'s rows for the accepted rows only,
+    in order, and ``rejected`` maps the position of each row ``fn``
+    fails on alone to its exception.  LAPACK rejects a stack when any
+    one matrix fails, so only then, rarely, is the batch re-run row by
+    row to find the failing rows.
+    """
+    try:
+        return fn(*stacks), {}
+    except (np.linalg.LinAlgError, LgsteerError):
+        pass
+    out, rejected = [], {}
+    for k in range(len(stacks[0])):
+        try:
+            out.append(fn(*(x[k : k + 1] for x in stacks)))
+        except (np.linalg.LinAlgError, LgsteerError) as exc:
+            rejected[k] = exc
+    return (np.concatenate(out) if out else fn(*(x[:0] for x in stacks))), rejected
+
+
+class _Rows:
+    """The rows of a batch still in play, and the errors of those dropped."""
+
+    def __init__(self, n: int) -> None:
+        self.errors: list[LgsteerError | None] = [None] * n
+        self.live = np.arange(n)
+
+    def drop(self, failed: dict, *arrays):
+        """Record ``failed`` (live position -> error) and drop those rows.
+
+        Returns ``arrays``, whose rows follow the live rows, compressed
+        the same way.
+        """
+        if not failed:
+            return arrays
+        for pos, exc in failed.items():
+            self.errors[self.live[pos]] = exc
+        keep = np.ones(len(self.live), dtype=bool)
+        keep[list(failed)] = False
+        self.live = self.live[keep]
+        return tuple(x[keep] for x in arrays)
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def steady_covariances(drifts, diffusions):
+    """Stability margins and steady-state covariances of many systems at once.
+
+    ``drifts`` and ``diffusions`` are sequences (or stacks) of 6x6
+    matrices.  Returns ``(margins, covariances, errors)``: the margins in
+    the units of each drift (NaN for a row that fails its input checks
+    or its eigensolve), a (N, 6, 6) stack that holds the covariance of
+    every stable row (NaN elsewhere), and a list with the
+    :class:`~lgsteer.errors.LgsteerError` of each row that fails a check
+    (None elsewhere).  A failing row never fails the
+    others; each row gets exactly what :func:`steady_covariance` returns
+    or raises for it alone.
+
+    Every step is one batched LAPACK call over the rows still in play:
+    the margins from one ``eigvals`` (see
+    :func:`lgsteer.eigen.spectral_abscissae`), the 36x36 Kronecker
+    inverses of the stable rows from one ``inv``, and each refinement
+    pass on the rows not yet converged.
+    """
+    a = [np.asarray(x, dtype=float) for x in drifts]
+    d = [np.asarray(x, dtype=float) for x in diffusions]
+    n = len(a)
+    rows = _Rows(n)
+    rows.drop({
+        k: SolveFailure(f"expected 6x6 matrices, got {x.shape} and {y.shape}")
+        for k, (x, y) in enumerate(zip(a, d))
+        if x.shape != (6, 6) or y.shape != (6, 6)
+    })
+    if len(rows.live) < n:
+        a, d = [a[k] for k in rows.live], [d[k] for k in rows.live]
+    a = np.array(a).reshape(-1, 6, 6)
+    d = np.array(d).reshape(-1, 6, 6)
+    a_peak = np.abs(a).max(axis=(1, 2))
+    d_peak = np.abs(d).max(axis=(1, 2))
+    # a non-finite entry makes its row's peak or asymmetry inf or NaN
+    ok = (a_peak < np.inf) & (
+        np.abs(d - d.swapaxes(1, 2)).max(axis=(1, 2)) <= _SYM_TOL * np.maximum(1.0, d_peak)
+    )
+    if not ok.all():
+        a, d, a_peak, d_peak = rows.drop({
+            pos: SolveFailure(
+                "diffusion matrix is not symmetric"
+                if np.isfinite(a[pos]).all() and np.isfinite(d[pos]).all()
+                else "drift or diffusion has non-finite entries"
+            )
+            for pos in np.flatnonzero(~ok).tolist()
+        }, a, d, a_peak, d_peak)
+    scale = power_of_two_scale(a)
+    margin, failed = _rowwise(spectral_abscissae, a, scale)
+    a, d, a_peak, d_peak, scale = rows.drop({
+        pos: EigenFailure(f"eigenvalue iteration did not converge: {exc}")
+        for pos, exc in failed.items()
+    }, a, d, a_peak, d_peak, scale)
+    margins = np.full(n, np.nan)
+    margins[rows.live] = margin
+    covariances = np.full((n, 6, 6), np.nan)
+    stable = margin < 0.0
+    n_stable = np.count_nonzero(stable)
+    if not n_stable:
+        return margins, covariances, rows.errors
+    if n_stable < len(stable):
+        a, d, a_peak, d_peak, scale, rows.live = (
+            x[stable] for x in (a, d, a_peak, d_peak, scale, rows.live)
+        )
+    a_s = a / scale[:, None, None]
+    d_s = d / scale[:, None, None]
+    # I (x) A + A (x) I, indexed [row, p, i, q, j]: a_ij on the p = q
+    # diagonal plus a_pq on the i = j diagonal, written through views
+    kron_sum = np.zeros((len(a_s), 6, 6, 6, 6))
+    np.einsum("npipj->npij", kron_sum)[...] = a_s[:, None]
+    np.einsum("npiqi->npqi", kron_sum)[...] += a_s[:, :, :, None]
+    kron_sum = kron_sum.reshape(-1, 36, 36)
+    inverse, failed = _rowwise(np.linalg.inv, kron_sum)
+    a, d, a_peak, d_peak, a_s, d_s = rows.drop({
+        pos: SolveFailure(f"singular Lyapunov operator: {exc}")
+        for pos, exc in failed.items()
+    }, a, d, a_peak, d_peak, a_s, d_s)
+    # ravel is the column-major vec of the transpose, and X -> A X + X A^T
+    # commutes with transposition, so ravel/reshape solve the same equation
+    v = (inverse @ -d_s.reshape(-1, 36, 1)).reshape(-1, 6, 6)
+    v = 0.5 * (v + v.swapaxes(1, 2))
+    al = a_s.astype(np.longdouble)
+    dl = d_s.astype(np.longdouble)
+    limit = _FORWARD_FACTOR * float(np.finfo(float).eps)
+    # rows still refining; a row whose V is not finite compares false
+    # below, stops, and fails the finiteness check after the loop
+    todo = slice(None)
+    for _ in range(_MAX_REFINE):
+        vl = v[todo].astype(np.longdouble)
+        ar = al[todo]
+        resid = np.asarray(ar @ vl + vl @ ar.swapaxes(1, 2) + dl[todo], dtype=float)
+        delta = (inverse[todo] @ -resid.reshape(-1, 36, 1)).reshape(-1, 6, 6)
+        v[todo] = v[todo] + 0.5 * (delta + delta.swapaxes(1, 2))
+        going = np.abs(delta).max(axis=(1, 2)) > limit * np.abs(v[todo]).max(axis=(1, 2))
+        n_going = np.count_nonzero(going)
+        if not n_going:
+            break
+        if n_going < len(going):
+            todo = np.arange(len(v))[todo][going]
+    vmax = np.abs(v).max(axis=(1, 2))
+    resid = lyapunov_residual(a, d, v)
+    bound = 1e-8 * np.maximum(np.maximum(1.0, d_peak), a_peak * vmax)
+    ok = resid <= bound
+    if not ok.all():
+        v, vmax = rows.drop({
+            pos: SolveFailure(
+                f"Lyapunov residual {float(resid[pos])} exceeds bound {float(bound[pos])}"
+                if np.isfinite(v[pos]).all() else "Lyapunov solution has non-finite entries"
+            )
+            for pos in np.flatnonzero(~ok).tolist()
+        }, v, vmax)
+    jitter = 1e-9 * np.maximum(1.0, vmax)[:, None, None]
+    _, failed = _rowwise(np.linalg.cholesky, v + jitter * _EYE6)
+    (v,) = rows.drop(
+        {pos: SolveFailure("Lyapunov solution is not positive semidefinite") for pos in failed},
+        v,
+    )
+    if len(v) == n:
+        return margins, v, rows.errors
+    covariances[rows.live] = v
+    return margins, covariances, rows.errors
 
 
 def steady_covariance(a: np.ndarray, d: np.ndarray):
     """Stability margin and (when stable) steady-state covariance.
 
     Returns ``(margin, cm_or_None)`` with the margin in the units of
-    ``a``, from :func:`lgsteer.eigen.spectral_abscissa`.
+    ``a``, from :func:`lgsteer.eigen.spectral_abscissa`; this is the
+    one-row case of :func:`steady_covariances`, and raises the row's
+    error.
 
     A stable system is solved as ``(I (x) A + A (x) I) vec V = -vec D``
     on power-of-two-scaled inputs.  Near-marginal systems, and equal
@@ -200,60 +383,13 @@ def steady_covariance(a: np.ndarray, d: np.ndarray):
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
     ch. 12): that is forward accuracy, not just a small backward error.
     """
-    a = np.asarray(a, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if a.shape != (6, 6) or d.shape != (6, 6):
-        raise SolveFailure(f"expected 6x6 matrices, got {a.shape} and {d.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(d).all()):
-        raise SolveFailure("drift or diffusion has non-finite entries")
-    if np.abs(d - d.T).max() > _SYM_TOL * max(1.0, np.abs(d).max()):
-        raise SolveFailure("diffusion matrix is not symmetric")
-    margin = spectral_abscissa(a)
+    margins, covariances, errors = steady_covariances([a], [d])
+    if errors[0] is not None:
+        raise errors[0]
+    margin = float(margins[0])
     if margin >= 0.0:
         return margin, None
-    scale = power_of_two_scale(a)
-    a_s = a / scale
-    d_s = d / scale
-    # I (x) A + A (x) I, indexed [(p, i), (q, j)]
-    kron_sum = (
-        _EYE6[:, None, :, None] * a_s[None, :, None, :]
-        + a_s[:, None, :, None] * _EYE6[None, :, None, :]
-    ).reshape(36, 36)
-    try:
-        inverse = np.linalg.inv(kron_sum)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"singular Lyapunov operator: {exc}") from exc
-    # ravel is the column-major vec of the transpose, and X -> A X + X A^T
-    # commutes with transposition, so ravel/reshape solve the same equation
-    v = (inverse @ -d_s.ravel()).reshape(6, 6)
-    v = 0.5 * (v + v.T)
-    al = a_s.astype(np.longdouble)
-    dl = d_s.astype(np.longdouble)
-    limit = _FORWARD_FACTOR * float(np.finfo(float).eps)
-    for _ in range(_MAX_REFINE):
-        if not np.isfinite(v).all():
-            raise SolveFailure("Lyapunov solution has non-finite entries")
-        vl = v.astype(np.longdouble)
-        resid_mat = np.asarray(al @ vl + vl @ al.T + dl, dtype=float)
-        delta = (inverse @ -resid_mat.ravel()).reshape(6, 6)
-        v = v + 0.5 * (delta + delta.T)
-        if np.abs(delta).max() <= limit * np.abs(v).max():
-            break
-    if not np.isfinite(v).all():
-        raise SolveFailure("Lyapunov solution has non-finite entries")
-    vmax = float(np.abs(v).max())
-    resid = lyapunov_residual(a, d, v)
-    bound = 1e-8 * max(1.0, float(np.abs(d).max()), float(np.abs(a).max()) * vmax)
-    if resid > bound:
-        raise SolveFailure(f"Lyapunov residual {resid} exceeds bound {bound}")
-    jitter = 1e-9 * max(1.0, vmax)
-    try:
-        np.linalg.cholesky(v + jitter * _EYE6)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(
-            "Lyapunov solution is not positive semidefinite"
-        ) from exc
-    return margin, CovarianceMatrix(v, MODE_ORDER)
+    return margin, CovarianceMatrix(covariances[0], MODE_ORDER)
 
 
 def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> CovarianceMatrix:
@@ -271,8 +407,8 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> CovarianceMatrix:
     return cm
 
 
-def lyapunov_residual(a: np.ndarray, d: np.ndarray, v) -> float:
-    """Max-norm of A V + V A^T + D.
+def lyapunov_residual(a: np.ndarray, d: np.ndarray, v):
+    """Max-norm of A V + V A^T + D; one value per system for (N, 6, 6) stacks.
 
     Accumulated in extended precision so the returned value reflects the
     quality of ``v`` rather than rounding noise in the evaluation, which
@@ -283,4 +419,5 @@ def lyapunov_residual(a: np.ndarray, d: np.ndarray, v) -> float:
     al = np.asarray(a, dtype=np.longdouble)
     vl = vm.astype(np.longdouble)
     dl = np.asarray(d, dtype=np.longdouble)
-    return float(np.max(np.abs(al @ vl + vl @ al.T + dl)))
+    peak = np.abs(al @ vl + vl @ al.swapaxes(-1, -2) + dl).max(axis=(-2, -1))
+    return float(peak) if peak.ndim == 0 else peak.astype(float)

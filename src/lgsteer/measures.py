@@ -5,8 +5,10 @@ convention.  Entanglement is the logarithmic negativity, from the
 smallest symplectic eigenvalue of a partially transposed state (the
 two-mode pair, or the full three-mode state for a one-versus-two
 split); steering uses the Renyi-2 entropy criterion.
-:func:`full_report` bundles everything for a single linearized model
-and computes each pair and each one-versus-two spectrum once.
+:func:`full_reports` bundles everything for a batch of linearized
+models: one batched solve, then each pair and each one-versus-two
+spectrum of every stable row from one stacked call per kind.
+:func:`full_report` is its one-model case.
 """
 
 from __future__ import annotations
@@ -15,17 +17,19 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .errors import LgsteerError, NonPhysicalInput, NonPositiveDeterminant, UnknownMode
 from .gaussian import (
+    MODE_ORDER,
     CovarianceMatrix,
+    _rowwise,
     _spectra,
     _stack,
     min_pt_symplectic,
-    reduce,
-    steady_covariance,
+    steady_covariances,
 )
 from .model import LinearModel
 
@@ -55,20 +59,26 @@ def log_negativity(cm: CovarianceMatrix, single: str | None = None) -> float:
     return _en(min_pt_symplectic(cm, single))
 
 
-def _negativities(cm: CovarianceMatrix) -> tuple[list[float], list[float]]:
-    """EN of each pair (``combinations`` order) and each ``mode | rest`` cut.
+def _pt_nus(data: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
+    """Smallest partial-transpose symplectic eigenvalue of each cut of a stack.
 
-    Each of the two sets is one stacked spectrum.
+    For (K, 6, 6) three-mode states returns (K, 6): the pairs in
+    ``combinations`` order, then each ``mode | rest`` split.  The pairs
+    and the splits are one stacked spectrum each.
     """
-    if cm.n_modes != 3:
-        raise NonPhysicalInput(
-            f"residual_contangle_min needs a three-mode state, got {cm.n_modes}"
-        )
-    labels = cm.mode_labels
     pairs = tuple((pair, pair[1]) for pair in itertools.combinations(labels, 2))
     cuts = tuple((labels, focus) for focus in labels)
-    nus = [_spectra(_stack(cm, c))[:, 0].tolist() for c in (pairs, cuts)]
-    return tuple([_en(nu) for nu in row] for row in nus)
+    k = len(data)
+    return np.concatenate(
+        [_spectra(_stack(data, labels, c).reshape(3 * k, n, n))[:, 0].reshape(k, 3)
+         for c, n in ((pairs, 4), (cuts, 6))],
+        axis=1,
+    )
+
+
+def _negativities(nus: list[float]) -> tuple[list[float], list[float]]:
+    """EN of each pair and each ``mode | rest`` cut, from one row of :func:`_pt_nus`."""
+    return [_en(nu) for nu in nus[:3]], [_en(nu) for nu in nus[3:]]
 
 
 def _residual_min(pair_en: list[float], cut_en: list[float]) -> float:
@@ -94,12 +104,15 @@ def residual_contangle_min(cm: CovarianceMatrix) -> float:
     small negative rounding noise is clamped to zero.  Returns the
     smallest residual.
     """
-    return _residual_min(*_negativities(cm))
+    if cm.n_modes != 3:
+        raise NonPhysicalInput(
+            f"residual_contangle_min needs a three-mode state, got {cm.n_modes}"
+        )
+    return _residual_min(*_negativities(_pt_nus(cm.data[None], cm.mode_labels)[0].tolist()))
 
 
-def _renyi2(stack: np.ndarray) -> list[float]:
-    """Renyi-2 entropies ``S = 0.5 ln det(2 V)`` of a (k, 2n, 2n) stack."""
-    dets = np.linalg.det(2.0 * stack).tolist()
+def _renyi2(dets: list[float]) -> list[float]:
+    """Renyi-2 entropies ``S = 0.5 ln det(2 V)`` from the determinants det(2 V)."""
     if min(dets) <= 0.0:
         raise NonPositiveDeterminant(
             f"det(2V) = {min(dets)} is not positive; state is unphysical"
@@ -107,18 +120,32 @@ def _renyi2(stack: np.ndarray) -> list[float]:
     return [0.5 * math.log(det) for det in dets]
 
 
+def _dets(stack: np.ndarray) -> list:
+    """det(2 V) of each matrix of a stack, as nested lists."""
+    return np.linalg.det(2.0 * stack).tolist()
+
+
 def renyi2_entropy(cm: CovarianceMatrix) -> float:
     """Renyi-2 entropy ``S = 0.5 ln det(2 V)`` of a Gaussian state."""
-    return _renyi2(cm.data[None])[0]
+    return _renyi2(_dets(cm.data[None]))[0]
+
+
+def _zetas(pair_det: float, single_dets: list[float]) -> list[float]:
+    """Steering by each mode of a pair, from det(2 V) of the pair and of each mode."""
+    s_pair = _renyi2([pair_det])[0]
+    return [max(0.0, s - s_pair) for s in _renyi2(single_dets)]
+
+
+def _singles(labels: tuple[str, ...]) -> tuple:
+    return tuple(((label,), None) for label in labels)
 
 
 def _steerings(cm: CovarianceMatrix) -> list[float]:
     """Steering by each mode of a two-mode state, in label order."""
     if cm.n_modes != 2:
         raise NonPhysicalInput(f"steering needs a two-mode state, got {cm.n_modes} modes")
-    s_global = renyi2_entropy(cm)
-    singles = tuple(((label,), None) for label in cm.mode_labels)
-    return [max(0.0, s - s_global) for s in _renyi2(_stack(cm, singles))]
+    singles = _stack(cm.data, cm.mode_labels, _singles(cm.mode_labels))
+    return _zetas(_dets(cm.data[None])[0], _dets(singles))
 
 
 def steering(cm: CovarianceMatrix, by: str) -> float:
@@ -205,45 +232,108 @@ class CorrelationReport:
             )
 
 
+_MIRRORS = (("mirror1", "mirror2"), None)
+
+
+def _tagged(exc: LgsteerError, model: LinearModel) -> LgsteerError:
+    """``exc`` re-issued with the detuning of the point that raised it."""
+    params = model.derived.params
+    ratio = params.detuning / params.omega_phi1
+    tagged = type(exc)(f"at detuning_ratio={ratio:g}: {exc}")
+    tagged.__cause__ = exc
+    return tagged
+
+
+def full_reports(models) -> list:
+    """:func:`full_report` of many models, solved and measured as one batch.
+
+    Returns one entry per model, in order: its
+    :class:`CorrelationReport`, or the :class:`~lgsteer.errors.LgsteerError`
+    that :func:`full_report` would raise for it alone.  A failing row
+    never fails the batch.  The steady states come from
+    :func:`lgsteer.gaussian.steady_covariances`; the three pair and three
+    one-vs-two spectra of all stable rows are one stacked ``eigvalsh``
+    each, and the steering determinants one stacked ``det`` per size.
+    Callers bound memory by passing blocks of rows.
+    """
+    models = list(models)
+    out: list = [None] * len(models)
+    solve = []
+    for k, model in enumerate(models):
+        if math.isinf(abs(model.steady.a0)):
+            out[k] = CorrelationReport(stable=False, stability_margin=0.0)
+        else:
+            solve.append(k)
+    margins, covariances, errors = steady_covariances(
+        [models[k].drift for k in solve], [models[k].diffusion for k in solve]
+    )
+    stable, positions = [], []
+    for pos, (k, margin, exc) in enumerate(zip(solve, margins.tolist(), errors)):
+        if exc is not None:
+            out[k] = _tagged(exc, models[k])
+        elif margin >= 0.0:
+            out[k] = CorrelationReport(stable=False, stability_margin=margin)
+        else:
+            stable.append((k, margin))
+            positions.append(pos)
+    if not stable:
+        return out
+    v = covariances if len(positions) == len(solve) else covariances[positions]
+    nus, failed = _rowwise(partial(_pt_nus, labels=MODE_ORDER), v)
+    for pos, exc in failed.items():
+        k = stable[pos][0]
+        out[k] = _tagged(exc, models[k])
+    if failed:
+        keep = [pos for pos in range(len(stable)) if pos not in failed]
+        v, stable = v[keep], [stable[pos] for pos in keep]
+    pair_dets = _dets(_stack(v, MODE_ORDER, (_MIRRORS,))[:, 0])
+    single_dets = _dets(_stack(v, MODE_ORDER, _singles(_MIRRORS[0])))
+    for (k, margin), row, pair_det, singles in zip(stable, nus.tolist(), pair_dets, single_dets):
+        try:
+            pair_en, cut_en = _negativities(row)
+            zeta_m1_m2, zeta_m2_m1 = _zetas(pair_det, singles)
+        except LgsteerError as exc:
+            out[k] = _tagged(exc, models[k])
+            continue
+        try:
+            out[k] = CorrelationReport(
+                stable=True,
+                stability_margin=margin,
+                en_mm=pair_en[0],
+                en_m1c=pair_en[1],
+                en_m2c=pair_en[2],
+                zeta_m1_m2=zeta_m1_m2,
+                zeta_m2_m1=zeta_m2_m1,
+                zeta_asym=steering_asymmetry(zeta_m1_m2, zeta_m2_m1),
+                steering_class=classify(zeta_m1_m2, zeta_m2_m1),
+                r_min=_residual_min(pair_en, cut_en),
+            )
+        except LgsteerError as exc:
+            # a report breaking the steering-entanglement hierarchy is
+            # rejected by the report itself, untagged
+            out[k] = exc
+    return out
+
+
 def full_report(model: LinearModel) -> CorrelationReport:
     """Compute every correlation measure for one linearized model.
 
     Solves the steady state once and evaluates the mirror-mirror and
     mirror-cavity entanglement, the three-way residual contangle, and
-    the two steering directions with their classification.  The three
-    pair and three one-vs-two spectra come from two stacked calls and
-    feed both the negativities and the residual contangle; S(m1m2) is
-    computed once for both steering directions.  Solver errors are
-    re-raised tagged with the detuning of the failing point.
+    the two steering directions with their classification.  This is the
+    one-row case of :func:`full_reports`: the three pair and three
+    one-vs-two spectra come from two stacked calls and feed both the
+    negativities and the residual contangle; S(m1m2) is computed once
+    for both steering directions.  Solver and measure errors are raised
+    tagged with the detuning of the failing point; a report that breaks
+    the steering-entanglement hierarchy raises untagged.
 
     At the OPA threshold the mean field diverges and there is no working
     point to linearize about.  The cavity block there has determinant
     kappa^2 + Delta^2 - 4 chi^2 = 0 and trace -2 kappa, so its spectrum
     is {0, -2 kappa}: the point is reported as not stable with margin 0.
     """
-    if math.isinf(abs(model.steady.a0)):
-        return CorrelationReport(stable=False, stability_margin=0.0)
-    try:
-        margin, cm = steady_covariance(model.drift, model.diffusion)
-        if cm is None:
-            return CorrelationReport(stable=False, stability_margin=margin)
-        pair_en, cut_en = _negativities(cm)
-        en_mm, en_m1c, en_m2c = pair_en
-        zeta_m1_m2, zeta_m2_m1 = _steerings(reduce(cm, ("mirror1", "mirror2")))
-        r_min = _residual_min(pair_en, cut_en)
-    except LgsteerError as exc:
-        params = model.derived.params
-        ratio = params.detuning / params.omega_phi1
-        raise type(exc)(f"at detuning_ratio={ratio:g}: {exc}") from exc
-    return CorrelationReport(
-        stable=True,
-        stability_margin=margin,
-        en_mm=en_mm,
-        en_m1c=en_m1c,
-        en_m2c=en_m2c,
-        zeta_m1_m2=zeta_m1_m2,
-        zeta_m2_m1=zeta_m2_m1,
-        zeta_asym=steering_asymmetry(zeta_m1_m2, zeta_m2_m1),
-        steering_class=classify(zeta_m1_m2, zeta_m2_m1),
-        r_min=r_min,
-    )
+    (report,) = full_reports([model])
+    if isinstance(report, LgsteerError):
+        raise report
+    return report

@@ -1,13 +1,16 @@
 """Grid evaluation of correlation reports with figure presets.
 
-Sweeps evaluate :func:`lgsteer.measures.full_report` over 1-D or 2-D
-parameter grids.  Axis coordinates use the same display units as the
-configuration surface (frequencies as ratios to the left-mirror
-frequency, phases in radians, temperatures in kelvin, powers in watts);
-absolute SI values exist only inside the model layer.  Unstable grid
-points are data, not errors: the row carries the margin and an unstable
-marker.  Any solver error at a point is captured in that row so a grid
-never aborts half-way.
+Sweeps evaluate correlation reports over 1-D or 2-D parameter grids:
+each point's model is built on its own, and the models are solved and
+measured by :func:`lgsteer.measures.full_reports` in blocks of at most
+64 points, which bounds the working memory of any grid.  Axis
+coordinates use the same display units as the configuration surface
+(frequencies as ratios to the left-mirror frequency, phases in radians,
+temperatures in kelvin, powers in watts); absolute SI values exist only
+inside the model layer.  Unstable grid points are data, not errors: the
+row carries the margin and an unstable marker.  Any error at a point is
+captured in that row, and only that row, so a grid never aborts
+half-way.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .errors import (
     NoStableRegion,
     UnknownPreset,
 )
-from .measures import CorrelationReport, full_report
-from .model import SystemParams, build_model, with_updates
+from .measures import CorrelationReport, full_reports
+from .model import LinearModel, SystemParams, build_model, with_updates
 
 # closed set of sweepable axes, named and scaled as their run-file keys
 _SWEEPABLE = (
@@ -46,6 +49,9 @@ _GRID_1D = 401
 _GRID_2D = 101
 # points the optimum search adds inside the winning coarse bracket
 _REFINE_POINTS = 9
+# grid points per batched evaluation: bounds the solver's working arrays
+# (about 34 KB a row) and so the peak memory of any grid
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -126,32 +132,56 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _evaluate_point(spec: SweepSpec, i: int, j: int) -> SweepRow:
-    coords = [(spec.axis1.name, spec.axis1.values[i])]
-    if spec.axis2 is not None:
-        coords.append((spec.axis2.name, spec.axis2.values[j]))
-    try:
-        params = spec.base
-        for name, value in coords:
-            params = _apply(params, name, value)
-        report = full_report(build_model(params))
-    except LgsteerError as exc:
-        return SweepRow(
-            (i, j), tuple(coords), None, f"{type(exc).__name__}: {exc}"
-        )
-    return SweepRow((i, j), tuple(coords), report)
+def _model_at(spec: SweepSpec, coords) -> LinearModel:
+    params = spec.base
+    for name, value in coords:
+        params = _apply(params, name, value)
+    return build_model(params)
+
+
+def _evaluate_point(index: tuple[int, int], coords, outcome) -> SweepRow:
+    """A grid row from the point's report, or an error row from its exception."""
+    if isinstance(outcome, LgsteerError):
+        return SweepRow(index, coords, None, f"{type(outcome).__name__}: {outcome}")
+    return SweepRow(index, coords, outcome)
+
+
+def _evaluate_block(spec: SweepSpec, points) -> list[SweepRow]:
+    """Rows of some grid points: models built one by one, reports as one batch."""
+    coords, outcomes = [], []
+    for i, j in points:
+        c = [(spec.axis1.name, spec.axis1.values[i])]
+        if spec.axis2 is not None:
+            c.append((spec.axis2.name, spec.axis2.values[j]))
+        coords.append(tuple(c))
+        try:
+            outcomes.append(_model_at(spec, c))
+        except LgsteerError as exc:
+            outcomes.append(exc)
+    built = [k for k, m in enumerate(outcomes) if isinstance(m, LinearModel)]
+    for k, report in zip(built, full_reports([outcomes[k] for k in built])):
+        outcomes[k] = report
+    return [_evaluate_point(*row) for row in zip(points, coords, outcomes)]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the grid; rows come back in (axis1, axis2) index order."""
+    """Evaluate the grid; rows come back in (axis1, axis2) index order.
+
+    Points are evaluated in blocks of ``_BLOCK_ROWS`` through
+    :func:`lgsteer.measures.full_reports`, which bounds the working
+    memory whatever the grid size.
+    """
     n1, n2 = spec.shape
-    rows = tuple(_evaluate_point(spec, i, j) for i in range(n1) for j in range(n2))
+    points = [(i, j) for i in range(n1) for j in range(n2)]
+    rows = []
+    for start in range(0, len(points), _BLOCK_ROWS):
+        rows.extend(_evaluate_block(spec, points[start : start + _BLOCK_ROWS]))
     metadata = {
         "created_at": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
         "constants": {"hbar": HBAR, "kboltz": KBOLTZ, "clight": CLIGHT},
     }
-    return SweepResult(spec, rows, metadata)
+    return SweepResult(spec, tuple(rows), metadata)
 
 
 class OptimumDetuning(NamedTuple):

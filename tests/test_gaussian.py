@@ -23,6 +23,7 @@ from lgsteer import (
     solve_lyapunov,
     stability_margin,
     steady_covariance,
+    steady_covariances,
     symplectic_eigenvalues,
     symplectic_form,
 )
@@ -327,6 +328,38 @@ class TestSteadyCovariance:
         d[0, 1] = 0.5
         with pytest.raises(SolveFailure, match="symmetric"):
             steady_covariance(-np.eye(6), d)
+
+    def test_stack_rows_are_independent(self):
+        # every kind of row in one stack: each gets exactly what it gets alone
+        m = build_model(make_params(detuning=+W1))
+        asym = np.eye(6)
+        asym[0, 1] = 0.5
+        nan_drift = -np.eye(6)
+        nan_drift[2, 3] = math.nan
+        rows = [
+            (m.drift, m.diffusion),
+            (-np.eye(4), np.eye(4)),
+            (nan_drift, np.eye(6)),
+            (-np.eye(6), asym),
+            (build_model(make_params(detuning=-W1)).drift, m.diffusion),
+            (-0.5 * np.eye(6), np.eye(6)),
+            (m.drift, -m.diffusion),
+        ]
+        margins, covariances, errors = steady_covariances(*zip(*rows))
+        for k, (a, d) in enumerate(rows):
+            try:
+                margin, cm = steady_covariance(a, d)
+            except SolveFailure as exc:
+                assert (type(errors[k]), str(errors[k])) == (SolveFailure, str(exc))
+                assert np.isnan(margins[k]) == (k != 6)
+                continue
+            assert errors[k] is None
+            assert margins[k] == margin
+            if cm is None:
+                assert np.isnan(covariances[k]).all()
+            else:
+                assert np.array_equal(covariances[k], cm.data)
+        assert [e is None for e in errors] == [True, False, False, False, True, True, False]
 
     def test_blue_point_regression(self):
         cm = blue_covariance()

@@ -1,9 +1,12 @@
 """Grid sweeps, the detuning optimizer, and the figure presets."""
 
+import dataclasses
 import json
 import math
+import tracemalloc
 from datetime import datetime
 
+import numpy as np
 import pytest
 
 import lgsteer.sweep
@@ -16,6 +19,7 @@ from lgsteer import (
     __version__,
     build_model,
     full_report,
+    full_reports,
     optimum_detuning,
     parse_config,
     preset,
@@ -161,6 +165,87 @@ class TestRunSweep:
         datetime.fromisoformat(meta["created_at"])  # parseable timestamp
 
 
+class TestBlocks:
+    """Batching is an implementation detail: blocks never change a row."""
+
+    @staticmethod
+    def _mixed_spec() -> SweepSpec:
+        # kappa = 0.2 w1, theta = 0: chi = 0.1 w1 at Delta = 0 is the OPA
+        # threshold; chi = 0 is stable on one side, chi = 0.15 w1 mostly not
+        rng = np.random.default_rng(909)
+        deltas = np.sort(np.append(rng.uniform(-2.0, 2.0, 40), 0.0))
+        base = make_params(kappa_override=0.2 * W1, opa_phase=0.0)
+        return SweepSpec(
+            base, Axis("detuning_ratio", deltas), Axis("opa_gain_ratio", (0.0, 0.1, 0.15))
+        )
+
+    @staticmethod
+    def _rows(monkeypatch, spec, block, broken):
+        # ``broken`` maps grid indices to a factor on their diffusion: -1
+        # makes the Lyapunov solution negative definite, so it fails the
+        # solver's PSD guard; 0 makes it V = 0, which passes that guard
+        # (it allows a jitter) but has no symplectic spectrum
+        built = []
+
+        def build(params):
+            model = build_model(params)
+            built.append(model)
+            factor = broken.get(len(built) - 1)
+            if factor is None:
+                return model
+            return dataclasses.replace(model, diffusion=factor * model.diffusion)
+
+        monkeypatch.setattr(lgsteer.sweep, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(lgsteer.sweep, "build_model", build)
+        return [repr(row) for row in run_sweep(spec).rows]
+
+    def test_blocks_are_invisible(self, monkeypatch):
+        spec = self._mixed_spec()
+        n = len(spec.axis1.values) * len(spec.axis2.values)
+        clean = run_sweep(spec).rows
+        stable = [k for k, row in enumerate(clean) if row.report.stable]
+        assert 0 < len(stable) < n
+        threshold = clean[3 * list(spec.axis1.values).index(0.0) + 1]
+        assert threshold.report.stable is False
+        assert threshold.report.stability_margin == 0.0
+        broken = {stable[len(stable) // 3]: -1.0, stable[2 * len(stable) // 3]: 0.0}
+        whole = self._rows(monkeypatch, spec, n, broken)
+        assert self._rows(monkeypatch, spec, 1, broken) == whole
+        assert self._rows(monkeypatch, spec, 64, broken) == whole
+        messages = {
+            -1.0: "SolveFailure: at detuning_ratio={:g}: Lyapunov solution is not "
+            "positive semidefinite",
+            0.0: "NonPhysicalInput: at detuning_ratio={:g}: covariance matrix is not "
+            "positive definite, so it is not a valid state",
+        }
+        for k, factor in broken.items():
+            assert clean[k].error is None
+            ratio = clean[k].coords[0][1]
+            assert f"error={messages[factor].format(ratio)!r})" in whole[k]
+        assert [r for k, r in enumerate(whole) if k not in broken] == [
+            repr(row) for k, row in enumerate(clean) if k not in broken
+        ]
+
+    def test_peak_memory_is_bounded(self):
+        # a stable row needs about 34 KB of working arrays (two 36x36
+        # operators among them), so a 401-point grid solved as one batch
+        # peaks near 12 MB; blocks of 64 rows keep it near 2 MB
+        base = with_updates(make_params(), omega_phi2=1.5 * W1)
+        opt = optimum_detuning(base, "ENmc")
+        spec = SweepSpec(
+            with_updates(base, detuning=opt.delta),
+            Axis("opa_gain_ratio", tuple(np.linspace(0.0, 0.2, 401))),
+        )
+        tracemalloc.start()
+        try:
+            rows = run_sweep(spec).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(row.report.stable for row in rows)
+        assert peak < 3e6
+
+
 class TestOptimumDetuning:
     def test_mirror_cavity_peak(self):
         opt = optimum_detuning(table_defaults(), "ENmc")
@@ -174,11 +259,12 @@ class TestOptimumDetuning:
         # its middle, x_k itself: 401 + 8 evaluations
         evaluated = []
 
-        def counting_report(model):
-            evaluated.append(model)
-            return full_report(model)
+        def counting_reports(models):
+            models = list(models)
+            evaluated.extend(models)
+            return full_reports(models)
 
-        monkeypatch.setattr(lgsteer.sweep, "full_report", counting_report)
+        monkeypatch.setattr(lgsteer.sweep, "full_reports", counting_reports)
         base = table_defaults()
         opt = optimum_detuning(base, "ENmc")
         assert opt.delta_ratio == pytest.approx(1.402, abs=1e-12)

@@ -108,6 +108,42 @@ class TestIntegrateCovariance:
         with pytest.raises(SolveFailure, match="positive"):
             integrate_covariance(-np.eye(6), np.eye(6), None, 0.0, 0.1)
 
+    @staticmethod
+    def _stepped(a, d, n_steps, dt):
+        # reference RK4 loop, one step at a time, as the propagator replaced
+        v = np.zeros_like(a)
+        rate = lambda s: a @ s + (a @ s).T + d  # noqa: E731
+        for _ in range(n_steps):
+            k1 = rate(v)
+            k2 = rate(v + 0.5 * dt * k1)
+            k3 = rate(v + 0.5 * dt * k2)
+            k4 = rate(v + dt * k3)
+            v = v + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+            v = 0.5 * (v + v.T)
+        return v
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 5000])
+    def test_propagator_is_the_stepping_scheme(self, n_steps):
+        # the squared propagator is the same discrete scheme as stepping,
+        # not just the same limit: it matches the loop after any number of steps
+        a, d = random_stable_system(np.random.default_rng(n_steps))
+        dt = 0.02
+        got = integrate_covariance(a, d, None, n_steps * dt, dt).data
+        assert np.max(np.abs(got - self._stepped(a, d, n_steps, dt))) < 1e-12
+
+    @pytest.mark.parametrize("sign, dt", [(1.0, 0.1), (-1.0, 3.0)])
+    def test_overflow_from_an_unstable_step_map(self, sign, dt):
+        # A = I diverges in continuous time; A = -I is stable, but h = 3
+        # puts h(lam_i + lam_j) = -6 outside RK4's stability interval
+        # (|R(-6)| = 31), so the discrete scheme diverges
+        with pytest.raises(StepOverflow, match="unstable"):
+            integrate_covariance(sign * np.eye(6), np.eye(6), None, 60.0, dt)
+
+    def test_large_stable_state_is_not_an_overflow(self):
+        # entries above 1e12 on a stable step map are the answer, not a blow-up
+        v = integrate_covariance(-np.eye(6), 1e13 * np.eye(6), None, 50.0, 0.1)
+        assert v.data[0, 0] == pytest.approx(5e12, rel=1e-12)
+
     def test_table_point_matches_direct_solver(self):
         # physical stable point, drift scaled to order one
         m = build_model(make_params(detuning=+W1))
