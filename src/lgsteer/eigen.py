@@ -218,12 +218,16 @@ def spectral_abscissae(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """:func:`spectral_abscissa` of each matrix in a finite (N, n, n) stack.
 
     ``scale`` is :func:`power_of_two_scale` of ``a``.  One batched LAPACK
-    call; raises ``numpy.linalg.LinAlgError`` when it does not converge
-    on some matrix.
+    call; raises :class:`EigenFailure` when it does not converge on some
+    matrix.
     """
     # the zero matrix has eigenvalues 0 at any scale
     unit = scale + (scale == 0.0)
-    margin = np.linalg.eigvals(a / unit[:, None, None]).real.max(axis=-1)
+    try:
+        lam = np.linalg.eigvals(a / unit[:, None, None])
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"eigenvalue iteration did not converge: {exc}") from exc
+    margin = lam.real.max(axis=-1)
     margin[(-_MARGIN_FLOOR * _EPS < margin) & (margin < 0.0)] = 0.0
     return unit * margin
 
@@ -237,7 +241,4 @@ def spectral_abscissa(a: np.ndarray) -> float:
     reads 0.0, not stable (Lyapunov solves there failed up to 2.3 eps max|a|).
     """
     a = _check_input(a)[None]
-    try:
-        return float(spectral_abscissae(a, power_of_two_scale(a))[0])
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"eigenvalue iteration did not converge: {exc}") from exc
+    return float(spectral_abscissae(a, power_of_two_scale(a))[0])

@@ -10,10 +10,10 @@ The steady-state covariance of the linear model solves the Lyapunov
 equation A V + V A^T = -D; :func:`steady_covariances` solves its
 vectorized 36-unknown form for a whole stack of systems with batched
 LAPACK calls and refines the results in extended precision, and
-:func:`steady_covariance` is its one-system case.  A system that fails
-a check carries its own error and leaves the rest of the stack alone.
-An independent solver lives in :mod:`lgsteer.validation` so the two
-routes can cross-check each other.
+:func:`steady_covariance` is its one-system case.  Every stage drops a
+failing system through one helper, with its own error, and leaves the
+rest of the stack alone.  An independent solver lives in
+:mod:`lgsteer.validation` so the two routes can cross-check each other.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from .eigen import power_of_two_scale, spectral_abscissae
 from .errors import (
-    EigenFailure,
     LgsteerError,
     NonPhysicalInput,
     SolveFailure,
@@ -197,29 +196,6 @@ def min_pt_symplectic(cm: CovarianceMatrix, mode: str | None = None) -> float:
     return float(_spectra(_stack(cm.data, cm.mode_labels, cut))[0, 0])
 
 
-def _rowwise(fn, *stacks: np.ndarray):
-    """``fn`` of whole stacks, falling back to one row at a time.
-
-    ``fn`` takes aligned stacks (equal first axes).  Returns ``(out,
-    rejected)``: ``out`` holds ``fn``'s rows for the accepted rows only,
-    in order, and ``rejected`` maps the position of each row ``fn``
-    fails on alone to its exception.  LAPACK rejects a stack when any
-    one matrix fails, so only then, rarely, is the batch re-run row by
-    row to find the failing rows.
-    """
-    try:
-        return fn(*stacks), {}
-    except (np.linalg.LinAlgError, LgsteerError):
-        pass
-    out, rejected = [], {}
-    for k in range(len(stacks[0])):
-        try:
-            out.append(fn(*(x[k : k + 1] for x in stacks)))
-        except (np.linalg.LinAlgError, LgsteerError) as exc:
-            rejected[k] = exc
-    return (np.concatenate(out) if out else fn(*(x[:0] for x in stacks))), rejected
-
-
 class _Rows:
     """The rows of a batch still in play, and the errors of those dropped."""
 
@@ -227,87 +203,69 @@ class _Rows:
         self.errors: list[LgsteerError | None] = [None] * n
         self.live = np.arange(n)
 
-    def drop(self, failed: dict, *arrays):
-        """Record ``failed`` (live position -> error) and drop those rows.
+    def keep(self, mask: np.ndarray, *arrays) -> tuple:
+        """The rows of ``arrays`` where ``mask`` holds; the others leave the batch."""
+        if not mask.all():
+            self.live, *arrays = (x[mask] for x in (self.live, *arrays))
+        return arrays
 
-        Returns ``arrays``, whose rows follow the live rows, compressed
-        the same way.
+    def run(self, stage, *arrays) -> tuple:
+        """``stage(*arrays)``, the tuple of stacks the live rows go on with.
+
+        The one way a stage drops a failing row: ``arrays`` and the stacks
+        ``stage`` returns are aligned with the live rows, and when LAPACK
+        or a guard rejects the whole stack, the stage is re-run on no rows
+        (for the shapes) and then row by row, and each row that fails
+        alone is dropped with its own exception as its error.
         """
-        if not failed:
-            return arrays
-        for pos, exc in failed.items():
-            self.errors[self.live[pos]] = exc
-        keep = np.ones(len(self.live), dtype=bool)
-        keep[list(failed)] = False
-        self.live = self.live[keep]
-        return tuple(x[keep] for x in arrays)
+        try:
+            return stage(*arrays)
+        except (np.linalg.LinAlgError, LgsteerError):
+            pass
+        outs, kept = [stage(*(x[:0] for x in arrays))], []
+        for k, row in enumerate(self.live.tolist()):
+            try:
+                outs.append(stage(*(x[k : k + 1] for x in arrays)))
+                kept.append(k)
+            except (np.linalg.LinAlgError, LgsteerError) as exc:
+                self.errors[row] = exc
+        self.live = self.live[kept]
+        return tuple(np.concatenate(parts) for parts in zip(*outs))
 
 
-@np.errstate(invalid="ignore", over="ignore")
-def steady_covariances(drifts, diffusions):
-    """Stability margins and steady-state covariances of many systems at once.
+def _margins(a: list, d: list) -> tuple:
+    """Stage: margins, drift and diffusion stacks, and power-of-two scales.
 
-    ``drifts`` and ``diffusions`` are sequences (or stacks) of 6x6
-    matrices.  Returns ``(margins, covariances, errors)``: the margins in
-    the units of each drift (NaN for a row that fails its input checks
-    or its eigensolve), a (N, 6, 6) stack that holds the covariance of
-    every stable row (NaN elsewhere), and a list with the
-    :class:`~lgsteer.errors.LgsteerError` of each row that fails a check
-    (None elsewhere).  A failing row never fails the
-    others; each row gets exactly what :func:`steady_covariance` returns
-    or raises for it alone.
-
-    Every step is one batched LAPACK call over the rows still in play:
-    the margins from one ``eigvals`` (see
-    :func:`lgsteer.eigen.spectral_abscissae`), the 36x36 Kronecker
-    inverses of the stable rows from one ``inv``, and each refinement
-    pass on the rows not yet converged.
+    Raises :class:`SolveFailure` unless every pair is two finite 6x6
+    matrices with a symmetric diffusion.
     """
-    a = [np.asarray(x, dtype=float) for x in drifts]
-    d = [np.asarray(x, dtype=float) for x in diffusions]
-    n = len(a)
-    rows = _Rows(n)
-    rows.drop({
-        k: SolveFailure(f"expected 6x6 matrices, got {x.shape} and {y.shape}")
-        for k, (x, y) in enumerate(zip(a, d))
-        if x.shape != (6, 6) or y.shape != (6, 6)
-    })
-    if len(rows.live) < n:
-        a, d = [a[k] for k in rows.live], [d[k] for k in rows.live]
+    for x, y in zip(a, d):
+        if x.shape != (6, 6) or y.shape != (6, 6):
+            raise SolveFailure(f"expected 6x6 matrices, got {x.shape} and {y.shape}")
     a = np.array(a).reshape(-1, 6, 6)
     d = np.array(d).reshape(-1, 6, 6)
-    a_peak = np.abs(a).max(axis=(1, 2))
-    d_peak = np.abs(d).max(axis=(1, 2))
     # a non-finite entry makes its row's peak or asymmetry inf or NaN
-    ok = (a_peak < np.inf) & (
+    d_peak = np.abs(d).max(axis=(1, 2))
+    ok = (np.abs(a).max(axis=(1, 2)) < np.inf) & (
         np.abs(d - d.swapaxes(1, 2)).max(axis=(1, 2)) <= _SYM_TOL * np.maximum(1.0, d_peak)
     )
     if not ok.all():
-        a, d, a_peak, d_peak = rows.drop({
-            pos: SolveFailure(
-                "diffusion matrix is not symmetric"
-                if np.isfinite(a[pos]).all() and np.isfinite(d[pos]).all()
-                else "drift or diffusion has non-finite entries"
-            )
-            for pos in np.flatnonzero(~ok).tolist()
-        }, a, d, a_peak, d_peak)
-    scale = power_of_two_scale(a)
-    margin, failed = _rowwise(spectral_abscissae, a, scale)
-    a, d, a_peak, d_peak, scale = rows.drop({
-        pos: EigenFailure(f"eigenvalue iteration did not converge: {exc}")
-        for pos, exc in failed.items()
-    }, a, d, a_peak, d_peak, scale)
-    margins = np.full(n, np.nan)
-    margins[rows.live] = margin
-    covariances = np.full((n, 6, 6), np.nan)
-    stable = margin < 0.0
-    n_stable = np.count_nonzero(stable)
-    if not n_stable:
-        return margins, covariances, rows.errors
-    if n_stable < len(stable):
-        a, d, a_peak, d_peak, scale, rows.live = (
-            x[stable] for x in (a, d, a_peak, d_peak, scale, rows.live)
+        raise SolveFailure(
+            "diffusion matrix is not symmetric"
+            if np.isfinite(a).all() and np.isfinite(d).all()
+            else "drift or diffusion has non-finite entries"
         )
+    scale = power_of_two_scale(a)
+    return spectral_abscissae(a, scale), a, d, scale
+
+
+def _lyapunov(a: np.ndarray, d: np.ndarray, scale: np.ndarray) -> tuple:
+    """Stage: the covariance of each stable system (see :func:`steady_covariance`).
+
+    Raises :class:`SolveFailure` unless every residual is within
+    ``1e-8 max(1, max|D|, max|A| max|V|)`` and every solution is
+    positive semidefinite.
+    """
     a_s = a / scale[:, None, None]
     d_s = d / scale[:, None, None]
     # I (x) A + A (x) I, indexed [row, p, i, q, j]: a_ij on the p = q
@@ -315,12 +273,10 @@ def steady_covariances(drifts, diffusions):
     kron_sum = np.zeros((len(a_s), 6, 6, 6, 6))
     np.einsum("npipj->npij", kron_sum)[...] = a_s[:, None]
     np.einsum("npiqi->npqi", kron_sum)[...] += a_s[:, :, :, None]
-    kron_sum = kron_sum.reshape(-1, 36, 36)
-    inverse, failed = _rowwise(np.linalg.inv, kron_sum)
-    a, d, a_peak, d_peak, a_s, d_s = rows.drop({
-        pos: SolveFailure(f"singular Lyapunov operator: {exc}")
-        for pos, exc in failed.items()
-    }, a, d, a_peak, d_peak, a_s, d_s)
+    try:
+        inverse = np.linalg.inv(kron_sum.reshape(-1, 36, 36))
+    except np.linalg.LinAlgError as exc:
+        raise SolveFailure(f"singular Lyapunov operator: {exc}") from None
     # ravel is the column-major vec of the transpose, and X -> A X + X A^T
     # commutes with transposition, so ravel/reshape solve the same equation
     v = (inverse @ -d_s.reshape(-1, 36, 1)).reshape(-1, 6, 6)
@@ -345,24 +301,70 @@ def steady_covariances(drifts, diffusions):
             todo = np.arange(len(v))[todo][going]
     vmax = np.abs(v).max(axis=(1, 2))
     resid = lyapunov_residual(a, d, v)
-    bound = 1e-8 * np.maximum(np.maximum(1.0, d_peak), a_peak * vmax)
-    ok = resid <= bound
-    if not ok.all():
-        v, vmax = rows.drop({
-            pos: SolveFailure(
-                f"Lyapunov residual {float(resid[pos])} exceeds bound {float(bound[pos])}"
-                if np.isfinite(v[pos]).all() else "Lyapunov solution has non-finite entries"
-            )
-            for pos in np.flatnonzero(~ok).tolist()
-        }, v, vmax)
-    jitter = 1e-9 * np.maximum(1.0, vmax)[:, None, None]
-    _, failed = _rowwise(np.linalg.cholesky, v + jitter * _EYE6)
-    (v,) = rows.drop(
-        {pos: SolveFailure("Lyapunov solution is not positive semidefinite") for pos in failed},
-        v,
+    bound = 1e-8 * np.maximum(
+        np.maximum(1.0, np.abs(d).max(axis=(1, 2))), np.abs(a).max(axis=(1, 2)) * vmax
     )
-    if len(v) == n:
-        return margins, v, rows.errors
+    if not (resid <= bound).all():
+        raise SolveFailure(
+            f"Lyapunov residual {float(resid.max())} exceeds bound {float(bound.max())}"
+            if np.isfinite(v).all() else "Lyapunov solution has non-finite entries"
+        )
+    jitter = 1e-9 * np.maximum(1.0, vmax)[:, None, None]
+    try:
+        np.linalg.cholesky(v + jitter * _EYE6)
+    except np.linalg.LinAlgError:
+        raise SolveFailure("Lyapunov solution is not positive semidefinite") from None
+    return (v,)
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _solve(drifts, diffusions):
+    """:func:`steady_covariances` as ``(rows, margins, v)``.
+
+    ``rows`` is the batch's :class:`_Rows`, whose live rows are the
+    stable rows that passed every check; ``v`` holds their covariances.
+    """
+    a = [np.asarray(x, dtype=float) for x in drifts]
+    d = [np.asarray(x, dtype=float) for x in diffusions]
+    if len(a) != len(d):
+        raise SolveFailure(f"got {len(a)} drifts but {len(d)} diffusions")
+    rows = _Rows(len(a))
+    margins = np.full(len(a), np.nan)
+    margin, a, d, scale = rows.run(_margins, a, d)
+    margins[rows.live] = margin
+    stable = margin < 0.0
+    if not stable.any():
+        rows.live = rows.live[:0]
+        return rows, margins, a[:0]
+    a, d, scale = rows.keep(stable, a, d, scale)
+    (v,) = rows.run(_lyapunov, a, d, scale)
+    return rows, margins, v
+
+
+def steady_covariances(drifts, diffusions):
+    """Stability margins and steady-state covariances of many systems at once.
+
+    ``drifts`` and ``diffusions`` are sequences (or stacks) of 6x6
+    matrices, one pair per row; inputs of different lengths raise
+    :class:`~lgsteer.errors.SolveFailure` before any row is solved.
+    Returns ``(margins, covariances, errors)``: the margins in
+    the units of each drift (NaN for a row that fails its input checks
+    or its eigensolve), a (N, 6, 6) stack that holds the covariance of
+    every stable row (NaN elsewhere), and a list with the
+    :class:`~lgsteer.errors.LgsteerError` of each row that fails a check
+    (None elsewhere).  A failing row never fails the
+    others; each row gets exactly what :func:`steady_covariance` returns
+    or raises for it alone.
+
+    Every stage is one batched LAPACK call over the rows still in play:
+    the margins from one ``eigvals`` (see
+    :func:`lgsteer.eigen.spectral_abscissae`), the 36x36 Kronecker
+    inverses of the stable rows from one ``inv``, and each refinement
+    pass on the rows not yet converged.  Only when LAPACK or a check
+    rejects a whole stage is it re-run one row at a time.
+    """
+    rows, margins, v = _solve(drifts, diffusions)
+    covariances = np.full((len(margins), 6, 6), np.nan)
     covariances[rows.live] = v
     return margins, covariances, rows.errors
 
@@ -383,13 +385,10 @@ def steady_covariance(a: np.ndarray, d: np.ndarray):
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
     ch. 12): that is forward accuracy, not just a small backward error.
     """
-    margins, covariances, errors = steady_covariances([a], [d])
-    if errors[0] is not None:
-        raise errors[0]
-    margin = float(margins[0])
-    if margin >= 0.0:
-        return margin, None
-    return margin, CovarianceMatrix(covariances[0], MODE_ORDER)
+    rows, margins, v = _solve([a], [d])
+    if rows.errors[0] is not None:
+        raise rows.errors[0]
+    return float(margins[0]), (CovarianceMatrix(v[0], MODE_ORDER) if len(v) else None)
 
 
 def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> CovarianceMatrix:

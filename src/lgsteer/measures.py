@@ -6,9 +6,9 @@ smallest symplectic eigenvalue of a partially transposed state (the
 two-mode pair, or the full three-mode state for a one-versus-two
 split); steering uses the Renyi-2 entropy criterion.
 :func:`full_reports` bundles everything for a batch of linearized
-models: one batched solve, then each pair and each one-versus-two
-spectrum of every stable row from one stacked call per kind.
-:func:`full_report` is its one-model case.
+models: it goes on with the rows of one batched solve, and takes each
+pair and each one-versus-two spectrum of every stable row from one
+stacked call per kind.  :func:`full_report` is its one-model case.
 """
 
 from __future__ import annotations
@@ -17,20 +17,11 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
 from .errors import LgsteerError, NonPhysicalInput, NonPositiveDeterminant, UnknownMode
-from .gaussian import (
-    MODE_ORDER,
-    CovarianceMatrix,
-    _rowwise,
-    _spectra,
-    _stack,
-    min_pt_symplectic,
-    steady_covariances,
-)
+from .gaussian import MODE_ORDER, CovarianceMatrix, _solve, _spectra, _stack, min_pt_symplectic
 from .model import LinearModel
 
 # ζ below this is treated as exactly zero when classifying directions
@@ -244,74 +235,66 @@ def _tagged(exc: LgsteerError, model: LinearModel) -> LgsteerError:
     return tagged
 
 
+def _report(margin: float, nus: list, pair_det: float, single_dets: list):
+    """The report of one stable row from its spectra and determinants.
+
+    A measure that fails raises; the error of a report that breaks the
+    steering-entanglement hierarchy is returned in its place, untagged.
+    """
+    pair_en, cut_en = _negativities(nus)
+    zeta_m1_m2, zeta_m2_m1 = _zetas(pair_det, single_dets)
+    try:
+        return CorrelationReport(
+            stable=True,
+            stability_margin=margin,
+            en_mm=pair_en[0],
+            en_m1c=pair_en[1],
+            en_m2c=pair_en[2],
+            zeta_m1_m2=zeta_m1_m2,
+            zeta_m2_m1=zeta_m2_m1,
+            zeta_asym=steering_asymmetry(zeta_m1_m2, zeta_m2_m1),
+            steering_class=classify(zeta_m1_m2, zeta_m2_m1),
+            r_min=_residual_min(pair_en, cut_en),
+        )
+    except LgsteerError as exc:
+        return exc
+
+
+def _reports(margins: np.ndarray, v: np.ndarray) -> tuple:
+    """Stage of :func:`full_reports`: :func:`_report` of each stable row."""
+    nus = _pt_nus(v, MODE_ORDER).tolist()
+    pair_dets = _dets(_stack(v, MODE_ORDER, (_MIRRORS,))[:, 0])
+    single_dets = _dets(_stack(v, MODE_ORDER, _singles(_MIRRORS[0])))
+    return ([_report(*row) for row in zip(margins.tolist(), nus, pair_dets, single_dets)],)
+
+
 def full_reports(models) -> list:
     """:func:`full_report` of many models, solved and measured as one batch.
 
     Returns one entry per model, in order: its
     :class:`CorrelationReport`, or the :class:`~lgsteer.errors.LgsteerError`
     that :func:`full_report` would raise for it alone.  A failing row
-    never fails the batch.  The steady states come from
-    :func:`lgsteer.gaussian.steady_covariances`; the three pair and three
-    one-vs-two spectra of all stable rows are one stacked ``eigvalsh``
-    each, and the steering determinants one stacked ``det`` per size.
-    Callers bound memory by passing blocks of rows.
+    never fails the batch.  The measures go on with the rows of the
+    batched solve, so one error list covers both: the three pair and
+    three one-vs-two spectra of all stable rows are one stacked
+    ``eigvalsh`` each, and the steering determinants one stacked ``det``
+    per size.  Callers bound memory by passing blocks of rows.
     """
     models = list(models)
+    # at the OPA threshold the drift is not finite; the zero matrix stands
+    # in for it, with the margin 0 reported there (see full_report)
+    drifts = [np.zeros((6, 6)) if math.isinf(abs(m.steady.a0)) else m.drift for m in models]
+    rows, margins, v = _solve(drifts, [m.diffusion for m in models])
     out: list = [None] * len(models)
-    solve = []
-    for k, model in enumerate(models):
-        if math.isinf(abs(model.steady.a0)):
-            out[k] = CorrelationReport(stable=False, stability_margin=0.0)
-        else:
-            solve.append(k)
-    margins, covariances, errors = steady_covariances(
-        [models[k].drift for k in solve], [models[k].diffusion for k in solve]
-    )
-    stable, positions = [], []
-    for pos, (k, margin, exc) in enumerate(zip(solve, margins.tolist(), errors)):
+    if len(v):
+        (reports,) = rows.run(_reports, margins[rows.live], v)
+        for k, report in zip(rows.live.tolist(), reports):
+            out[k] = report
+    for k, (model, exc, margin) in enumerate(zip(models, rows.errors, margins.tolist())):
         if exc is not None:
-            out[k] = _tagged(exc, models[k])
-        elif margin >= 0.0:
+            out[k] = _tagged(exc, model)
+        elif out[k] is None:
             out[k] = CorrelationReport(stable=False, stability_margin=margin)
-        else:
-            stable.append((k, margin))
-            positions.append(pos)
-    if not stable:
-        return out
-    v = covariances if len(positions) == len(solve) else covariances[positions]
-    nus, failed = _rowwise(partial(_pt_nus, labels=MODE_ORDER), v)
-    for pos, exc in failed.items():
-        k = stable[pos][0]
-        out[k] = _tagged(exc, models[k])
-    if failed:
-        keep = [pos for pos in range(len(stable)) if pos not in failed]
-        v, stable = v[keep], [stable[pos] for pos in keep]
-    pair_dets = _dets(_stack(v, MODE_ORDER, (_MIRRORS,))[:, 0])
-    single_dets = _dets(_stack(v, MODE_ORDER, _singles(_MIRRORS[0])))
-    for (k, margin), row, pair_det, singles in zip(stable, nus.tolist(), pair_dets, single_dets):
-        try:
-            pair_en, cut_en = _negativities(row)
-            zeta_m1_m2, zeta_m2_m1 = _zetas(pair_det, singles)
-        except LgsteerError as exc:
-            out[k] = _tagged(exc, models[k])
-            continue
-        try:
-            out[k] = CorrelationReport(
-                stable=True,
-                stability_margin=margin,
-                en_mm=pair_en[0],
-                en_m1c=pair_en[1],
-                en_m2c=pair_en[2],
-                zeta_m1_m2=zeta_m1_m2,
-                zeta_m2_m1=zeta_m2_m1,
-                zeta_asym=steering_asymmetry(zeta_m1_m2, zeta_m2_m1),
-                steering_class=classify(zeta_m1_m2, zeta_m2_m1),
-                r_min=_residual_min(pair_en, cut_en),
-            )
-        except LgsteerError as exc:
-            # a report breaking the steering-entanglement hierarchy is
-            # rejected by the report itself, untagged
-            out[k] = exc
     return out
 
 

@@ -116,6 +116,8 @@ def integrate_covariance(
         v = np.zeros((n, n))
     else:
         v = np.array(getattr(v0, "data", v0), dtype=float)
+        if v.shape != (n, n):
+            raise SolveFailure(f"initial covariance has shape {v.shape}, drift {a.shape}")
         v = 0.5 * (v + v.T)
     n_steps = max(1, int(round(t_end / dt)))
     m = n * n

@@ -1,5 +1,6 @@
 """Covariance containers, symplectic spectra, and the Lyapunov solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -360,6 +361,26 @@ class TestSteadyCovariance:
             else:
                 assert np.array_equal(covariances[k], cm.data)
         assert [e is None for e in errors] == [True, False, False, False, True, True, False]
+
+    def test_rejects_inputs_of_different_lengths(self):
+        # checked before any row is solved, in both directions
+        a, d = -np.eye(6), np.eye(6)
+        with pytest.raises(SolveFailure, match="2 drifts but 1 diffusions"):
+            steady_covariances([a, a], [d])
+        with pytest.raises(SolveFailure, match="1 drifts but 2 diffusions"):
+            steady_covariances([a], [d, d])
+
+    def test_nan_margin_is_not_stable(self):
+        # a drift peak above 2**1023 overflows the power-of-two scale, so
+        # the margin is NaN: every entry point reports the row not stable
+        m = build_model(make_params(detuning=+W1))
+        a = m.drift * 1e300
+        margins, covariances, errors = steady_covariances([a], [m.diffusion])
+        assert math.isnan(margins[0]) and errors == [None] and np.isnan(covariances).all()
+        margin, cm = steady_covariance(a, m.diffusion)
+        assert math.isnan(margin) and cm is None
+        report = full_report(dataclasses.replace(m, drift=a))
+        assert report.stable is False and math.isnan(report.stability_margin)
 
     def test_blue_point_regression(self):
         cm = blue_covariance()

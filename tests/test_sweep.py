@@ -9,10 +9,13 @@ from datetime import datetime
 import numpy as np
 import pytest
 
+import lgsteer.gaussian
+import lgsteer.measures
 import lgsteer.sweep
 from lgsteer import (
     Axis,
     InvalidSpec,
+    LgsteerError,
     NoStableRegion,
     SweepSpec,
     UnknownPreset,
@@ -25,11 +28,14 @@ from lgsteer import (
     preset,
     preset_variants,
     PRESET_NAMES,
+    reduce,
     run_sweep,
+    steady_covariance,
     table_defaults,
     to_system_params,
     with_updates,
 )
+from lgsteer.eigen import power_of_two_scale
 from lgsteer.sweep import _SWEEPABLE, _apply
 
 from conftest import W1, make_params
@@ -225,6 +231,77 @@ class TestBlocks:
         assert [r for k, r in enumerate(whole) if k not in broken] == [
             repr(row) for k, row in enumerate(clean) if k not in broken
         ]
+
+    @staticmethod
+    def _holds(stack, target) -> bool:
+        stack = np.asarray(stack)
+        return stack.shape[-2:] == target.shape and any(
+            np.array_equal(m, target) for m in stack.reshape(-1, *target.shape)
+        )
+
+    @pytest.mark.parametrize(
+        "stage, prefix",
+        [
+            ("eigvals", "EigenFailure: at detuning_ratio=1: eigenvalue iteration did not "
+             "converge: forced"),
+            ("inv", "SolveFailure: at detuning_ratio=1: singular Lyapunov operator: forced"),
+            ("residual", "SolveFailure: at detuning_ratio=1: Lyapunov residual "),
+            ("report", "NonPhysicalInput: steering 0.3 without entanglement 0.0: hierarchy"),
+        ],
+    )
+    def test_forced_stage_failure_stays_on_its_row(self, monkeypatch, stage, prefix):
+        # one stable row of a 21-row block fails a stage that LAPACK or a
+        # guard rejects for the whole stack: the stacked eigvals, the
+        # stacked 36x36 inv, the Lyapunov residual bound, or the report's
+        # own steering-entanglement check (whose error stays untagged)
+        spec = SweepSpec(make_params(), Axis("detuning_ratio", [k / 10 for k in range(-9, 12)]))
+        clean = [repr(row) for row in run_sweep(spec).rows]
+        marked = build_model(make_params(detuning=+W1))
+        scaled = marked.drift / power_of_two_scale(marked.drift)
+        if stage == "residual":
+            residual = lgsteer.gaussian.lyapunov_residual
+
+            def inflated(a, d, v):
+                out = residual(a, d, v)
+                if np.ndim(out):
+                    out[[np.array_equal(x, marked.drift) for x in a]] *= 1e12
+                return out
+
+            monkeypatch.setattr(lgsteer.gaussian, "lyapunov_residual", inflated)
+        elif stage == "report":
+            _, cm = steady_covariance(marked.drift, marked.diffusion)
+            pair_det = np.linalg.det(2.0 * reduce(cm, ("mirror1", "mirror2")).data)
+            zetas = lgsteer.measures._zetas
+
+            def steering(det, single_dets):
+                if math.isclose(det, pair_det, rel_tol=1e-12):
+                    return [0.3, 0.0]
+                return zetas(det, single_dets)
+
+            monkeypatch.setattr(lgsteer.measures, "_zetas", steering)
+        else:
+            target = scaled
+            if stage == "inv":
+                target = np.kron(np.eye(6), scaled) + np.kron(scaled, np.eye(6))
+            call = getattr(np.linalg, stage)
+
+            def forced(x):
+                if self._holds(x, target):
+                    raise np.linalg.LinAlgError("forced")
+                return call(x)
+
+            monkeypatch.setattr(np.linalg, stage, forced)
+        with pytest.raises(LgsteerError) as alone:
+            full_report(marked)
+        expected = f"{type(alone.value).__name__}: {alone.value}"
+        assert expected.startswith(prefix)
+        rows = run_sweep(spec).rows
+        k = [row.coords[0][1] for row in rows].index(1.0)
+        assert rows[k].report is None and rows[k].error == expected
+        assert "stable=True" in clean[k]
+        assert [r for i, r in enumerate(map(repr, rows)) if i != k] == clean[:k] + clean[k + 1 :]
+        assert sum("stable=True" in r for r in clean) > 1
+        assert sum("stable=False" in r for r in clean) > 1
 
     def test_peak_memory_is_bounded(self):
         # a stable row needs about 34 KB of working arrays (two 36x36

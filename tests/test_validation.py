@@ -85,6 +85,11 @@ class TestIntegrateCovariance:
         # starting at the fixed point stays at the fixed point
         assert np.max(np.abs(v.data - start.data)) < 1e-9
 
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 5), (36,)])
+    def test_rejects_wrong_shaped_start(self, shape):
+        with pytest.raises(SolveFailure, match=r"initial covariance has shape"):
+            integrate_covariance(-0.5 * np.eye(6), np.eye(6), np.ones(shape), 1.0, 0.01)
+
     def test_agrees_with_oracle_on_random_systems(self):
         rng = np.random.default_rng(11)
         for _ in range(3):
