@@ -13,6 +13,8 @@ silently become defaults.
 run-file validation, both directions of the SI conversion, the preset
 defaults (:func:`table_defaults`) and the sweep axes all read it.  The
 sign rules are the model's own (:data:`lgsteer.model.FIELD_RULES`).
+A sweep axis is one :class:`Axis`, whether a run file or the library
+defines it; only a run file's axis values are held to their key's rule.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadUnit, MissingRequired, UnknownKey, UnknownMode
+from .errors import BadUnit, InvalidSpec, MissingRequired, UnknownKey, UnknownMode
 from .model import FIELD_RULES, SystemParams, rule_breach
 
 # run-file key -> (SystemParams field, scale, default, unit), in the key
@@ -74,17 +76,39 @@ def _check_key(key: str, value) -> float:
     return _check_number(key, value, unit, FIELD_RULES[name])
 
 
+# closed set of sweepable axes, named and scaled as their run-file keys
+_SWEEPABLE = (
+    "detuning_ratio",
+    "opa_gain_ratio",
+    "opa_phase_rad",
+    "temperature_k",
+    "omega_phi2_ratio",
+    "laser_power_w",
+)
+
+
 @dataclass(frozen=True)
-class AxisConfig:
-    """One sweep axis as written in a run file; values obey its key's rule."""
+class Axis:
+    """One sweep axis: a parameter name and its coordinate values."""
 
     name: str
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.name in _SYSTEM_KEYS:
-            for value in self.values:
-                _check_key(self.name, value)
+        if self.name not in _SWEEPABLE:
+            raise InvalidSpec(
+                f"axis {self.name!r} is not sweepable; "
+                f"choose from {sorted(_SWEEPABLE)}"
+            )
+        vals = tuple(float(v) for v in self.values)
+        if not vals:
+            raise InvalidSpec(f"axis {self.name!r} has no values")
+        if not all(math.isfinite(v) for v in vals):
+            raise InvalidSpec(f"axis {self.name!r} has non-finite values")
+        diffs = [b - a for a, b in zip(vals, vals[1:])]
+        if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+            raise InvalidSpec(f"axis {self.name!r} must be strictly monotone")
+        object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True)
@@ -92,8 +116,8 @@ class RunSection:
     """Either a single-point evaluation or a sweep over one/two axes."""
 
     mode: str
-    axis1: AxisConfig | None = None
-    axis2: AxisConfig | None = None
+    axis1: Axis | None = None
+    axis2: Axis | None = None
 
 
 @dataclass(frozen=True)
@@ -113,7 +137,8 @@ class RunConfig:
     output: OutputSection = OutputSection()
 
 
-def _parse_axis(which: str, raw) -> AxisConfig:
+def _parse_axis(which: str, raw) -> Axis:
+    """A run file's axis; each value obeys the rule of the key it sweeps."""
     if not isinstance(raw, dict):
         raise BadUnit(f"{which} must be an object, got {raw!r}")
     for key in raw:
@@ -137,25 +162,28 @@ def _parse_axis(which: str, raw) -> AxisConfig:
             _check_number(f"{which}.values[{i}]", v, "axis units", "any")
             for i, v in enumerate(vals)
         )
-        return AxisConfig(name, values)
-    for key in ("start", "stop", "points"):
-        if key not in raw:
-            raise MissingRequired(f"{which} needs 'values' or start/stop/points")
-    start = _check_number(f"{which}.start", raw["start"], "axis units", "any")
-    stop = _check_number(f"{which}.stop", raw["stop"], "axis units", "any")
-    points = raw["points"]
-    if isinstance(points, bool) or not isinstance(points, int) or points < 2:
-        raise BadUnit(f"{which}.points must be an integer >= 2, got {points!r}")
-    spacing = raw.get("spacing", "linear")
-    if spacing == "linear":
-        values = tuple(float(v) for v in np.linspace(start, stop, points))
-    elif spacing == "log":
-        if start <= 0.0 or stop <= 0.0:
-            raise BadUnit(f"{which} log spacing needs positive start/stop")
-        values = tuple(float(v) for v in np.geomspace(start, stop, points))
     else:
-        raise BadUnit(f"{which}.spacing must be 'linear' or 'log', got {spacing!r}")
-    return AxisConfig(name, values)
+        for key in ("start", "stop", "points"):
+            if key not in raw:
+                raise MissingRequired(f"{which} needs 'values' or start/stop/points")
+        start = _check_number(f"{which}.start", raw["start"], "axis units", "any")
+        stop = _check_number(f"{which}.stop", raw["stop"], "axis units", "any")
+        points = raw["points"]
+        if isinstance(points, bool) or not isinstance(points, int) or points < 2:
+            raise BadUnit(f"{which}.points must be an integer >= 2, got {points!r}")
+        spacing = raw.get("spacing", "linear")
+        if spacing == "linear":
+            values = tuple(float(v) for v in np.linspace(start, stop, points))
+        elif spacing == "log":
+            if start <= 0.0 or stop <= 0.0:
+                raise BadUnit(f"{which} log spacing needs positive start/stop")
+            values = tuple(float(v) for v in np.geomspace(start, stop, points))
+        else:
+            raise BadUnit(f"{which}.spacing must be 'linear' or 'log', got {spacing!r}")
+    if name in _SYSTEM_KEYS:
+        for value in values:
+            _check_key(name, value)
+    return Axis(name, values)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -247,16 +275,12 @@ def to_si(key: str, value, omega_phi1: float) -> tuple[str, float]:
     return name, value
 
 
-def _system_params(system: dict) -> SystemParams:
-    """SI model inputs from display-unit keys; absent keys take their defaults."""
-    system = {**_DEFAULTS, **system}
+def to_system_params(config: RunConfig) -> SystemParams:
+    """Convert the display-unit system section into SI model inputs;
+    absent keys take their defaults."""
+    system = {**_DEFAULTS, **config.system}
     w1 = 2.0 * math.pi * system["omega_phi1_hz"]
     return SystemParams(**dict(to_si(k, v, w1) for k, v in system.items()))
-
-
-def to_system_params(config: RunConfig) -> SystemParams:
-    """Convert the display-unit system section into SI model inputs."""
-    return _system_params(config.system)
 
 
 def system_to_display(params: SystemParams) -> dict:
@@ -280,4 +304,4 @@ def system_to_display(params: SystemParams) -> dict:
 def table_defaults() -> SystemParams:
     """Base physical parameters shared by every preset: the run-file
     defaults in SI units."""
-    return _system_params({})
+    return to_system_params(RunConfig())

@@ -205,13 +205,15 @@ def eigenvalues(a: np.ndarray) -> list[complex]:
 def power_of_two_scale(a: np.ndarray):
     """Smallest power of two at or above max|a|; 0 for the zero matrix.
 
-    Taken over the last two axes, so a (N, n, n) stack gets one scale per
-    matrix.  Dividing by it is exact, so SI-scale and unit-scale inputs
-    take the same numerical path.
+    The largest finite power of two, 2^1023, stands in when max|a| is
+    above it, so the scale is never inf.  Taken over the last two axes,
+    so a (N, n, n) stack gets one scale per matrix.  Dividing by it is
+    exact, so SI-scale and unit-scale inputs take the same numerical
+    path.
     """
     # max|a| = m 2^e with m in [0.5, 1), or m = 0 for the zero matrix
     m, e = np.frexp(np.abs(a).max(axis=(-2, -1)))
-    return np.ldexp(np.ceil(m), e - (m == 0.5))
+    return np.ldexp(np.ceil(m), np.minimum(e - (m == 0.5), 1023))
 
 
 def spectral_abscissae(a: np.ndarray, scale: np.ndarray) -> np.ndarray:

@@ -233,11 +233,12 @@ class _Rows:
         return tuple(np.concatenate(parts) for parts in zip(*outs))
 
 
-def _margins(a: list, d: list) -> tuple:
-    """Stage: margins, drift and diffusion stacks, and power-of-two scales.
+def _inputs(a: list, d: list) -> tuple:
+    """Stage: the drift and diffusion stacks.
 
     Raises :class:`SolveFailure` unless every pair is two finite 6x6
-    matrices with a symmetric diffusion.
+    matrices with a symmetric diffusion.  A stage of its own, so a bad
+    input re-runs only these checks row by row, not the eigensolve.
     """
     for x, y in zip(a, d):
         if x.shape != (6, 6) or y.shape != (6, 6):
@@ -255,6 +256,11 @@ def _margins(a: list, d: list) -> tuple:
             if np.isfinite(a).all() and np.isfinite(d).all()
             else "drift or diffusion has non-finite entries"
         )
+    return a, d
+
+
+def _margins(a: np.ndarray, d: np.ndarray) -> tuple:
+    """Stage: margins and power-of-two scales, with the stacks they go on with."""
     scale = power_of_two_scale(a)
     return spectral_abscissae(a, scale), a, d, scale
 
@@ -330,6 +336,7 @@ def _solve(drifts, diffusions):
         raise SolveFailure(f"got {len(a)} drifts but {len(d)} diffusions")
     rows = _Rows(len(a))
     margins = np.full(len(a), np.nan)
+    a, d = rows.run(_inputs, a, d)
     margin, a, d, scale = rows.run(_margins, a, d)
     margins[rows.live] = margin
     stable = margin < 0.0

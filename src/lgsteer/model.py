@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constants import CLIGHT, HBAR, KBOLTZ
-from .eigen import spectral_abscissa
 from .errors import NonPositiveParameter
 from .gaussian import symplectic_form
 
@@ -42,7 +41,6 @@ __all__ = [
     "build_drift",
     "build_diffusion",
     "build_model",
-    "stability_margin",
     "thermal_occupation",
 ]
 
@@ -357,15 +355,6 @@ def build_model(params: SystemParams) -> LinearModel:
     steady = steady_state(derived)
     drift = build_drift(derived, steady)
     return LinearModel(drift, build_diffusion(derived), steady, derived)
-
-
-def stability_margin(drift: np.ndarray) -> float:
-    """Largest real part of the drift spectrum, in the units of ``drift``.
-
-    The linear system has a steady state iff the margin is strictly
-    negative.  See :func:`lgsteer.eigen.spectral_abscissa`.
-    """
-    return spectral_abscissa(drift)
 
 
 def with_updates(params: SystemParams, **changes) -> SystemParams:

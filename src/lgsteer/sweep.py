@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .config import RunConfig, table_defaults, to_si, to_system_params
+from .config import Axis, RunConfig, table_defaults, to_si, to_system_params
 from .constants import CLIGHT, HBAR, KBOLTZ
 from .errors import (
     InvalidSpec,
@@ -35,16 +35,6 @@ from .errors import (
 from .measures import CorrelationReport, full_reports
 from .model import LinearModel, SystemParams, build_model, with_updates
 
-# closed set of sweepable axes, named and scaled as their run-file keys
-_SWEEPABLE = (
-    "detuning_ratio",
-    "opa_gain_ratio",
-    "opa_phase_rad",
-    "temperature_k",
-    "omega_phi2_ratio",
-    "laser_power_w",
-)
-
 _GRID_1D = 401
 _GRID_2D = 101
 # points the optimum search adds inside the winning coarse bracket
@@ -52,30 +42,6 @@ _REFINE_POINTS = 9
 # grid points per batched evaluation: bounds the solver's working arrays
 # (about 34 KB a row) and so the peak memory of any grid
 _BLOCK_ROWS = 64
-
-
-@dataclass(frozen=True)
-class Axis:
-    """One sweep axis: a parameter name and its coordinate values."""
-
-    name: str
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.name not in _SWEEPABLE:
-            raise InvalidSpec(
-                f"axis {self.name!r} is not sweepable; "
-                f"choose from {sorted(_SWEEPABLE)}"
-            )
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise InvalidSpec(f"axis {self.name!r} has no values")
-        if not all(math.isfinite(v) for v in vals):
-            raise InvalidSpec(f"axis {self.name!r} has non-finite values")
-        diffs = [b - a for a, b in zip(vals, vals[1:])]
-        if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-            raise InvalidSpec(f"axis {self.name!r} must be strictly monotone")
-        object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True)
@@ -98,19 +64,11 @@ class SweepSpec:
         )
 
 
-def _apply(base: SystemParams, name: str, value: float) -> SystemParams:
-    field_name, si_value = to_si(name, value, base.omega_phi1)
-    return with_updates(base, **{field_name: si_value})
-
-
 def to_sweep_spec(config: RunConfig) -> SweepSpec:
     """Build the sweep grid from a sweep-mode config."""
     if config.run.mode != "sweep":
         raise InvalidSpec("config run.mode is not 'sweep'")
-    run = config.run
-    axis1 = Axis(run.axis1.name, run.axis1.values)
-    axis2 = None if run.axis2 is None else Axis(run.axis2.name, run.axis2.values)
-    return SweepSpec(to_system_params(config), axis1, axis2)
+    return SweepSpec(to_system_params(config), config.run.axis1, config.run.axis2)
 
 
 @dataclass(frozen=True)
@@ -132,11 +90,9 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _model_at(spec: SweepSpec, coords) -> LinearModel:
-    params = spec.base
-    for name, value in coords:
-        params = _apply(params, name, value)
-    return build_model(params)
+def _params_at(base: SystemParams, coords) -> SystemParams:
+    """``base`` with every ``(axis name, value)`` of a grid point set, in SI."""
+    return with_updates(base, **dict(to_si(n, v, base.omega_phi1) for n, v in coords))
 
 
 def _evaluate_point(index: tuple[int, int], coords, outcome) -> SweepRow:
@@ -155,7 +111,7 @@ def _evaluate_block(spec: SweepSpec, points) -> list[SweepRow]:
             c.append((spec.axis2.name, spec.axis2.values[j]))
         coords.append(tuple(c))
         try:
-            outcomes.append(_model_at(spec, c))
+            outcomes.append(build_model(_params_at(spec.base, c)))
         except LgsteerError as exc:
             outcomes.append(exc)
     built = [k for k, m in enumerate(outcomes) if isinstance(m, LinearModel)]
@@ -344,8 +300,3 @@ def preset_variants(name: str):
     if name not in _PRESETS:
         raise UnknownPreset(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     return _PRESETS[name]()
-
-
-def preset(name: str) -> SweepSpec:
-    """The base grid of a named preset (first variant)."""
-    return preset_variants(name)[0][1]

@@ -29,7 +29,6 @@ from lgsteer import (
     log_negativity,
     lyapunov_oracle,
     lyapunov_residual,
-    preset,
     preset_variants,
     random_stable_system,
     run_sweep,
@@ -39,7 +38,7 @@ from lgsteer import (
     steering,
     symplectic_eigenvalues,
 )
-from lgsteer.sweep import _apply
+from lgsteer.sweep import _params_at
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,11 +105,11 @@ def test_ac01_lyapunov_correctness(capsys):
     """Residual bound on the base detuning grid; three independent
     steady-state routes agree on 200 seeded random systems; < 30 s."""
     t0 = time.perf_counter()
-    spec = preset("fig2a")
+    spec = preset_variants("fig2a")[0][1]
     n_stable = 0
     worst_ratio, worst_at = 0.0, math.nan
     for value in spec.axis1.values:
-        model = build_model(_apply(spec.base, spec.axis1.name, value))
+        model = build_model(_params_at(spec.base, ((spec.axis1.name, value),)))
         _margin, cm = steady_covariance(model.drift, model.diffusion)
         if cm is None:
             continue
@@ -151,10 +150,7 @@ def test_ac02_physicality(census, capsys):
     worst, worst_at = math.inf, ""
     for spec, result in census.unique.items():
         for row in _stable_rows(result):
-            params = spec.base
-            for name, value in row.coords:
-                params = _apply(params, name, value)
-            model = build_model(params)
+            model = build_model(_params_at(spec.base, row.coords))
             _margin, cm = steady_covariance(model.drift, model.diffusion)
             assert cm is not None, "stable census row must re-solve"
             nu = min(symplectic_eigenvalues(cm))
@@ -452,7 +448,7 @@ def test_ac09_temperature_decay(census, capsys):
 def test_ac10_determinism_throughput(capsys):
     """The base detuning sweep is bit-reproducible and fast: two
     single-threaded runs give byte-identical CSV, each under 5 s."""
-    spec = preset("fig2a")
+    spec = preset_variants("fig2a")[0][1]
     t0 = time.perf_counter()
     first = serialize_csv(run_sweep(spec))
     e1 = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 """The public names the package exports."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import lgsteer
@@ -32,3 +33,42 @@ def test_every_error_class_is_raised():
         if isinstance(obj, type) and issubclass(obj, Exception)
     }
     assert sorted(classes - raised) == []
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _resolve(dotted: str):
+    obj = lgsteer
+    for part in dotted.split(".")[1:]:
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_every_name_the_benchmark_uses_resolves():
+    # the benchmark is pinned to names of the package: a deletion that
+    # breaks a traced or timed run must fail here, not only in the run
+    for path in Path(lgsteer.__file__).parent.glob("*.py"):
+        importlib.import_module(f"lgsteer.{path.stem}")
+    tree = ast.parse((BENCHMARKS / "spans.py").read_text(encoding="utf-8"))
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+    ]
+    names = {f"lgsteer.{module}.{function}" for module, function, _ in targets}
+    for path in BENCHMARKS.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                dotted = ast.unparse(node)
+                chain = dotted.replace(".", "_").isidentifier()
+                if chain and dotted.startswith("lgsteer."):
+                    names.add(dotted)
+    assert len(names) > len(targets)
+    missing = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lgsteer import (
     CovarianceMatrix,
     MODE_ORDER,
     NonPhysicalInput,
+    NonPositiveDeterminant,
     SolveFailure,
     UnknownMode,
     UnstableSystem,
@@ -22,12 +24,12 @@ from lgsteer import (
     random_stable_system,
     reduce,
     solve_lyapunov,
-    stability_margin,
     steady_covariance,
     steady_covariances,
     symplectic_eigenvalues,
     symplectic_form,
 )
+from lgsteer.eigen import spectral_abscissa
 
 from conftest import REF_NUS_BLUE, REF_V_BLUE, W1, make_params
 
@@ -290,13 +292,13 @@ class TestSteadyCovariance:
         margin, cm = steady_covariance(m.drift / W1, m.diffusion / W1)
         assert cm is None
         assert margin > 0.0
-        assert margin == pytest.approx(stability_margin(m.drift / W1), rel=1e-10)
+        assert margin == pytest.approx(spectral_abscissa(m.drift / W1), rel=1e-10)
 
     def test_margin_matches_stability_margin_when_stable(self):
         m = build_model(make_params(detuning=+W1))
         margin, cm = steady_covariance(m.drift / W1, m.diffusion / W1)
         assert cm is not None
-        assert margin == pytest.approx(stability_margin(m.drift / W1), rel=1e-10)
+        assert margin == pytest.approx(spectral_abscissa(m.drift / W1), rel=1e-10)
 
     def test_agrees_with_independent_oracle(self):
         m = build_model(make_params(detuning=+W1))
@@ -370,17 +372,55 @@ class TestSteadyCovariance:
         with pytest.raises(SolveFailure, match="1 drifts but 2 diffusions"):
             steady_covariances([a], [d, d])
 
-    def test_nan_margin_is_not_stable(self):
-        # a drift peak above 2**1023 overflows the power-of-two scale, so
-        # the margin is NaN: every entry point reports the row not stable
+    def test_bad_input_leaves_one_eigensolve(self, monkeypatch):
+        # the input checks are a stage of their own: an asymmetric
+        # diffusion re-runs them row by row, and the other 63 rows' margins
+        # still come from one stacked eigvals call
+        m = build_model(make_params(detuning=+W1))
+        bad = m.diffusion.copy()
+        bad[0, 1] += 1e-3 * bad.max()
+        diffusions = [m.diffusion] * 64
+        diffusions[17] = bad
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(x):
+            calls.append(len(x))
+            return eigvals(x)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        margins, _, errors = steady_covariances([m.drift] * 64, diffusions)
+        assert calls == [63]
+        assert isinstance(errors[17], SolveFailure)
+        assert str(errors[17]) == "diffusion matrix is not symmetric"
+        assert math.isnan(margins[17]) and errors.count(None) == 63
+        alone, _ = steady_covariance(m.drift, m.diffusion)
+        assert (np.delete(margins, 17) == alone).all()
+
+    def test_drift_peak_above_2_to_1023_keeps_its_margin(self):
+        # such a drift is scaled by 2**1023, the largest finite power of
+        # two, so its margin is its model's margin times the factor, with
+        # no overflow; the stable one's det(2V) then underflows to 0
         m = build_model(make_params(detuning=+W1))
         a = m.drift * 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = spectral_abscissa(a)
         margins, covariances, errors = steady_covariances([a], [m.diffusion])
-        assert math.isnan(margins[0]) and errors == [None] and np.isnan(covariances).all()
         margin, cm = steady_covariance(a, m.diffusion)
-        assert math.isnan(margin) and cm is None
-        report = full_report(dataclasses.replace(m, drift=a))
-        assert report.stable is False and math.isnan(report.stability_margin)
+        assert margins[0] == margin == alone
+        assert margin == pytest.approx(-5.8358652736951e306, rel=1e-14)
+        assert margin == pytest.approx(1e300 * spectral_abscissa(m.drift), rel=2e-14)
+        assert errors == [None] and np.isfinite(covariances).all() and cm is not None
+        underflow = r"det\(2V\) = 0.0 is not positive"
+        with pytest.raises(NonPositiveDeterminant, match=underflow):
+            full_report(dataclasses.replace(m, drift=a))
+        red = build_model(make_params(detuning=-W1))
+        report = full_report(dataclasses.replace(red, drift=red.drift * 1e300))
+        assert report.stable is False
+        assert report.stability_margin == pytest.approx(
+            1e300 * spectral_abscissa(red.drift), rel=2e-14
+        )
 
     def test_blue_point_regression(self):
         cm = blue_covariance()

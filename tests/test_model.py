@@ -19,13 +19,13 @@ from lgsteer import (
     full_report,
     hamiltonian,
     lyapunov_oracle,
-    stability_margin,
     symplectic_form,
     table_defaults,
     steady_state,
     thermal_occupation,
     with_updates,
 )
+from lgsteer.eigen import spectral_abscissa
 
 from conftest import (
     REF_ABS_A0_BLUE,
@@ -431,30 +431,29 @@ class TestDiffusion:
 
 class TestStabilityMargin:
     def test_simple_examples(self):
-        assert stability_margin(np.zeros((6, 6))) == 0.0
-        assert stability_margin(np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0])) == pytest.approx(
-            -1.0, abs=1e-12
-        )
+        assert spectral_abscissa(np.zeros((6, 6))) == 0.0
+        diag = np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0])
+        assert spectral_abscissa(diag) == pytest.approx(-1.0, abs=1e-12)
         rot = np.zeros((6, 6))
         rot[0, 1], rot[1, 0] = 1.0, -1.0
         rot -= 0.25 * np.eye(6)
-        assert stability_margin(rot) == pytest.approx(-0.25, abs=1e-10)
+        assert spectral_abscissa(rot) == pytest.approx(-0.25, abs=1e-10)
 
     def test_scaling_homogeneity(self):
         a = build_model(make_params(detuning=+W1)).drift
-        assert stability_margin(a) / W1 == pytest.approx(
-            stability_margin(a / W1), rel=1e-9
+        assert spectral_abscissa(a) / W1 == pytest.approx(
+            spectral_abscissa(a / W1), rel=1e-9
         )
 
     def test_blue_point_stable(self):
         a = build_model(make_params(detuning=+W1)).drift
-        assert stability_margin(a) / W1 == pytest.approx(REF_MARGIN_BLUE, rel=1e-9)
+        assert spectral_abscissa(a) / W1 == pytest.approx(REF_MARGIN_BLUE, rel=1e-9)
 
     def test_red_point_unstable(self):
         # the red-detuned working point blows up at these parameters:
         # the blue mirror sits above threshold
         a = build_model(make_params(detuning=-W1)).drift
-        margin = stability_margin(a) / W1
+        margin = spectral_abscissa(a) / W1
         assert margin > 0.0
         assert margin == pytest.approx(REF_MARGIN_RED, rel=1e-9)
 
@@ -462,7 +461,7 @@ class TestStabilityMargin:
         a = build_model(
             make_params(detuning=-W1, opa_gain=0.1 * W1, opa_phase=0.0)
         ).drift
-        margin = stability_margin(a) / W1
+        margin = spectral_abscissa(a) / W1
         assert margin > 0.0
         assert margin == pytest.approx(REF_MARGIN_PUMPED_RED_THETA0, rel=1e-9)
 
@@ -470,7 +469,7 @@ class TestStabilityMargin:
         a = build_model(
             make_params(detuning=+W1, opa_gain=0.1 * W1, opa_phase=math.pi / 2)
         ).drift
-        assert stability_margin(a) / W1 == pytest.approx(
+        assert spectral_abscissa(a) / W1 == pytest.approx(
             REF_MARGIN_PUMPED_BLUE_PI2, rel=1e-9
         )
 

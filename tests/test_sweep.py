@@ -18,6 +18,7 @@ from lgsteer import (
     LgsteerError,
     NoStableRegion,
     SweepSpec,
+    SystemParams,
     UnknownPreset,
     __version__,
     build_model,
@@ -25,7 +26,6 @@ from lgsteer import (
     full_reports,
     optimum_detuning,
     parse_config,
-    preset,
     preset_variants,
     PRESET_NAMES,
     reduce,
@@ -36,7 +36,8 @@ from lgsteer import (
     with_updates,
 )
 from lgsteer.eigen import power_of_two_scale
-from lgsteer.sweep import _SWEEPABLE, _apply
+from lgsteer.config import _SWEEPABLE
+from lgsteer.sweep import _params_at
 
 from conftest import W1, make_params
 
@@ -66,7 +67,7 @@ class TestAxis:
             doc = {"system": {"omega_phi1_hz": 2e7, **system}, "run": {"mode": "point"}}
             return to_system_params(parse_config(json.dumps(doc)))
 
-        assert _apply(params({}), name, 0.37) == params({name: 0.37})
+        assert _params_at(params({}), ((name, 0.37),)) == params({name: 0.37})
 
     def test_empty(self):
         with pytest.raises(InvalidSpec, match="no values"):
@@ -162,6 +163,32 @@ class TestRunSweep:
         assert "laser_power" in bad.error
         assert good.error is None
         assert good.report is not None
+
+    def test_two_dimensional_point_is_validated_once(self, monkeypatch):
+        # a 2-D point's parameters are built and checked once, so when
+        # both its values break their rules the row names the field that
+        # comes first in FIELD_RULES, whichever axis it is on
+        spec = SweepSpec(
+            make_params(),
+            Axis("temperature_k", (-1.0, 0.0)),
+            Axis("laser_power_w", (0.0, 0.05)),
+        )
+        checks = []
+        post_init = SystemParams.__post_init__
+
+        def counted(params):
+            checks.append(params)
+            post_init(params)
+
+        monkeypatch.setattr(SystemParams, "__post_init__", counted)
+        rows = run_sweep(spec).rows
+        assert len(checks) == len(rows) == 4
+        assert [row.error for row in rows[:3]] == [
+            "NonPositiveParameter: laser_power must be positive, got 0.0",
+            "NonPositiveParameter: temperature must be non-negative, got -1.0",
+            "NonPositiveParameter: laser_power must be positive, got 0.0",
+        ]
+        assert rows[3].error is None
 
     def test_metadata(self):
         result = run_sweep(small_delta_spec((1.0,)))
@@ -428,7 +455,7 @@ class TestPresets:
             ("fig7c", 1.05),
             ("fig7d", 1.1),
         ):
-            spec = preset(name)
+            spec = preset_variants(name)[0][1]
             assert spec.base.omega_phi2 == pytest.approx(ratio * W1), name
             assert spec.base.opa_gain == 0.0
             assert spec.axis1.name == "detuning_ratio"
@@ -444,9 +471,6 @@ class TestPresets:
         # base detuning fixed at the unpumped optimum before the gain scan
         opt = optimum_detuning(with_updates(spec.base, opa_gain=0.0), "ENmm")
         assert spec.base.detuning == pytest.approx(opt.delta)
-
-    def test_preset_returns_first_variant(self):
-        assert preset("fig2a") == preset_variants("fig2a")[0][1]
 
     def test_table_defaults_match_reference_point(self):
         assert table_defaults() == make_params()

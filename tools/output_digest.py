@@ -1,31 +1,104 @@
 """Print a SHA-256 digest of every user-visible output, one per line.
 
-Covers the CSV and the JSON of every preset variant and the default
-``point`` output as a table, CSV and JSON.  Run it in two checkouts and
-diff what it prints to show that a change leaves every output
-byte-identical:
+Covers the CSV and the JSON of every preset variant, the default
+``point`` output as a table, CSV and JSON, ``sweep --config`` runs over
+a listed, a linear 2-D and a log-spaced grid in both formats, the exit
+code and stderr of ``sweep --config`` for four bad axes, and library
+sweeps whose error rows each come from one bad axis value.  Run it in
+two checkouts and diff what it prints to show that a change leaves
+every output byte-identical:
 
     python3 tools/output_digest.py > after.txt
 
-It imports ``lgsteer`` from the ``src`` directory next to it and takes
-no options.
+It imports ``lgsteer`` from the ``src`` directory next to it, writes
+run files and results to a temporary directory, and takes no options.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from lgsteer import PRESET_NAMES, preset_variants, run_sweep  # noqa: E402
+from lgsteer import (  # noqa: E402
+    PRESET_NAMES,
+    Axis,
+    SweepSpec,
+    preset_variants,
+    run_sweep,
+    table_defaults,
+    with_updates,
+)
 from lgsteer.cli import main  # noqa: E402
 from lgsteer.io import serialize_csv, serialize_json  # noqa: E402
+
+# run-file sweeps: name -> (system section, axis1, axis2 or None)
+_CONFIG_SWEEPS = {
+    "listed": (
+        {"temperature_k": 0.0},
+        {"name": "detuning_ratio", "values": [-1.5, -0.5, 0.5, 1.0, 1.4]},
+        None,
+    ),
+    "linear2d": (
+        {"detuning_ratio": 1.0},
+        {"name": "opa_gain_ratio", "start": 0.0, "stop": 0.1, "points": 6},
+        {"name": "opa_phase_rad", "start": 0.0, "stop": 6.0, "points": 7},
+    ),
+    "log": (
+        {"detuning_ratio": 1.0},
+        {"name": "temperature_k", "start": 1e-3, "stop": 1.0, "points": 9,
+         "spacing": "log"},
+        None,
+    ),
+}
+
+# run-file axes that ``sweep --config`` must reject
+_BAD_AXES = {
+    "not_sweepable": {"name": "finesse", "values": [1.0, 2.0]},
+    "unknown_name": {"name": "foo", "values": [1.0, 2.0]},
+    "not_monotone": {"name": "detuning_ratio", "values": [1.0, 0.5, 2.0]},
+    "breaks_rule": {"name": "temperature_k", "values": [-0.01, 0.01]},
+}
+
+
+def _error_row_specs():
+    """Library grids in which each error row has exactly one bad axis value."""
+    base = with_updates(table_defaults(), detuning=table_defaults().omega_phi1)
+    power = Axis("laser_power_w", (0.0, 0.05))
+    temperature = Axis("temperature_k", (-1.0, 0.015))
+    return {
+        "power_1d": SweepSpec(base, power),
+        "temperature_1d": SweepSpec(base, temperature),
+        "temperature_x_detuning": SweepSpec(
+            base, temperature, Axis("detuning_ratio", (0.5, 1.0))
+        ),
+        "detuning_x_power": SweepSpec(base, Axis("detuning_ratio", (0.5, 1.0)), power),
+    }
 
 
 def _line(name: str, text: str) -> str:
     return f"{hashlib.sha256(text.encode('utf-8')).hexdigest()}  {name}"
+
+
+def _cli(argv, tmp: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text = f"exit {code}\n{out.getvalue()}\nstderr\n{err.getvalue()}"
+    return text.replace(tmp, "<tmp>")
+
+
+def _run_file(tmp: str, name: str, system: dict, axis1: dict, axis2) -> str:
+    run = {"mode": "sweep", "axis1": axis1}
+    if axis2 is not None:
+        run["axis2"] = axis2
+    path = Path(tmp) / f"{name}.json"
+    path.write_text(json.dumps({"system": system, "run": run}), encoding="utf-8")
+    return str(path)
 
 
 def digests():
@@ -41,6 +114,22 @@ def digests():
         with contextlib.redirect_stdout(out):
             code = main(["point"] + ([] if fmt == "table" else ["--format", fmt]))
         yield _line(f"point.{fmt}", f"exit {code}\n{out.getvalue()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (system, axis1, axis2) in _CONFIG_SWEEPS.items():
+            config = _run_file(tmp, name, system, axis1, axis2)
+            for fmt in ("csv", "json"):
+                result = Path(tmp) / f"{name}.out.{fmt}"
+                argv = ["sweep", "--config", config, "--out", str(result)]
+                log = _cli(argv + ["--format", fmt], tmp)
+                text = result.read_text(encoding="utf-8") if result.exists() else ""
+                yield _line(f"config_{name}.{fmt}", f"{log}\n{text}")
+        for name, axis in _BAD_AXES.items():
+            config = _run_file(tmp, name, {}, axis, None)
+            log = _cli(["sweep", "--config", config], tmp)
+            yield _line(f"config_{name}.stderr", log)
+    for name, spec in _error_row_specs().items():
+        # the JSON rows carry each error's message; the CSV marks only "error"
+        yield _line(f"errors_{name}.json", serialize_json(run_sweep(spec)))
 
 
 if __name__ == "__main__":
