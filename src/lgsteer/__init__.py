@@ -9,6 +9,8 @@ steering, over 1-D and 2-D parameter grids with figure presets and a
 CSV/JSON command-line surface.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .constants import CLIGHT, HBAR, KBOLTZ
 from .errors import (
@@ -110,93 +112,8 @@ from .io import (
     write_result,
 )
 
-__all__ = [
-    "__version__",
-    "HBAR",
-    "KBOLTZ",
-    "CLIGHT",
-    "LgsteerError",
-    "NonPositiveParameter",
-    "UnknownKey",
-    "BadUnit",
-    "MissingRequired",
-    "InvalidSpec",
-    "UnknownPreset",
-    "UnknownMode",
-    "EigenFailure",
-    "UnstableSystem",
-    "SolveFailure",
-    "SingularSystem",
-    "StepOverflow",
-    "NonPhysicalInput",
-    "NonPositiveDeterminant",
-    "NoStableRegion",
-    "eigenvalues",
-    "hessenberg",
-    "real_schur",
-    "SystemParams",
-    "DerivedParams",
-    "SteadyState",
-    "LinearModel",
-    "thermal_occupation",
-    "derive",
-    "steady_state",
-    "hamiltonian",
-    "build_drift",
-    "build_diffusion",
-    "build_model",
-    "with_updates",
-    "MODE_ORDER",
-    "CovarianceMatrix",
-    "symplectic_form",
-    "reduce",
-    "partial_transpose",
-    "symplectic_eigenvalues",
-    "min_pt_symplectic",
-    "steady_covariance",
-    "steady_covariances",
-    "solve_lyapunov",
-    "lyapunov_residual",
-    "SteeringClass",
-    "CorrelationReport",
-    "log_negativity",
-    "residual_contangle_min",
-    "renyi2_entropy",
-    "steering",
-    "steering_asymmetry",
-    "classify",
-    "full_report",
-    "full_reports",
-    "ReferenceState",
-    "CheckResult",
-    "lyapunov_oracle",
-    "integrate_covariance",
-    "reference",
-    "random_stable_system",
-    "run_checks",
-    "Axis",
-    "SweepSpec",
-    "SweepRow",
-    "SweepResult",
-    "OptimumDetuning",
-    "run_sweep",
-    "optimum_detuning",
-    "preset_variants",
-    "table_defaults",
-    "PRESET_NAMES",
-    "RunConfig",
-    "RunSection",
-    "OutputSection",
-    "parse_config",
-    "serialize_config",
-    "to_system_params",
-    "to_sweep_spec",
-    "system_to_display",
-    "MEASURE_COLUMNS",
-    "serialize_csv",
-    "serialize_json",
-    "parse_result_csv",
-    "write_result",
-    "format_report_table",
-    "report_to_json",
+# the public names are exactly those imported above, each written once
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

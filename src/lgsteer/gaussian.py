@@ -233,18 +233,21 @@ class _Rows:
         return tuple(np.concatenate(parts) for parts in zip(*outs))
 
 
-def _inputs(a: list, d: list) -> tuple:
+def _inputs(a, d) -> tuple:
     """Stage: the drift and diffusion stacks.
 
     Raises :class:`SolveFailure` unless every pair is two finite 6x6
-    matrices with a symmetric diffusion.  A stage of its own, so a bad
-    input re-runs only these checks row by row, not the eigensolve.
+    matrices with a symmetric diffusion; shapes are checked on the whole
+    stack.  A stage of its own, so a bad input re-runs only these checks
+    row by row, not the eigensolve.
     """
-    for x, y in zip(a, d):
-        if x.shape != (6, 6) or y.shape != (6, 6):
-            raise SolveFailure(f"expected 6x6 matrices, got {x.shape} and {y.shape}")
-    a = np.array(a).reshape(-1, 6, 6)
-    d = np.array(d).reshape(-1, 6, 6)
+    try:
+        a, d = np.asarray(a, dtype=float), np.asarray(d, dtype=float)
+    except ValueError:
+        raise SolveFailure("drifts or diffusions differ in shape") from None
+    if len(a) and (a.shape[1:], d.shape[1:]) != ((6, 6), (6, 6)):
+        raise SolveFailure(f"expected 6x6 matrices, got {a.shape[1:]} and {d.shape[1:]}")
+    a, d = a.reshape(-1, 6, 6), d.reshape(-1, 6, 6)
     # a non-finite entry makes its row's peak or asymmetry inf or NaN
     d_peak = np.abs(d).max(axis=(1, 2))
     ok = (np.abs(a).max(axis=(1, 2)) < np.inf) & (
@@ -330,13 +333,11 @@ def _solve(drifts, diffusions):
     ``rows`` is the batch's :class:`_Rows`, whose live rows are the
     stable rows that passed every check; ``v`` holds their covariances.
     """
-    a = [np.asarray(x, dtype=float) for x in drifts]
-    d = [np.asarray(x, dtype=float) for x in diffusions]
-    if len(a) != len(d):
-        raise SolveFailure(f"got {len(a)} drifts but {len(d)} diffusions")
-    rows = _Rows(len(a))
-    margins = np.full(len(a), np.nan)
-    a, d = rows.run(_inputs, a, d)
+    if len(drifts) != len(diffusions):
+        raise SolveFailure(f"got {len(drifts)} drifts but {len(diffusions)} diffusions")
+    rows = _Rows(len(drifts))
+    margins = np.full(len(drifts), np.nan)
+    a, d = rows.run(_inputs, drifts, diffusions)
     margin, a, d, scale = rows.run(_margins, a, d)
     margins[rows.live] = margin
     stable = margin < 0.0
@@ -351,8 +352,8 @@ def _solve(drifts, diffusions):
 def steady_covariances(drifts, diffusions):
     """Stability margins and steady-state covariances of many systems at once.
 
-    ``drifts`` and ``diffusions`` are sequences (or stacks) of 6x6
-    matrices, one pair per row; inputs of different lengths raise
+    ``drifts`` and ``diffusions`` are sequences or (N, 6, 6) stacks of
+    6x6 matrices, one pair per row; inputs of different lengths raise
     :class:`~lgsteer.errors.SolveFailure` before any row is solved.
     Returns ``(margins, covariances, errors)``: the margins in
     the units of each drift (NaN for a row that fails its input checks

@@ -5,7 +5,7 @@ convention.  Entanglement is the logarithmic negativity, from the
 smallest symplectic eigenvalue of a partially transposed state (the
 two-mode pair, or the full three-mode state for a one-versus-two
 split); steering uses the Renyi-2 entropy criterion.
-:func:`full_reports` bundles everything for a batch of linearized
+:func:`full_reports` bundles everything for a block of linearized
 models: it goes on with the rows of one batched solve, and takes each
 pair and each one-versus-two spectrum of every stable row from one
 stacked call per kind.  :func:`full_report` is its one-model case.
@@ -226,10 +226,8 @@ class CorrelationReport:
 _MIRRORS = (("mirror1", "mirror2"), None)
 
 
-def _tagged(exc: LgsteerError, model: LinearModel) -> LgsteerError:
-    """``exc`` re-issued with the detuning of the point that raised it."""
-    params = model.derived.params
-    ratio = params.detuning / params.omega_phi1
+def _tagged(exc: LgsteerError, ratio: float) -> LgsteerError:
+    """``exc`` re-issued with the detuning ratio of the point that raised it."""
     tagged = type(exc)(f"at detuning_ratio={ratio:g}: {exc}")
     tagged.__cause__ = exc
     return tagged
@@ -268,31 +266,34 @@ def _reports(margins: np.ndarray, v: np.ndarray) -> tuple:
     return ([_report(*row) for row in zip(margins.tolist(), nus, pair_dets, single_dets)],)
 
 
-def full_reports(models) -> list:
-    """:func:`full_report` of many models, solved and measured as one batch.
+def full_reports(models: LinearModel) -> list:
+    """:func:`full_report` of each row of a block of models, as one batch.
 
-    Returns one entry per model, in order: its
-    :class:`CorrelationReport`, or the :class:`~lgsteer.errors.LgsteerError`
-    that :func:`full_report` would raise for it alone.  A failing row
-    never fails the batch.  The measures go on with the rows of the
-    batched solve, so one error list covers both: the three pair and
-    three one-vs-two spectra of all stable rows are one stacked
-    ``eigvalsh`` each, and the steering determinants one stacked ``det``
-    per size.  Callers bound memory by passing blocks of rows.
+    Returns one entry per row of the (N, 6, 6) stacks of ``models`` (see
+    :func:`lgsteer.model.build_model`), in order: its :class:`CorrelationReport`,
+    or the :class:`~lgsteer.errors.LgsteerError` that :func:`full_report`
+    would raise for it alone.  A failing row never fails the batch.  The
+    measures go on with the rows of the batched solve, so one error list
+    covers both: the three pair and three one-vs-two spectra of all stable
+    rows are one stacked ``eigvalsh`` each, and the steering determinants
+    one stacked ``det`` per size.  Callers bound memory by passing blocks.
     """
-    models = list(models)
+    derived = models.derived
+    n = math.prod(derived.shape)
     # at the OPA threshold the drift is not finite; the zero matrix stands
     # in for it, with the margin 0 reported there (see full_report)
-    drifts = [np.zeros((6, 6)) if math.isinf(abs(m.steady.a0)) else m.drift for m in models]
-    rows, margins, v = _solve(drifts, [m.diffusion for m in models])
-    out: list = [None] * len(models)
+    threshold = np.reshape(np.isinf(np.abs(models.steady.a0)), (-1, 1, 1))
+    drifts = np.where(threshold, 0.0, np.reshape(models.drift, (n, 6, 6)))
+    rows, margins, v = _solve(drifts, np.reshape(models.diffusion, (n, 6, 6)))
+    out: list = [None] * n
     if len(v):
         (reports,) = rows.run(_reports, margins[rows.live], v)
         for k, report in zip(rows.live.tolist(), reports):
             out[k] = report
-    for k, (model, exc, margin) in enumerate(zip(models, rows.errors, margins.tolist())):
+    for k, (exc, margin) in enumerate(zip(rows.errors, margins.tolist())):
         if exc is not None:
-            out[k] = _tagged(exc, model)
+            ratio = derived.value("detuning") / derived.value("omega_phi1")
+            out[k] = _tagged(exc, float(np.broadcast_to(ratio, n)[k]))
         elif out[k] is None:
             out[k] = CorrelationReport(stable=False, stability_margin=margin)
     return out
@@ -303,20 +304,17 @@ def full_report(model: LinearModel) -> CorrelationReport:
 
     Solves the steady state once and evaluates the mirror-mirror and
     mirror-cavity entanglement, the three-way residual contangle, and
-    the two steering directions with their classification.  This is the
-    one-row case of :func:`full_reports`: the three pair and three
-    one-vs-two spectra come from two stacked calls and feed both the
-    negativities and the residual contangle; S(m1m2) is computed once
-    for both steering directions.  Solver and measure errors are raised
-    tagged with the detuning of the failing point; a report that breaks
-    the steering-entanglement hierarchy raises untagged.
+    the two steering directions with their classification, as the
+    one-row case of :func:`full_reports`.  Solver and measure errors are
+    raised tagged with the detuning of the failing point; a report that
+    breaks the steering-entanglement hierarchy raises untagged.
 
     At the OPA threshold the mean field diverges and there is no working
     point to linearize about.  The cavity block there has determinant
     kappa^2 + Delta^2 - 4 chi^2 = 0 and trace -2 kappa, so its spectrum
     is {0, -2 kappa}: the point is reported as not stable with margin 0.
     """
-    (report,) = full_reports([model])
+    (report,) = full_reports(model)
     if isinstance(report, LgsteerError):
         raise report
     return report

@@ -17,6 +17,10 @@ Both come from the Hamiltonian matrix H (:func:`hamiltonian`) and a bath
 table: A = Omega H - diag(Gamma) and D = diag(Gamma (2 N + 1)).  This
 module builds ``A`` and ``D`` in SI units (rad/s); everything downstream
 works with the dimensionless ratios.
+
+One path builds one model or a block of them: given arrays of the fields
+that vary, every step broadcasts over the block's rows, and A and D are
+(N, 6, 6) stacks whose rows equal the one-model build bit for bit.
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ _OMEGA_SIGN = symplectic_form(3).sum(axis=1, keepdims=True)
 # bath table per quadrature: damping (0 none, 1 gamma_m, 2 kappa) and mode
 _DAMPING = np.array([0, 1, 0, 1, 2, 2])
 _MODE = np.array([0, 0, 1, 1, 2, 2])
+_EYE6 = np.eye(6)
 
 
 def rule_breach(value, rule: str) -> str | None:
@@ -95,6 +100,21 @@ def rule_breach(value, rule: str) -> str | None:
     if rule == "posint" and (value <= 0 or value != int(value)):
         return "a positive integer"
     return None
+
+
+def check_field(name: str, value):
+    """``value`` as :class:`SystemParams` stores field ``name`` (phases in
+    [0, 2*pi)); raises :class:`NonPositiveParameter` if it breaks the rule."""
+    if value is None and name == "kappa_override":
+        return value
+    need = rule_breach(value, FIELD_RULES[name])
+    if need is not None:
+        raise NonPositiveParameter(f"{name} must be {need}, got {value!r}")
+    if name == "opa_phase":
+        value = value % (2.0 * math.pi)
+        # x % (2 pi) rounds to 2 pi itself for tiny negative x
+        return 0.0 if value == 2.0 * math.pi else value
+    return value
 
 
 @dataclass(frozen=True)
@@ -153,15 +173,8 @@ class SystemParams:
     kappa_override: float | None = None
 
     def __post_init__(self) -> None:
-        for name, rule in FIELD_RULES.items():
-            value = getattr(self, name)
-            if value is None and name == "kappa_override":
-                continue
-            need = rule_breach(value, rule)
-            if need is not None:
-                raise NonPositiveParameter(f"{name} must be {need}, got {value!r}")
-        # canonical phase in [0, 2*pi)
-        object.__setattr__(self, "opa_phase", self.opa_phase % (2.0 * math.pi))
+        for name in FIELD_RULES:
+            object.__setattr__(self, name, check_field(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -173,7 +186,9 @@ class DerivedParams:
     ``g1``/``g2`` the single-photon optorotational couplings,
     ``nbar1``/``nbar2`` the thermal occupations of the two mirrors,
     ``drive_amplitude`` the input-field amplitude E and ``laser_freq``
-    the laser angular frequency.  All rates in rad/s.
+    the laser angular frequency.  All rates in rad/s.  For a block,
+    ``swept`` maps the fields that vary to (N,) arrays, and the rates that
+    depend on them are (N,) arrays too.
     """
 
     kappa: float
@@ -186,6 +201,16 @@ class DerivedParams:
     drive_amplitude: float
     laser_freq: float
     params: SystemParams = field(repr=False)
+    swept: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def value(self, name: str):
+        """Field ``name`` of the parameters: its (N,) array where swept."""
+        return self.swept.get(name, getattr(self.params, name))
+
+    @property
+    def shape(self) -> tuple:
+        """``()`` for one model, ``(N,)`` for a block of N rows."""
+        return np.broadcast_shapes(*map(np.shape, self.swept.values())) if self.swept else ()
 
 
 @dataclass(frozen=True)
@@ -209,7 +234,8 @@ class LinearModel:
     """Drift and diffusion matrices plus the working point behind them.
 
     ``drift`` and ``diffusion`` are 6x6 real matrices in rad/s with
-    row/column ordering (d_phi1, d_Lz1, d_phi2, d_Lz2, dX, dY).
+    row/column ordering (d_phi1, d_Lz1, d_phi2, d_Lz2, dX, dY); for a
+    block they are (N, 6, 6) stacks, one row per model.
     """
 
     drift: np.ndarray
@@ -233,35 +259,68 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         return 0.0
 
 
-def derive(params: SystemParams) -> DerivedParams:
+# ufuncs that round as these scalar calls do (libm pow and hypot, IEEE sqrt)
+_VECTORIZED = {math.pow: np.float_power, math.sqrt: np.sqrt, abs: lambda z: np.hypot(z.real, z.imag)}
+
+
+def _each(fn, *args):
+    """``fn`` of numbers, or of each element of a block's arrays: every step
+    beyond IEEE arithmetic, so a block's row equals the one-model build bit
+    for bit (NumPy's cos, sin and expm1 may round otherwise)."""
+    if np.ndarray not in map(type, args):
+        return fn(*args)
+    if fn in _VECTORIZED:
+        return _VECTORIZED[fn](*args)
+    with np.errstate(all="ignore"):  # the calls handle their own overflow
+        return np.array(np.frompyfunc(fn, len(args), 1)(*args).tolist())
+
+
+def _gather(shape: tuple, terms, index: np.ndarray) -> np.ndarray:
+    """``terms[index]``, each term broadcast over a block of shape () or (N,) first."""
+    if not shape:
+        return np.array(terms)[index]
+    cols = np.empty(shape + (len(terms),))
+    for k, term in enumerate(terms):
+        cols[:, k] = term
+    return cols.take(index, axis=1)
+
+
+def _amplitude(re: float, im: float, e_amp: float) -> complex:
+    """a0 = (re - i im) E / (re^2 + im^2); infinite where that denominator is 0."""
+    denom = re**2 + im**2
+    if denom == 0.0:
+        return complex(math.inf, 0.0)
+    return complex(re * e_amp / denom, -im * e_amp / denom)
+
+
+def derive(params: SystemParams, swept: dict | None = None) -> DerivedParams:
     """Compute all derived rates from the raw inputs.
 
     The cavity decay follows kappa = pi*c / (2*F*L) unless overridden;
-    the drive amplitude is E = sqrt(2*kappa*P / (hbar*omega_L)).
+    the drive amplitude is E = sqrt(2*kappa*P / (hbar*omega_L)).  For a
+    block, ``swept`` replaces fields by (N,) arrays of checked values.
     """
-    kappa = math.pi * CLIGHT / (2.0 * params.finesse * params.cavity_length)
-    if params.kappa_override is not None:
-        kappa = params.kappa_override
-    gamma_m = params.omega_phi1 / params.quality_factor
-    inertia = params.mirror_mass * params.mirror_radius**2 / 2.0
-    coupling_prefactor = CLIGHT * params.oam_number / params.cavity_length
-    g1 = coupling_prefactor * math.sqrt(HBAR / (inertia * params.omega_phi1))
-    g2 = coupling_prefactor * math.sqrt(HBAR / (inertia * params.omega_phi2))
-    laser_freq = 2.0 * math.pi * CLIGHT / params.laser_wavelength
-    drive_amplitude = math.sqrt(
-        2.0 * kappa * params.laser_power / (HBAR * laser_freq)
-    )
+    swept = dict(swept or {})
+    f = {**vars(params), **swept}
+    length, w1, w2 = f["cavity_length"], f["omega_phi1"], f["omega_phi2"]
+    kappa = math.pi * CLIGHT / (2.0 * f["finesse"] * length)
+    if f["kappa_override"] is not None:
+        kappa = f["kappa_override"]
+    inertia = f["mirror_mass"] * _each(math.pow, f["mirror_radius"], 2.0) / 2.0
+    coupling_prefactor = CLIGHT * f["oam_number"] / length
+    laser_freq = 2.0 * math.pi * CLIGHT / f["laser_wavelength"]
     return DerivedParams(
         kappa=kappa,
-        gamma_m=gamma_m,
+        gamma_m=w1 / f["quality_factor"],
         inertia=inertia,
-        g1=g1,
-        g2=g2,
-        nbar1=thermal_occupation(params.omega_phi1, params.temperature),
-        nbar2=thermal_occupation(params.omega_phi2, params.temperature),
-        drive_amplitude=drive_amplitude,
+        g1=coupling_prefactor * _each(math.sqrt, HBAR / (inertia * w1)),
+        g2=coupling_prefactor * _each(math.sqrt, HBAR / (inertia * w2)),
+        nbar1=_each(thermal_occupation, w1, f["temperature"]),
+        nbar2=_each(thermal_occupation, w2, f["temperature"]),
+        drive_amplitude=_each(math.sqrt, 2.0 * kappa * f["laser_power"] / (HBAR * laser_freq)),
         laser_freq=laser_freq,
         params=params,
+        swept=swept,
     )
 
 
@@ -288,25 +347,22 @@ def steady_state(derived: DerivedParams) -> SteadyState:
     At the OPA threshold kappa + i*Delta = 2*chi*e^{i*theta} the
     denominator vanishes and no finite working point exists; ``a0`` is
     then infinite and :func:`lgsteer.measures.full_report` reports the
-    point as not stable.
+    point as not stable.  For a block every field is an (N,) array.
     """
-    p = derived.params
-    re = derived.kappa - 2.0 * p.opa_gain * math.cos(p.opa_phase)
-    im = p.detuning - 2.0 * p.opa_gain * math.sin(p.opa_phase)
-    denom = re**2 + im**2
-    if denom == 0.0:
-        a0 = complex(math.inf, 0.0)
-    else:
-        e_amp = derived.drive_amplitude
-        a0 = complex(re * e_amp / denom, -im * e_amp / denom)
-    mag2 = abs(a0) ** 2
+    p = derived.value
+    chi, theta = p("opa_gain"), p("opa_phase")
+    re = derived.kappa - 2.0 * chi * _each(math.cos, theta)
+    im = p("detuning") - 2.0 * chi * _each(math.sin, theta)
+    a0 = _each(_amplitude, re, im, derived.drive_amplitude)
+    mag = _each(abs, a0)
+    mag2 = _each(math.pow, mag, 2.0)
     root2 = math.sqrt(2.0)
     return SteadyState(
         a0=a0,
-        phi10=-derived.g1 * mag2 / p.omega_phi1,
-        phi20=+derived.g2 * mag2 / p.omega_phi2,
-        G1=root2 * derived.g1 * abs(a0),
-        G2=root2 * derived.g2 * abs(a0),
+        phi10=-derived.g1 * mag2 / p("omega_phi1"),
+        phi20=+derived.g2 * mag2 / p("omega_phi2"),
+        G1=root2 * derived.g1 * mag,
+        G2=root2 * derived.g2 * mag,
     )
 
 
@@ -316,20 +372,22 @@ def hamiltonian(derived: DerivedParams, steady: SteadyState) -> np.ndarray:
     Diagonal (w1, w1, w2, w2, Delta - 2 chi sin(theta), Delta + 2 chi
     sin(theta)); the torque couplings H[phi1, X] = G1 and H[phi2, X] = -G2
     carry the opposite angular-momentum transfer at the two mirrors, and
-    the pump adds H[X, Y] = 2 chi cos(theta).
+    the pump adds H[X, Y] = 2 chi cos(theta).  (N, 6, 6) for a block.
     """
-    p = derived.params
-    pump = 2.0 * p.opa_gain
-    squeeze = pump * math.sin(p.opa_phase)
-    terms = [p.omega_phi1, p.omega_phi2, p.detuning - squeeze, p.detuning + squeeze]
-    terms += [steady.G1, -steady.G2, pump * math.cos(p.opa_phase), 0.0]
-    return np.array(terms)[_H_INDEX]
+    p = derived.value
+    pump = 2.0 * p("opa_gain")
+    squeeze = pump * _each(math.sin, p("opa_phase"))
+    delta = p("detuning")
+    terms = [p("omega_phi1"), p("omega_phi2"), delta - squeeze, delta + squeeze]
+    terms += [steady.G1, -steady.G2, pump * _each(math.cos, p("opa_phase")), 0.0]
+    return _gather(derived.shape, terms, _H_INDEX)
 
 
 def _bath(derived: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
     """Damping Gamma and occupation N per quadrature (mirror baths damp only L_z)."""
-    damping = np.array([0.0, derived.gamma_m, derived.kappa])[_DAMPING]
-    return damping, np.array([derived.nbar1, derived.nbar2, 0.0])[_MODE]
+    d = derived
+    damping = _gather(d.shape, [0.0, d.gamma_m, d.kappa], _DAMPING)
+    return damping, _gather(d.shape, [d.nbar1, d.nbar2, 0.0], _MODE)
 
 
 def build_drift(derived: DerivedParams, steady: SteadyState) -> np.ndarray:
@@ -338,20 +396,24 @@ def build_drift(derived: DerivedParams, steady: SteadyState) -> np.ndarray:
     Omega is applied as the row swap and sign it encodes, not as a product,
     so infinite couplings at the OPA threshold stay +/-inf, not 0 * inf = NaN.
     """
-    a = _OMEGA_SIGN * hamiltonian(derived, steady)[_OMEGA_ROW]
-    a.reshape(36)[::7] -= _bath(derived)[0]
-    return a + 0.0  # negated zeros become +0
+    a = _OMEGA_SIGN * hamiltonian(derived, steady)[..., _OMEGA_ROW, :]
+    # Gamma I is exactly 0 off the diagonal; + 0.0 turns negated zeros to +0
+    return a - _bath(derived)[0][..., None] * _EYE6 + 0.0
 
 
 def build_diffusion(derived: DerivedParams) -> np.ndarray:
     """Diagonal diffusion matrix D = diag(Gamma (2 N + 1)) (see :func:`_bath`)."""
     damping, occupation = _bath(derived)
-    return np.diag(damping * (2.0 * occupation + 1.0))
+    return (damping * (2.0 * occupation + 1.0))[..., None] * _EYE6
 
 
-def build_model(params: SystemParams) -> LinearModel:
-    """Full pipeline: params -> derived -> steady state -> (A, D)."""
-    derived = derive(params)
+def build_model(params: SystemParams, swept: dict | None = None) -> LinearModel:
+    """Full pipeline: params -> derived -> steady state -> (A, D).
+
+    With ``swept``, fields replaced by (N,) arrays of values checked by
+    :func:`check_field`, a block with (N, 6, 6) drift and diffusion.
+    """
+    derived = derive(params, swept)
     steady = steady_state(derived)
     drift = build_drift(derived, steady)
     return LinearModel(drift, build_diffusion(derived), steady, derived)

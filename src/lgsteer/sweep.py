@@ -1,9 +1,10 @@
 """Grid evaluation of correlation reports with figure presets.
 
-Sweeps evaluate correlation reports over 1-D or 2-D parameter grids:
-each point's model is built on its own, and the models are solved and
-measured by :func:`lgsteer.measures.full_reports` in blocks of at most
-64 points, which bounds the working memory of any grid.  Axis
+Sweeps evaluate correlation reports over 1-D or 2-D parameter grids in
+blocks of at most 64 points, which bounds the working memory of any
+grid.  Each axis is converted to SI and checked once; a block's models
+are built as one (N, 6, 6) stack by :func:`lgsteer.model.build_model`
+and solved and measured by :func:`lgsteer.measures.full_reports`.  Axis
 coordinates use the same display units as the configuration surface
 (frequencies as ratios to the left-mirror frequency, phases in radians,
 temperatures in kelvin, powers in watts); absolute SI values exist only
@@ -29,11 +30,12 @@ from .constants import CLIGHT, HBAR, KBOLTZ
 from .errors import (
     InvalidSpec,
     LgsteerError,
+    NonPositiveParameter,
     NoStableRegion,
     UnknownPreset,
 )
 from .measures import CorrelationReport, full_reports
-from .model import LinearModel, SystemParams, build_model, with_updates
+from .model import FIELD_RULES, SystemParams, build_model, check_field, with_updates
 
 _GRID_1D = 401
 _GRID_2D = 101
@@ -90,9 +92,18 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _params_at(base: SystemParams, coords) -> SystemParams:
-    """``base`` with every ``(axis name, value)`` of a grid point set, in SI."""
-    return with_updates(base, **dict(to_si(n, v, base.omega_phi1) for n, v in coords))
+def _column(base: SystemParams, which: int, axis: Axis) -> tuple:
+    """``(which, field, SI values as SystemParams stores them, each one's error or None)``."""
+    values, errors = [], []
+    for v in axis.values:
+        name, value = to_si(axis.name, v, base.omega_phi1)
+        try:
+            value, error = check_field(name, value), None
+        except NonPositiveParameter as exc:
+            error = exc
+        values.append(value)
+        errors.append(error)
+    return which, name, np.array(values), errors
 
 
 def _evaluate_point(index: tuple[int, int], coords, outcome) -> SweepRow:
@@ -102,21 +113,29 @@ def _evaluate_point(index: tuple[int, int], coords, outcome) -> SweepRow:
     return SweepRow(index, coords, outcome)
 
 
-def _evaluate_block(spec: SweepSpec, points) -> list[SweepRow]:
-    """Rows of some grid points: models built one by one, reports as one batch."""
-    coords, outcomes = [], []
+def _evaluate_block(spec: SweepSpec, columns, points) -> list[SweepRow]:
+    """Rows of some grid points: the valid points' models built and reported as one block.
+
+    A bad point's error is its first in ``columns`` (``FIELD_RULES``) order,
+    as ``SystemParams`` would raise it.
+    """
+    coords = []
     for i, j in points:
         c = [(spec.axis1.name, spec.axis1.values[i])]
         if spec.axis2 is not None:
             c.append((spec.axis2.name, spec.axis2.values[j]))
         coords.append(tuple(c))
-        try:
-            outcomes.append(build_model(_params_at(spec.base, c)))
-        except LgsteerError as exc:
-            outcomes.append(exc)
-    built = [k for k, m in enumerate(outcomes) if isinstance(m, LinearModel)]
-    for k, report in zip(built, full_reports([outcomes[k] for k in built])):
-        outcomes[k] = report
+    outcomes = [None] * len(points)
+    for which, _, _, errors in columns:
+        for k, point in enumerate(points):
+            if outcomes[k] is None:
+                outcomes[k] = errors[point[which]]
+    good = [k for k, error in enumerate(outcomes) if error is None]
+    if good:
+        index = np.array(points)[good]
+        swept = {name: values[index[:, which]] for which, name, values, _ in columns}
+        for k, report in zip(good, full_reports(build_model(spec.base, swept))):
+            outcomes[k] = report
     return [_evaluate_point(*row) for row in zip(points, coords, outcomes)]
 
 
@@ -129,9 +148,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     n1, n2 = spec.shape
     points = [(i, j) for i in range(n1) for j in range(n2)]
+    axes = enumerate((spec.axis1, spec.axis2))
+    columns = [_column(spec.base, which, axis) for which, axis in axes if axis is not None]
+    columns.sort(key=lambda column: list(FIELD_RULES).index(column[1]))
     rows = []
     for start in range(0, len(points), _BLOCK_ROWS):
-        rows.extend(_evaluate_block(spec, points[start : start + _BLOCK_ROWS]))
+        rows.extend(_evaluate_block(spec, columns, points[start : start + _BLOCK_ROWS]))
     metadata = {
         "created_at": datetime.now(timezone.utc).isoformat(),
         "version": __version__,

@@ -11,7 +11,8 @@ import math
 
 import pytest
 
-from lgsteer import SystemParams
+from lgsteer import SystemParams, with_updates
+from lgsteer.config import to_si
 
 W1 = 2.0 * math.pi * 1e7
 
@@ -79,6 +80,12 @@ def make_params(**overrides) -> SystemParams:
     )
     base.update(overrides)
     return SystemParams(**base)
+
+
+def params_at(base: SystemParams, coords) -> SystemParams:
+    """``base`` with every ``(axis name, value)`` of a grid point set, in SI:
+    one grid point's parameters, for checks that rebuild a row alone."""
+    return with_updates(base, **dict(to_si(n, v, base.omega_phi1) for n, v in coords))
 
 
 @pytest.fixture

@@ -38,7 +38,7 @@ from lgsteer import (
     steering,
     symplectic_eigenvalues,
 )
-from lgsteer.sweep import _params_at
+from conftest import params_at
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,7 +109,7 @@ def test_ac01_lyapunov_correctness(capsys):
     n_stable = 0
     worst_ratio, worst_at = 0.0, math.nan
     for value in spec.axis1.values:
-        model = build_model(_params_at(spec.base, ((spec.axis1.name, value),)))
+        model = build_model(params_at(spec.base, ((spec.axis1.name, value),)))
         _margin, cm = steady_covariance(model.drift, model.diffusion)
         if cm is None:
             continue
@@ -150,7 +150,7 @@ def test_ac02_physicality(census, capsys):
     worst, worst_at = math.inf, ""
     for spec, result in census.unique.items():
         for row in _stable_rows(result):
-            model = build_model(_params_at(spec.base, row.coords))
+            model = build_model(params_at(spec.base, row.coords))
             _margin, cm = steady_covariance(model.drift, model.diffusion)
             assert cm is not None, "stable census row must re-solve"
             nu = min(symplectic_eigenvalues(cm))

@@ -39,7 +39,6 @@ from lgsteer import (
     with_updates,
 )
 from lgsteer.eigen import power_of_two_scale
-from lgsteer.sweep import _params_at
 
 from conftest import (
     REF_EN_CAV_SPLIT_PUMPED,
@@ -48,6 +47,7 @@ from conftest import (
     REF_RMIN_BLUE,
     W1,
     make_params,
+    params_at,
 )
 
 
@@ -492,7 +492,7 @@ class TestOnePath:
         # public one-state functions give, row by row
         n_stable = 0
         for delta in spec.axis1.values:
-            model = build_model(_params_at(spec.base, ((spec.axis1.name, delta),)))
+            model = build_model(params_at(spec.base, ((spec.axis1.name, delta),)))
             r = full_report(model)
             if not r.stable:
                 continue

@@ -533,6 +533,13 @@ class TestSystemParamsValidation:
         assert make_params(opa_phase=tau + 0.5).opa_phase == pytest.approx(0.5)
         assert make_params(opa_phase=-0.5).opa_phase == pytest.approx(tau - 0.5)
 
+    def test_tiny_negative_phase_wraps_to_zero(self):
+        # -1e-20 % (2 pi) rounds to 2 pi itself, outside [0, 2 pi)
+        assert -1e-20 % (2.0 * math.pi) == 2.0 * math.pi
+        p = make_params(opa_phase=-1e-20)
+        assert p.opa_phase == 0.0
+        assert p == make_params(opa_phase=0.0)
+
     def test_with_updates(self):
         p = make_params()
         q = with_updates(p, detuning=+W1, opa_gain=0.05 * W1)

@@ -11,6 +11,7 @@ import pytest
 
 import lgsteer.gaussian
 import lgsteer.measures
+import lgsteer.model
 import lgsteer.sweep
 from lgsteer import (
     Axis,
@@ -37,9 +38,9 @@ from lgsteer import (
 )
 from lgsteer.eigen import power_of_two_scale
 from lgsteer.config import _SWEEPABLE
-from lgsteer.sweep import _params_at
+from lgsteer.sweep import _column
 
-from conftest import W1, make_params
+from conftest import W1, make_params, params_at
 
 
 def small_delta_spec(values=(0.8, 1.0, 1.2)) -> SweepSpec:
@@ -67,7 +68,9 @@ class TestAxis:
             doc = {"system": {"omega_phi1_hz": 2e7, **system}, "run": {"mode": "point"}}
             return to_system_params(parse_config(json.dumps(doc)))
 
-        assert _params_at(params({}), ((name, 0.37),)) == params({name: 0.37})
+        _, field, values, errors = _column(params({}), 0, Axis(name, (0.37,)))
+        assert errors == [None]
+        assert values.tolist() == [getattr(params({name: 0.37}), field)]
 
     def test_empty(self):
         with pytest.raises(InvalidSpec, match="no values"):
@@ -165,30 +168,38 @@ class TestRunSweep:
         assert good.report is not None
 
     def test_two_dimensional_point_is_validated_once(self, monkeypatch):
-        # a 2-D point's parameters are built and checked once, so when
-        # both its values break their rules the row names the field that
-        # comes first in FIELD_RULES, whichever axis it is on
+        # each axis value is checked once, not once per grid point, and
+        # when both values of a 2-D point break their rules the row names
+        # the field that comes first in FIELD_RULES, whichever axis it is
+        # on, as SystemParams would
         spec = SweepSpec(
             make_params(),
-            Axis("temperature_k", (-1.0, 0.0)),
+            Axis("temperature_k", (-1.0, 0.0, 0.015)),
             Axis("laser_power_w", (0.0, 0.05)),
         )
         checks = []
-        post_init = SystemParams.__post_init__
+        check_field = lgsteer.sweep.check_field
 
-        def counted(params):
-            checks.append(params)
-            post_init(params)
+        def counted(name, value):
+            checks.append((name, value))
+            return check_field(name, value)
 
-        monkeypatch.setattr(SystemParams, "__post_init__", counted)
+        monkeypatch.setattr(lgsteer.sweep, "check_field", counted)
         rows = run_sweep(spec).rows
-        assert len(checks) == len(rows) == 4
+        assert len(rows) == 6
+        assert checks == [
+            ("temperature", -1.0),
+            ("temperature", 0.0),
+            ("temperature", 0.015),
+            ("laser_power", 0.0),
+            ("laser_power", 0.05),
+        ]
         assert [row.error for row in rows[:3]] == [
             "NonPositiveParameter: laser_power must be positive, got 0.0",
             "NonPositiveParameter: temperature must be non-negative, got -1.0",
             "NonPositiveParameter: laser_power must be positive, got 0.0",
         ]
-        assert rows[3].error is None
+        assert rows[3].error is None and rows[4].error == rows[0].error
 
     def test_metadata(self):
         result = run_sweep(small_delta_spec((1.0,)))
@@ -198,8 +209,96 @@ class TestRunSweep:
         datetime.fromisoformat(meta["created_at"])  # parseable timestamp
 
 
+class TestBlockBuild:
+    """A block's drift and diffusion rows equal the one-point build, bit for bit."""
+
+    @staticmethod
+    def _check(base: SystemParams, *axes: Axis) -> None:
+        columns = [_column(base, which, axis) for which, axis in enumerate(axes)]
+        assert all(e is None for column in columns for e in column[3])
+        points = [(i, j) for i in range(len(axes[0].values))
+                  for j in range(len(axes[-1].values) if len(axes) == 2 else 1)]
+        index = np.array(points)
+        swept = {name: values[index[:, which]] for which, name, values, _ in columns}
+        block = build_model(base, swept)
+        assert block.drift.shape == block.diffusion.shape == (len(points), 6, 6)
+        # a0 is one value when no swept field moves it
+        a0 = np.broadcast_to(block.steady.a0, len(points))
+        for k, point in enumerate(points):
+            coords = [(axis.name, axis.values[i]) for axis, i in zip(axes, point)]
+            one = build_model(params_at(base, coords))
+            assert block.drift[k].tobytes() == one.drift.tobytes(), coords
+            assert block.diffusion[k].tobytes() == one.diffusion.tobytes(), coords
+            assert complex(a0[k]) == complex(one.steady.a0), coords
+
+    def test_detuning(self):
+        self._check(make_params(), Axis("detuning_ratio", np.linspace(-2.0, 2.0, 401)))
+
+    def test_gain_by_phase(self):
+        self._check(
+            make_params(detuning=W1),
+            Axis("opa_gain_ratio", np.linspace(0.0, 0.2, 11)),
+            Axis("opa_phase_rad", np.linspace(0.0, 2.0 * math.pi, 13)),
+        )
+
+    def test_temperature(self):
+        # T = 0 and 1e-7 K, where e^(hbar w / kB T) overflows and n̄ reads 0
+        values = np.concatenate([[0.0, 1e-7], np.geomspace(1e-6, 1.0, 40)])
+        self._check(make_params(detuning=W1), Axis("temperature_k", values))
+
+    def test_mirror_frequency(self):
+        values = np.append(np.linspace(0.5, 1.5, 41), [0.999, 1.001])
+        self._check(make_params(detuning=W1), Axis("omega_phi2_ratio", np.sort(values)))
+
+    def test_laser_power(self):
+        self._check(make_params(detuning=W1), Axis("laser_power_w", np.geomspace(1e-4, 1.0, 41)))
+
+    def test_opa_threshold(self):
+        # kappa = 0.2 w1, chi = 0.1 w1, theta = 0, Delta = 0 is the threshold
+        base = make_params(kappa_override=0.2 * W1, opa_phase=0.0, detuning=0.0)
+        self._check(base, Axis("opa_gain_ratio", (0.0, 0.05, 0.1, 0.15)))
+        block = build_model(base, {"opa_gain": np.array([0.1 * W1])})
+        assert np.isinf(block.steady.a0[0])
+
+    def test_tiny_negative_phase_is_phase_zero(self):
+        _, _, values, errors = _column(make_params(), 0, Axis("opa_phase_rad", (-1e-20, 1.0)))
+        assert values.tolist() == [0.0, 1.0] and errors == [None, None]
+
+
 class TestBlocks:
     """Batching is an implementation detail: blocks never change a row."""
+
+    def test_grid_builds_no_point_parameters(self, monkeypatch):
+        # the block path validates the base once and each axis value once:
+        # a sweep builds no SystemParams per point, so a 401-point sweep
+        # makes as many checks as a 3-point one, and a 2-D grid checks
+        # each axis value, not each point
+        checks = {"post_init": 0, "rule": 0}
+        post_init, rule_breach = SystemParams.__post_init__, lgsteer.model.rule_breach
+
+        def counted_post_init(params):
+            checks["post_init"] += 1
+            post_init(params)
+
+        def counted_rule(value, rule):
+            checks["rule"] += 1
+            return rule_breach(value, rule)
+
+        monkeypatch.setattr(SystemParams, "__post_init__", counted_post_init)
+        monkeypatch.setattr(lgsteer.model, "rule_breach", counted_rule)
+        counts = []
+        base = make_params()
+        for n in (3, 401):
+            checks.update(post_init=0, rule=0)
+            rows = run_sweep(SweepSpec(base, Axis("detuning_ratio", np.linspace(-2, 2, n)))).rows
+            assert len(rows) == n
+            counts.append(checks["post_init"])
+        assert counts[0] == counts[1]
+        checks.update(post_init=0, rule=0)
+        gain = Axis("opa_gain_ratio", np.linspace(0.0, 0.1, 21))
+        rows = run_sweep(SweepSpec(base, gain, Axis("detuning_ratio", np.linspace(0.5, 1.5, 21))))
+        assert len(rows.rows) == 441
+        assert checks == {"post_init": counts[0], "rule": 42}
 
     @staticmethod
     def _mixed_spec() -> SweepSpec:
@@ -220,13 +319,12 @@ class TestBlocks:
         # (it allows a jitter) but has no symplectic spectrum
         built = []
 
-        def build(params):
-            model = build_model(params)
-            built.append(model)
-            factor = broken.get(len(built) - 1)
-            if factor is None:
-                return model
-            return dataclasses.replace(model, diffusion=factor * model.diffusion)
+        def build(params, swept):
+            model = build_model(params, swept)
+            rows = range(len(built), len(built) + len(model.diffusion))
+            built.extend(rows)
+            factors = np.array([broken.get(k, 1.0) for k in rows])
+            return dataclasses.replace(model, diffusion=factors[:, None, None] * model.diffusion)
 
         monkeypatch.setattr(lgsteer.sweep, "_BLOCK_ROWS", block)
         monkeypatch.setattr(lgsteer.sweep, "build_model", build)
@@ -364,15 +462,14 @@ class TestOptimumDetuning:
         evaluated = []
 
         def counting_reports(models):
-            models = list(models)
-            evaluated.extend(models)
+            evaluated.append(len(models.drift))
             return full_reports(models)
 
         monkeypatch.setattr(lgsteer.sweep, "full_reports", counting_reports)
         base = table_defaults()
         opt = optimum_detuning(base, "ENmc")
         assert opt.delta_ratio == pytest.approx(1.402, abs=1e-12)
-        assert len(evaluated) == 409
+        assert sum(evaluated) == 409
         refined = full_report(build_model(with_updates(base, detuning=opt.delta)))
         coarse = full_report(build_model(with_updates(base, detuning=1.4 * W1)))
         assert refined.en_m1c > coarse.en_m1c

@@ -2,7 +2,8 @@
 
 Covers the CSV and the JSON of every preset variant, the default
 ``point`` output as a table, CSV and JSON, ``sweep --config`` runs over
-a listed, a linear 2-D and a log-spaced grid in both formats, the exit
+a listed, a linear 2-D, a log-spaced and a mirror-frequency grid in
+both formats, the exit
 code and stderr of ``sweep --config`` for four bad axes, and library
 sweeps whose error rows each come from one bad axis value.  Run it in
 two checkouts and diff what it prints to show that a change leaves
@@ -52,6 +53,13 @@ _CONFIG_SWEEPS = {
         {"detuning_ratio": 1.0},
         {"name": "temperature_k", "start": 1e-3, "stop": 1.0, "points": 9,
          "spacing": "log"},
+        None,
+    ),
+    # the one axis that moves g2 and nbar2; 1.0 is the degenerate pair
+    "omega2": (
+        {"detuning_ratio": 1.0},
+        {"name": "omega_phi2_ratio",
+         "values": [0.5, 0.75, 0.9, 0.99, 1.0, 1.01, 1.1, 1.25, 1.5]},
         None,
     ),
 }
