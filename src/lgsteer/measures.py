@@ -282,7 +282,7 @@ def full_reports(models: LinearModel) -> list:
     n = math.prod(derived.shape)
     # at the OPA threshold the drift is not finite; the zero matrix stands
     # in for it, with the margin 0 reported there (see full_report)
-    threshold = np.reshape(np.isinf(np.abs(models.steady.a0)), (-1, 1, 1))
+    threshold = np.reshape(abs(models.steady.a0) == math.inf, (-1, 1, 1))
     drifts = np.where(threshold, 0.0, np.reshape(models.drift, (n, 6, 6)))
     rows, margins, v = _solve(drifts, np.reshape(models.diffusion, (n, 6, 6)))
     out: list = [None] * n
