@@ -280,10 +280,12 @@ def full_reports(models: LinearModel) -> list:
     """
     derived = models.derived
     n = math.prod(derived.shape)
+    drifts = np.reshape(models.drift, (n, 6, 6))
     # at the OPA threshold the drift is not finite; the zero matrix stands
     # in for it, with the margin 0 reported there (see full_report)
-    threshold = np.reshape(abs(models.steady.a0) == math.inf, (-1, 1, 1))
-    drifts = np.where(threshold, 0.0, np.reshape(models.drift, (n, 6, 6)))
+    threshold = abs(models.steady.a0) == math.inf
+    if np.any(threshold):
+        drifts = np.where(np.reshape(threshold, (-1, 1, 1)), 0.0, drifts)
     rows, margins, v = _solve(drifts, np.reshape(models.diffusion, (n, 6, 6)))
     out: list = [None] * n
     if len(v):

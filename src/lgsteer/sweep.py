@@ -119,12 +119,8 @@ def _evaluate_block(spec: SweepSpec, columns, points) -> list[SweepRow]:
     A bad point's error is its first in ``columns`` (``FIELD_RULES``) order,
     as ``SystemParams`` would raise it.
     """
-    coords = []
-    for i, j in points:
-        c = [(spec.axis1.name, spec.axis1.values[i])]
-        if spec.axis2 is not None:
-            c.append((spec.axis2.name, spec.axis2.values[j]))
-        coords.append(tuple(c))
+    axes = [axis for axis in (spec.axis1, spec.axis2) if axis is not None]
+    coords = [tuple((a.name, a.values[k]) for a, k in zip(axes, point)) for point in points]
     outcomes = [None] * len(points)
     for which, _, _, errors in columns:
         for k, point in enumerate(points):
