@@ -18,7 +18,7 @@ import os
 import sys
 
 from ._version import __version__
-from .config import parse_config, to_system_params
+from .config import RunConfig, parse_config, to_system_params
 from .errors import LgsteerError
 from .io import (
     MEASURE_COLUMNS,
@@ -54,13 +54,8 @@ def _variant_path(base_path: str, suffix: str) -> str:
 
 
 def cmd_point(args) -> int:
-    try:
-        config = _read_config(args.config)
-        params = to_system_params(config)
-        report = full_report(build_model(params))
-    except LgsteerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = to_system_params(_read_config(args.config))
+    report = full_report(build_model(params))
     if args.format == "json":
         sys.stdout.write(report_to_json(report, params.omega_phi1))
     elif args.format == "csv":
@@ -76,23 +71,15 @@ def cmd_sweep(args) -> int:
     if (args.preset is None) == (args.config is None):
         print("error: sweep needs exactly one of --preset or --config", file=sys.stderr)
         return 2
-    fmt = args.format or "csv"
-    try:
-        if args.preset is not None:
-            variants = preset_variants(args.preset)
-            base_out = args.out or f"{args.preset}.{fmt}"
-            jobs = [(_variant_path(base_out, sfx), spec) for sfx, spec in variants]
-        else:
-            config = _read_config(args.config)
-            spec = to_sweep_spec(config)
-            if args.format is None and config.output.format:
-                fmt = config.output.format
-            out = args.out or config.output.path or f"sweep.{fmt}"
-            jobs = [(out, spec)]
-    except LgsteerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for path, spec in jobs:
+    if args.preset is not None:
+        name, config, variants = args.preset, RunConfig(), preset_variants(args.preset)
+    else:
+        config = _read_config(args.config)
+        name, variants = "sweep", [("", to_sweep_spec(config))]
+    fmt = args.format or config.output.format
+    base_path = args.out or config.output.path or f"{name}.{fmt}"
+    for suffix, spec in variants:
+        path = _variant_path(base_path, suffix)
         result = run_sweep(spec)
         try:
             write_result(result, path, fmt)
@@ -137,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_point = sub.add_parser("point", help="evaluate a single parameter point")
     p_point.add_argument("--config", help="JSON run configuration path")
-    p_point.add_argument("--format", choices=("csv", "json"), default=None)
+    p_point.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p_point.set_defaults(fn=cmd_point)
 
     p_sweep = sub.add_parser("sweep", help="run a grid and write results")

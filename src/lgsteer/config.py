@@ -10,9 +10,10 @@ frequency in hertz.  Unknown keys anywhere are rejected so typos cannot
 silently become defaults.
 
 ``_SYSTEM_KEYS`` is the single source of that display-unit convention:
-run-file validation, both directions of the SI conversion, the preset
-defaults (:func:`table_defaults`) and the sweep axes all read it.  The
-sign rules are the model's own (:data:`lgsteer.model.FIELD_RULES`).
+run-file validation, both directions of the SI conversion, the defaults
+(:func:`table_defaults`), the presets (sweep :class:`RunConfig` values,
+as a run file parses to) and the sweep axes all read it.  The sign rules
+are the model's own (:data:`lgsteer.model.FIELD_RULES`).
 A sweep axis is one :class:`Axis`, whether a run file or the library
 defines it; only a run file's axis values are held to their key's rule.
 """

@@ -381,9 +381,9 @@ def steady_covariance(a: np.ndarray, d: np.ndarray):
     """Stability margin and (when stable) steady-state covariance.
 
     Returns ``(margin, cm_or_None)`` with the margin in the units of
-    ``a``, from :func:`lgsteer.eigen.spectral_abscissa`; this is the
-    one-row case of :func:`steady_covariances`, and raises the row's
-    error.
+    ``a``, from :func:`lgsteer.eigen.spectral_abscissae` via ``_solve``;
+    this is the one-row case of :func:`steady_covariances`, and raises
+    the row's error.
 
     A stable system is solved as ``(I (x) A + A (x) I) vec V = -vec D``
     on power-of-two-scaled inputs.  Near-marginal systems, and equal

@@ -11,21 +11,21 @@ temperatures in kelvin, powers in watts); absolute SI values exist only
 inside the model layer.  Unstable grid points are data, not errors: the
 row carries the margin and an unstable marker.  Any error at a point is
 captured in that row, and only that row, so a grid never aborts
-half-way.
+half-way.  A figure preset is data: sweep run configs in run-file units,
+built by :func:`to_sweep_spec` as any run file is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from ._version import __version__
-from .config import Axis, RunConfig, table_defaults, to_si, to_system_params
+from .config import Axis, RunConfig, RunSection, to_si, to_system_params
 from .constants import CLIGHT, HBAR, KBOLTZ
 from .errors import (
     InvalidSpec,
@@ -211,99 +211,59 @@ def optimum_detuning(base: SystemParams, measure: str = "ENmm") -> OptimumDetuni
     return OptimumDetuning(best_x * base.omega_phi1, best_x, False)
 
 
-def _delta_axis() -> Axis:
-    return Axis("detuning_ratio", tuple(np.linspace(-2.0, 2.0, _GRID_1D)))
+def _sweep(system: dict, axis1: Axis, axis2: Axis | None = None) -> RunConfig:
+    return RunConfig(system, RunSection("sweep", axis1, axis2))
 
 
-def _gain_axis(n: int = _GRID_1D) -> Axis:
-    return Axis("opa_gain_ratio", tuple(np.linspace(0.0, 0.2, n)))
-
-
-_THETA_TAGS = (
-    ("theta0", 0.0),
-    ("thetapi2", 0.5 * math.pi),
-    ("thetapi", math.pi),
-    ("theta3pi2", 1.5 * math.pi),
+_DETUNING = Axis("detuning_ratio", np.linspace(-2.0, 2.0, _GRID_1D))
+_GAIN = Axis("opa_gain_ratio", np.linspace(0.0, 0.2, _GRID_1D))
+_TEMPERATURE = Axis("temperature_k", np.geomspace(1e-3, 1.0, _GRID_1D))
+_PHASES = {
+    "theta0": 0.0,
+    "thetapi2": 0.5 * math.pi,
+    "thetapi": math.pi,
+    "theta3pi2": 1.5 * math.pi,
+}
+# the pumped system at each phase of the detuning scans
+_PUMPED = {tag: {"opa_gain_ratio": 0.1, "opa_phase_rad": p} for tag, p in _PHASES.items()}
+_DETUNING_SCANS = (("chi0", _sweep({}, _DETUNING), None),) + tuple(
+    (f"chi0p1_{tag}", _sweep(system, _DETUNING), None) for tag, system in _PUMPED.items()
 )
+_FIG3 = _sweep(
+    {"detuning_ratio": -1.0},
+    Axis("opa_gain_ratio", np.linspace(0.0, 0.2, _GRID_2D)),
+    Axis("opa_phase_rad", np.linspace(0.0, 2.0 * math.pi, _GRID_2D)),
+)
+# omega_phi2 / omega_phi1 of the unpumped detuning scans of Figs 6 and 7
+_W2_RATIOS = {
+    "fig6a": 0.5, "fig6b": 1.5,
+    "fig7a": 0.9, "fig7b": 0.95, "fig7c": 1.05, "fig7d": 1.1,
+}
+# Fig 8's unpumped gain scans: both mirror ratios at each phase
+_FIG8 = [
+    {"omega_phi2_ratio": r, "opa_phase_rad": p} for r in (0.5, 1.5) for p in _PHASES.values()
+]
 
-
-def _delta_scan_variants():
-    """chi=0 plus the four pumped phases used by the detuning scans."""
-    base = table_defaults()
-    w1 = base.omega_phi1
-    out = [("chi0", SweepSpec(with_updates(base, opa_gain=0.0), _delta_axis()))]
-    for tag, theta in _THETA_TAGS:
-        pumped = with_updates(base, opa_gain=0.1 * w1, opa_phase=theta)
-        out.append((f"chi0p1_{tag}", SweepSpec(pumped, _delta_axis())))
-    return out
-
-
-def _fig4_variants():
-    base = table_defaults()
-    w1 = base.omega_phi1
-    t_axis = Axis("temperature_k", tuple(np.geomspace(1e-3, 1.0, _GRID_1D)))
-    out = []
-    for tag, overrides in (
-        ("chi0", {"opa_gain": 0.0}),
-        ("chi0p1_theta3pi2", {"opa_gain": 0.1 * w1, "opa_phase": 1.5 * math.pi}),
-    ):
-        b = with_updates(base, **overrides)
-        opt = optimum_detuning(b, "ENmm")
-        out.append((tag, SweepSpec(with_updates(b, detuning=opt.delta), t_axis)))
-    return out
-
-
-def _fig8_variants(w2_ratio: float, theta: float):
-    base = table_defaults()
-    b = with_updates(
-        base,
-        omega_phi2=w2_ratio * base.omega_phi1,
-        opa_gain=0.0,
-        opa_phase=theta,
-    )
-    opt = optimum_detuning(b, "ENmm")
-    return [("", SweepSpec(with_updates(b, detuning=opt.delta), _gain_axis()))]
-
-
-def _fig3_variants():
-    base = table_defaults()
-    spec = SweepSpec(
-        with_updates(base, detuning=-base.omega_phi1),
-        _gain_axis(_GRID_2D),
-        Axis("opa_phase_rad", tuple(np.linspace(0.0, 2.0 * math.pi, _GRID_2D))),
-    )
-    return [("", spec)]
-
-
-def _delta_scan_at_ratio(w2_ratio: float):
-    base = table_defaults()
-    b = with_updates(
-        base, omega_phi2=w2_ratio * base.omega_phi1, opa_gain=0.0
-    )
-    return [("", SweepSpec(b, _delta_axis()))]
-
-
-# preset name -> variant builder, in listing order
+# preset name -> variants, in listing order.  A variant is (suffix, sweep
+# run config in run-file units, the measure whose optimal detuning the
+# grid's base takes, or None).
 _PRESETS = {
-    "fig2a": _delta_scan_variants,
-    "fig2b": _delta_scan_variants,
-    "fig3": _fig3_variants,
-    "fig4": _fig4_variants,
-    "fig5": _delta_scan_variants,
-    "fig6a": partial(_delta_scan_at_ratio, 0.5),
-    "fig6b": partial(_delta_scan_at_ratio, 1.5),
-    "fig7a": partial(_delta_scan_at_ratio, 0.9),
-    "fig7b": partial(_delta_scan_at_ratio, 0.95),
-    "fig7c": partial(_delta_scan_at_ratio, 1.05),
-    "fig7d": partial(_delta_scan_at_ratio, 1.1),
-    "fig8a": partial(_fig8_variants, 0.5, 0.0),
-    "fig8b": partial(_fig8_variants, 0.5, 0.5 * math.pi),
-    "fig8c": partial(_fig8_variants, 0.5, math.pi),
-    "fig8d": partial(_fig8_variants, 0.5, 1.5 * math.pi),
-    "fig8e": partial(_fig8_variants, 1.5, 0.0),
-    "fig8f": partial(_fig8_variants, 1.5, 0.5 * math.pi),
-    "fig8g": partial(_fig8_variants, 1.5, math.pi),
-    "fig8h": partial(_fig8_variants, 1.5, 1.5 * math.pi),
+    "fig2a": _DETUNING_SCANS,
+    "fig2b": _DETUNING_SCANS,
+    "fig3": (("", _FIG3, None),),
+    "fig4": (
+        ("chi0", _sweep({}, _TEMPERATURE), "ENmm"),
+        ("chi0p1_theta3pi2", _sweep(_PUMPED["theta3pi2"], _TEMPERATURE), "ENmm"),
+    ),
+    "fig5": _DETUNING_SCANS,
+    **{
+        name: (("", _sweep({"omega_phi2_ratio": ratio}, _DETUNING), None),)
+        for name, ratio in _W2_RATIOS.items()
+    },
+    **{
+        f"fig8{letter}": (("", _sweep(system, _GAIN), "ENmm"),)
+        for letter, system in zip("abcdefgh", _FIG8)
+    },
 }
 PRESET_NAMES = tuple(_PRESETS)
 
@@ -311,10 +271,20 @@ PRESET_NAMES = tuple(_PRESETS)
 def preset_variants(name: str):
     """All (suffix, SweepSpec) pairs a preset expands to.
 
+    Each variant is a sweep run config built by :func:`to_sweep_spec`, as
+    ``lgsteer sweep --config`` builds a run file's grid; the temperature
+    and gain scans then move the base detuning to the optimum of EN_mm.
     Detuning-scan presets carry an unpumped variant plus four pumped
     phases; the temperature preset carries unpumped and best-phase
     pumped variants; the rest are single grids (empty suffix).
     """
     if name not in _PRESETS:
         raise UnknownPreset(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return _PRESETS[name]()
+    variants = []
+    for suffix, config, measure in _PRESETS[name]:
+        spec = to_sweep_spec(config)
+        if measure is not None:
+            delta = optimum_detuning(spec.base, measure).delta
+            spec = replace(spec, base=with_updates(spec.base, detuning=delta))
+        variants.append((suffix, spec))
+    return variants

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from lgsteer import MEASURE_COLUMNS, PRESET_NAMES, parse_result_csv
+from lgsteer import MEASURE_COLUMNS, PRESET_NAMES, parse_result_csv, serialize_config
 from lgsteer.cli import main
+from lgsteer.sweep import _PRESETS
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -75,6 +76,12 @@ class TestPoint:
         assert doc["stable"] is False
         assert doc["stability_margin_ratio"] == 0.0
 
+    def test_table_is_the_default_format(self, capsys):
+        assert main(["point"]) == 0
+        default = capsys.readouterr().out
+        assert main(["point", "--format", "table"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_bad_config_value_exits_two(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, {"system": {"laser_power_w": 0.0}, "run": {"mode": "point"}}
@@ -129,6 +136,17 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", a]) == 0
         assert main(["sweep", "--config", cfg, "--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_preset_writes_what_its_run_file_writes(self, tmp_path, capsys, fmt):
+        [(_, config, _)] = _PRESETS["fig6a"]
+        cfg = tmp_path / "fig6a.json"
+        cfg.write_text(serialize_config(config))
+        preset, run_file = tmp_path / f"preset.{fmt}", tmp_path / f"run_file.{fmt}"
+        argv = ["sweep", "--format", fmt, "--out"]
+        assert main(argv + [str(preset), "--preset", "fig6a"]) == 0
+        assert main(argv + [str(run_file), "--config", str(cfg)]) == 0
+        assert preset.read_bytes() == run_file.read_bytes()
 
     def test_needs_exactly_one_source(self, tmp_path, capsys):
         assert main(["sweep"]) == 2

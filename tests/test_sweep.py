@@ -31,14 +31,16 @@ from lgsteer import (
     PRESET_NAMES,
     reduce,
     run_sweep,
+    serialize_config,
     steady_covariance,
     table_defaults,
+    to_sweep_spec,
     to_system_params,
     with_updates,
 )
 from lgsteer.eigen import power_of_two_scale
 from lgsteer.config import _SWEEPABLE
-from lgsteer.sweep import _column
+from lgsteer.sweep import _PRESETS, _column
 
 from conftest import W1, make_params, params_at
 
@@ -568,6 +570,19 @@ class TestPresets:
         # base detuning fixed at the unpumped optimum before the gain scan
         opt = optimum_detuning(with_updates(spec.base, opa_gain=0.0), "ENmm")
         assert spec.base.detuning == pytest.approx(opt.delta)
+
+    @pytest.mark.parametrize(
+        "name, suffix, config",
+        [
+            (name, suffix, config)
+            for name, variants in _PRESETS.items()
+            for suffix, config, measure in variants
+            if measure is None
+        ],
+    )
+    def test_preset_is_a_run_file(self, name, suffix, config):
+        spec = to_sweep_spec(parse_config(serialize_config(config)))
+        assert spec == dict(preset_variants(name))[suffix]
 
     def test_table_defaults_match_reference_point(self):
         assert table_defaults() == make_params()

@@ -3,11 +3,11 @@
 Covers the CSV and the JSON of every preset variant, the default
 ``point`` output as a table, CSV and JSON, ``sweep --config`` runs over
 a listed, a linear 2-D, a log-spaced and a mirror-frequency grid in
-both formats, the exit
-code and stderr of ``sweep --config`` for four bad axes, and library
-sweeps whose error rows each come from one bad axis value.  Run it in
-two checkouts and diff what it prints to show that a change leaves
-every output byte-identical:
+both formats, the exit code and stderr of ``sweep --config`` for four
+bad axes, two ``sweep --preset`` runs (their stdout and the names and
+bytes of the files they write), and library sweeps whose error rows
+each come from one bad axis value.  Run it in two checkouts and diff
+what it prints to show that a change leaves every output byte-identical:
 
     python3 tools/output_digest.py > after.txt
 
@@ -70,6 +70,12 @@ _BAD_AXES = {
     "unknown_name": {"name": "foo", "values": [1.0, 2.0]},
     "not_monotone": {"name": "detuning_ratio", "values": [1.0, 0.5, 2.0]},
     "breaks_rule": {"name": "temperature_k", "values": [-0.01, 0.01]},
+}
+
+# ``sweep --preset`` runs: preset -> options before ``--out``, output file name
+_CLI_PRESETS = {
+    "fig2a": ([], "p.csv"),
+    "fig6a": (["--format", "json"], "q.json"),
 }
 
 
@@ -135,6 +141,13 @@ def digests():
             config = _run_file(tmp, name, {}, axis, None)
             log = _cli(["sweep", "--config", config], tmp)
             yield _line(f"config_{name}.stderr", log)
+    for preset, (options, out) in _CLI_PRESETS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["sweep", "--preset", preset, *options, "--out", str(Path(tmp) / out)]
+            log = _cli(argv, tmp)
+            files = sorted(Path(tmp).iterdir())
+            written = "".join(f"{f.name}\n{f.read_text(encoding='utf-8')}" for f in files)
+            yield _line(f"cli_preset_{preset}", f"{log}\n{written}")
     for name, spec in _error_row_specs().items():
         # the JSON rows carry each error's message; the CSV marks only "error"
         yield _line(f"errors_{name}.json", serialize_json(run_sweep(spec)))
