@@ -32,12 +32,10 @@ from .model import build_model
 from .sweep import PRESET_NAMES, preset_variants, run_sweep, to_sweep_spec
 from .validation import run_checks
 
-_DEFAULT_CONFIG_TEXT = '{"run": {"mode": "point"}}'
-
 
 def _read_config(path: str | None):
     if path is None:
-        return parse_config(_DEFAULT_CONFIG_TEXT)
+        return RunConfig()
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

@@ -112,6 +112,12 @@ class Axis:
         object.__setattr__(self, "values", vals)
 
 
+def _check_axes(axis1: Axis, axis2: Axis | None) -> None:
+    """Raise :class:`InvalidSpec` when a grid's two axes sweep one key."""
+    if axis2 is not None and axis2.name == axis1.name:
+        raise InvalidSpec(f"both axes sweep {axis1.name!r}")
+
+
 @dataclass(frozen=True)
 class RunSection:
     """Either a single-point evaluation or a sweep over one/two axes."""
@@ -228,6 +234,7 @@ def parse_config(text: str) -> RunConfig:
         axis1 = _parse_axis("run.axis1", run_raw["axis1"])
         if "axis2" in run_raw:
             axis2 = _parse_axis("run.axis2", run_raw["axis2"])
+            _check_axes(axis1, axis2)
     else:
         for key in ("axis1", "axis2"):
             if key in run_raw:
@@ -280,7 +287,7 @@ def to_system_params(config: RunConfig) -> SystemParams:
     """Convert the display-unit system section into SI model inputs;
     absent keys take their defaults."""
     system = {**_DEFAULTS, **config.system}
-    w1 = 2.0 * math.pi * system["omega_phi1_hz"]
+    _, w1 = to_si("omega_phi1_hz", system["omega_phi1_hz"], None)
     return SystemParams(**dict(to_si(k, v, w1) for k, v in system.items()))
 
 

@@ -88,10 +88,10 @@ class CovarianceMatrix:
     def n_modes(self) -> int:
         return len(self.mode_labels)
 
-    def check_physical(self, tol: float = _PHYS_TOL) -> None:
-        """Raise :class:`NonPhysicalInput` unless every nu >= 1/2 - tol."""
+    def check_physical(self) -> None:
+        """Raise :class:`NonPhysicalInput` unless every nu >= 1/2 - ``_PHYS_TOL``."""
         nus = symplectic_eigenvalues(self)
-        if nus[0] < 0.5 - tol:
+        if nus[0] < 0.5 - _PHYS_TOL:
             raise NonPhysicalInput(
                 f"smallest symplectic eigenvalue {nus[0]} violates the "
                 f"Heisenberg bound 1/2"

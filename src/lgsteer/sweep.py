@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .config import Axis, RunConfig, RunSection, to_si, to_system_params
+from .config import Axis, RunConfig, RunSection, _check_axes, to_si, to_system_params
 from .constants import CLIGHT, HBAR, KBOLTZ
 from .errors import (
     InvalidSpec,
@@ -55,8 +55,7 @@ class SweepSpec:
     axis2: Axis | None = None
 
     def __post_init__(self) -> None:
-        if self.axis2 is not None and self.axis2.name == self.axis1.name:
-            raise InvalidSpec(f"both axes sweep {self.axis1.name!r}")
+        _check_axes(self.axis1, self.axis2)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -197,18 +196,19 @@ def optimum_detuning(base: SystemParams, measure: str = "ENmm") -> OptimumDetuni
     best_v = max(values)
     k = values.index(best_v)
     best_x = float(grid[k])
-    if max(stable_vals) == min(stable_vals):
-        return OptimumDetuning(best_x * base.omega_phi1, best_x, True)
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(len(grid) - 1, k + 1)]
-    fine = np.linspace(lo, hi, _REFINE_POINTS + 2)[1:-1]
-    if 0 < k < len(grid) - 1:
-        # the middle point is the grid winner again
-        fine = np.delete(fine, _REFINE_POINTS // 2)
-    for x, v in zip(fine, _scores(base, fine, measure)):
-        if v > best_v:
-            best_x, best_v = float(x), v
-    return OptimumDetuning(best_x * base.omega_phi1, best_x, False)
+    flat = max(stable_vals) == min(stable_vals)
+    if not flat:
+        lo = grid[max(0, k - 1)]
+        hi = grid[min(len(grid) - 1, k + 1)]
+        fine = np.linspace(lo, hi, _REFINE_POINTS + 2)[1:-1]
+        if 0 < k < len(grid) - 1:
+            # the middle point is the grid winner again
+            fine = np.delete(fine, _REFINE_POINTS // 2)
+        for x, v in zip(fine, _scores(base, fine, measure)):
+            if v > best_v:
+                best_x, best_v = float(x), v
+    _, delta = to_si("detuning_ratio", best_x, base.omega_phi1)
+    return OptimumDetuning(delta, best_x, flat)
 
 
 def _sweep(system: dict, axis1: Axis, axis2: Axis | None = None) -> RunConfig:

@@ -6,11 +6,11 @@ Kronecker solve here, and direct time integration of the covariance
 ODE.  The oracle solves the same vectorized system as the package
 solver but shares no code with it (no scaling, no refinement, its own
 LAPACK call); the integrator is the independent algorithm, a time
-stepper whose steps are taken as one matrix power with no linear solve,
-so three-way agreement is meaningful evidence.  :func:`run_checks`
-bundles the cross-checks plus analytic reference states for the CLI
-``verify`` command; the solver under test is injectable so a corrupted
-solver is detectably red.
+stepper whose steps are taken as one ``np.linalg.matrix_power`` with no
+linear solve, so three-way agreement is meaningful evidence.
+:func:`run_checks` bundles the cross-checks plus analytic reference
+states for the CLI ``verify`` command; the solver under test is
+injectable so a corrupted solver is detectably red.
 """
 
 from __future__ import annotations
@@ -43,6 +43,16 @@ def _generic_labels(n_modes: int) -> tuple[str, ...]:
     return tuple(f"mode{k + 1}" for k in range(n_modes))
 
 
+def _square_pair(a, d) -> tuple[np.ndarray, np.ndarray, int]:
+    """``a`` and ``d`` as float arrays of one square shape, and their order."""
+    a = np.asarray(a, dtype=float)
+    d = np.asarray(d, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n) or d.shape != (n, n):
+        raise SolveFailure(f"expected square matrices, got {a.shape} and {d.shape}")
+    return a, d, n
+
+
 def lyapunov_oracle(a: np.ndarray, d: np.ndarray) -> CovarianceMatrix:
     """Steady-state covariance by dense Kronecker elimination.
 
@@ -52,11 +62,7 @@ def lyapunov_oracle(a: np.ndarray, d: np.ndarray) -> CovarianceMatrix:
     refinement, and checks its own long-double residual; intended for
     tests and the ``verify`` command.
     """
-    a = np.asarray(a, dtype=float)
-    d = np.asarray(d, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or d.shape != (n, n):
-        raise SolveFailure(f"expected square matrices, got {a.shape} and {d.shape}")
+    a, d, n = _square_pair(a, d)
     lam = np.linalg.eigvals(a)
     scale = max(1.0, float(np.max(np.abs(lam))))
     sums = lam[:, None] + lam[None, :]
@@ -94,21 +100,18 @@ def integrate_covariance(
     ``vec V -> M vec V + c`` with ``M = I + hL + (hL)^2/2 + (hL)^3/6 +
     (hL)^4/24`` and ``c = h (I + hL/2 + (hL)^2/6 + (hL)^3/24) vec D``.
     All ``round(t_end / dt)`` steps are the power of the augmented
-    matrix ``[[M, c], [0, 1]]``, taken by repeated squaring: the same
-    discrete scheme as stepping, in about ``2 log2(n)`` products.  The
-    result is re-symmetrized.  For stable drift and ``t_end >=
-    50/|margin|`` it matches the Lyapunov solution to 1e-6 in max entry.
+    matrix ``[[M, c], [0, 1]]``, taken by ``np.linalg.matrix_power``,
+    which squares repeatedly: the same discrete scheme as stepping, in
+    about ``2 log2(n)`` products.  The result is re-symmetrized.  For
+    stable drift and ``t_end >= 50/|margin|`` it matches the Lyapunov
+    solution to 1e-6 in max entry.
 
-    Raises :class:`StepOverflow` when an entry of a partial power or of
-    the result is not finite, or exceeds 1e12 while the step map is
-    unstable (spectral radius of M above 1): the signature of an
-    unstable drift or an unstable step size.
+    Raises :class:`StepOverflow` when an entry of the result is not
+    finite, or exceeds 1e12 while the step map is unstable (spectral
+    radius of M above 1): the signature of an unstable drift or an
+    unstable step size.
     """
-    a = np.asarray(a, dtype=float)
-    d = np.asarray(d, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or d.shape != (n, n):
-        raise SolveFailure(f"expected square matrices, got {a.shape} and {d.shape}")
+    a, d, n = _square_pair(a, d)
     if dt <= 0.0 or t_end <= 0.0:
         raise SolveFailure(f"need positive t_end and dt, got {t_end} and {dt}")
     if v0 is None:
@@ -128,31 +131,13 @@ def integrate_covariance(
     step[:m, :m] = eye + hl @ q
     step[:m, m] = dt * (q @ d.ravel())
     step[m, m] = 1.0
-    state = np.append(v.ravel(), 1.0)
-    peak = 0.0
-
-    def track(x: np.ndarray) -> float:
-        p = float(np.abs(x).max())
-        return p if math.isnan(p) or p > peak else peak
-
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            if n_steps & 1:
-                state = step @ state
-                peak = track(state)
-            n_steps >>= 1
-            if not n_steps or not math.isfinite(peak):
-                break
-            step = step @ step
-            peak = track(step)
-
-    def radius() -> float:
-        # lam_i + lam_j are the eigenvalues of L, so R(h(lam_i + lam_j)) are M's
-        lam = np.linalg.eigvals(a)
-        z = dt * (lam[:, None] + lam[None, :])
-        return float(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))).max())
-
-    if not math.isfinite(peak) or (peak > _OVERFLOW and radius() > 1.0):
+        state = np.linalg.matrix_power(step, n_steps) @ np.append(v.ravel(), 1.0)
+    peak = float(np.abs(state).max())
+    # M's eigenvalues are R(h(lam_i + lam_j)), RK4's stability function on L's
+    if not math.isfinite(peak) or (
+        peak > _OVERFLOW and np.abs(np.linalg.eigvals(step[:m, :m])).max() > 1.0
+    ):
         raise StepOverflow(
             f"propagator entry reached {peak:g}: unstable drift or dt too large"
         )

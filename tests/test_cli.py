@@ -100,6 +100,14 @@ class TestPoint:
         assert main(["point", "--config", cfg]) == 2
         assert "finnesse" in capsys.readouterr().err
 
+    def test_sweep_file_with_one_key_on_both_axes_exits_two(self, tmp_path, capsys):
+        # the whole run file is checked when it is read, even by point
+        axis = {"name": "detuning_ratio", "values": [0.5, 1.0]}
+        run = {"mode": "sweep", "axis1": axis, "axis2": axis}
+        cfg = write_config(tmp_path, {"run": run})
+        assert main(["point", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: both axes sweep 'detuning_ratio'\n"
+
 
 class TestSweep:
     def test_config_sweep_writes_csv(self, tmp_path, capsys):

@@ -127,7 +127,7 @@ class TestIntegrateCovariance:
             v = 0.5 * (v + v.T)
         return v
 
-    @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 5000])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 1023, 5000])
     def test_propagator_is_the_stepping_scheme(self, n_steps):
         # the squared propagator is the same discrete scheme as stepping,
         # not just the same limit: it matches the loop after any number of steps

@@ -1,7 +1,8 @@
 """Print a SHA-256 digest of every user-visible output, one per line.
 
 Covers the CSV and the JSON of every preset variant, the default
-``point`` output as a table, CSV and JSON, ``sweep --config`` runs over
+``point`` output as a table, CSV and JSON, the exit code and stdout of
+``verify`` and ``verify --seed 7``, ``sweep --config`` runs over
 a listed, a linear 2-D, a log-spaced and a mirror-frequency grid in
 both formats, the exit code and stderr of ``sweep --config`` for four
 bad axes, two ``sweep --preset`` runs (their stdout and the names and
@@ -98,6 +99,13 @@ def _line(name: str, text: str) -> str:
     return f"{hashlib.sha256(text.encode('utf-8')).hexdigest()}  {name}"
 
 
+def _stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return f"exit {code}\n{out.getvalue()}"
+
+
 def _cli(argv, tmp: str) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -124,10 +132,10 @@ def digests():
             yield _line(f"{stem}.csv", serialize_csv(result))
             yield _line(f"{stem}.json", serialize_json(result))
     for fmt in ("table", "csv", "json"):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["point"] + ([] if fmt == "table" else ["--format", fmt]))
-        yield _line(f"point.{fmt}", f"exit {code}\n{out.getvalue()}")
+        argv = ["point"] + ([] if fmt == "table" else ["--format", fmt])
+        yield _line(f"point.{fmt}", _stdout(argv))
+    yield _line("verify", _stdout(["verify"]))
+    yield _line("verify_seed7", _stdout(["verify", "--seed", "7"]))
     with tempfile.TemporaryDirectory() as tmp:
         for name, (system, axis1, axis2) in _CONFIG_SWEEPS.items():
             config = _run_file(tmp, name, system, axis1, axis2)
