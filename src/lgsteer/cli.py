@@ -18,7 +18,7 @@ import os
 import sys
 
 from ._version import __version__
-from .config import RunConfig, parse_config, to_system_params
+from .config import _FORMATS, RunConfig, parse_config, to_system_params
 from .errors import LgsteerError
 from .io import (
     MEASURE_COLUMNS,
@@ -39,7 +39,7 @@ def _read_config(path: str | None):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LgsteerError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config(text)
 
@@ -122,14 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_point = sub.add_parser("point", help="evaluate a single parameter point")
     p_point.add_argument("--config", help="JSON run configuration path")
-    p_point.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    p_point.add_argument("--format", choices=("table",) + _FORMATS, default="table")
     p_point.set_defaults(fn=cmd_point)
 
     p_sweep = sub.add_parser("sweep", help="run a grid and write results")
     p_sweep.add_argument("--config", help="JSON run configuration path")
     p_sweep.add_argument("--preset", help="built-in figure preset name")
     p_sweep.add_argument("--out", help="output path (variants add suffixes)")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default=None)
+    p_sweep.add_argument("--format", choices=_FORMATS, default=None)
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_list = sub.add_parser("preset-list", help="list built-in presets")

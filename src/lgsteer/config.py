@@ -29,11 +29,14 @@ import numpy as np
 from .errors import BadUnit, InvalidSpec, MissingRequired, UnknownKey, UnknownMode
 from .model import FIELD_RULES, SystemParams, rule_breach
 
+# scale -> SI value of one display unit, given omega_phi1; "si" and "int"
+# values are SI already
+_UNITS = {"ratio": lambda omega_phi1: omega_phi1, "hz": lambda _: 2.0 * math.pi}
 # run-file key -> (SystemParams field, scale, default, unit), in the key
-# order of the JSON ``spec`` block.  Scales: "ratio" multiplies by
-# omega_phi1, "hz" is omega_phi1 / (2*pi), "int" an integer, "si" as-is.
-# A None default marks an optional key.  Each key obeys its field's rule
-# in :data:`lgsteer.model.FIELD_RULES`.
+# order of the JSON ``spec`` block.  Scales: "ratio" and "hz" as in
+# ``_UNITS``, "int" an integer, "si" as-is.  A None default marks an
+# optional key.  Each key obeys its field's rule in
+# :data:`lgsteer.model.FIELD_RULES`.
 _RATIO = "units of omega_phi1"
 _SYSTEM_KEYS: dict = {
     "cavity_length_m": ("cavity_length", "si", 1e-3, "meters"),
@@ -62,6 +65,20 @@ _RUN_KEYS = {"mode", "axis1", "axis2"}
 _AXIS_KEYS = {"name", "values", "start", "stop", "points", "spacing"}
 _OUTPUT_KEYS = {"path", "format"}
 _FORMATS = ("csv", "json")
+_SPACINGS = {"linear": np.linspace, "log": np.geomspace}
+
+
+def _section(raw, allowed, where: str, check=lambda key, value: value) -> dict:
+    """Run-file object ``raw`` with ``check`` applied to each value in file
+    order; the first key not in ``allowed`` raises :class:`UnknownKey`."""
+    if not isinstance(raw, dict):
+        raise BadUnit(f"{where} must be an object")
+    out = {}
+    for key, value in raw.items():
+        if key not in allowed:
+            raise UnknownKey(f"unknown key {key!r} in {where}")
+        out[key] = check(key, value)
+    return out
 
 
 def _check_number(key: str, value, unit: str, rule: str) -> float:
@@ -148,9 +165,7 @@ def _parse_axis(which: str, raw) -> Axis:
     """A run file's axis; each value obeys the rule of the key it sweeps."""
     if not isinstance(raw, dict):
         raise BadUnit(f"{which} must be an object, got {raw!r}")
-    for key in raw:
-        if key not in _AXIS_KEYS:
-            raise UnknownKey(f"unknown key {key!r} in {which}")
+    _section(raw, _AXIS_KEYS, which)
     if "name" not in raw:
         raise MissingRequired(f"{which} needs a 'name'")
     name = raw["name"]
@@ -179,14 +194,14 @@ def _parse_axis(which: str, raw) -> Axis:
         if isinstance(points, bool) or not isinstance(points, int) or points < 2:
             raise BadUnit(f"{which}.points must be an integer >= 2, got {points!r}")
         spacing = raw.get("spacing", "linear")
-        if spacing == "linear":
-            values = tuple(float(v) for v in np.linspace(start, stop, points))
-        elif spacing == "log":
-            if start <= 0.0 or stop <= 0.0:
-                raise BadUnit(f"{which} log spacing needs positive start/stop")
-            values = tuple(float(v) for v in np.geomspace(start, stop, points))
-        else:
+        if spacing not in _SPACINGS:
             raise BadUnit(f"{which}.spacing must be 'linear' or 'log', got {spacing!r}")
+        if spacing == "log" and (start <= 0.0 or stop <= 0.0):
+            raise BadUnit(f"{which} log spacing needs positive start/stop")
+        try:
+            values = tuple(float(v) for v in _SPACINGS[spacing](start, stop, points))
+        except (ValueError, MemoryError) as exc:
+            raise BadUnit(f"{which}.points is too large, got {points!r}") from exc
     if name in _SYSTEM_KEYS:
         for value in values:
             _check_key(name, value)
@@ -197,8 +212,10 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run file into a :class:`RunConfig`."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
         raise BadUnit(f"configuration is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise BadUnit("configuration nests too deeply to parse") from exc
     if not isinstance(raw, dict):
         raise BadUnit("configuration root must be a JSON object")
     for key in raw:
@@ -207,23 +224,11 @@ def parse_config(text: str) -> RunConfig:
     if "run" not in raw:
         raise MissingRequired("configuration needs a 'run' section")
 
-    system_raw = raw.get("system", {})
-    if not isinstance(system_raw, dict):
-        raise BadUnit("'system' must be an object")
-    system: dict = {}
-    for key, value in system_raw.items():
-        if key not in _SYSTEM_KEYS:
-            raise UnknownKey(f"unknown key {key!r} in 'system'")
-        system[key] = _check_key(key, value)
+    system = _section(raw.get("system", {}), _SYSTEM_KEYS, "'system'", _check_key)
     for key, default in _DEFAULTS.items():
         system.setdefault(key, default)
 
-    run_raw = raw["run"]
-    if not isinstance(run_raw, dict):
-        raise BadUnit("'run' must be an object")
-    for key in run_raw:
-        if key not in _RUN_KEYS:
-            raise UnknownKey(f"unknown key {key!r} in 'run'")
+    run_raw = _section(raw["run"], _RUN_KEYS, "'run'")
     mode = run_raw.get("mode")
     if mode not in ("point", "sweep"):
         raise UnknownMode(f"run.mode must be 'point' or 'sweep', got {mode!r}")
@@ -241,12 +246,7 @@ def parse_config(text: str) -> RunConfig:
                 raise BadUnit(f"point mode does not take run.{key}")
     run = RunSection(mode, axis1, axis2)
 
-    output_raw = raw.get("output", {})
-    if not isinstance(output_raw, dict):
-        raise BadUnit("'output' must be an object")
-    for key in output_raw:
-        if key not in _OUTPUT_KEYS:
-            raise UnknownKey(f"unknown key {key!r} in 'output'")
+    output_raw = _section(raw.get("output", {}), _OUTPUT_KEYS, "'output'")
     path = output_raw.get("path")
     if path is not None and not isinstance(path, str):
         raise BadUnit(f"output.path must be a string, got {path!r}")
@@ -256,13 +256,18 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(system, run, OutputSection(path, fmt))
 
 
+def _axis_doc(axis: Axis | None) -> dict | None:
+    """An axis as its run file and result JSON record it."""
+    return None if axis is None else {"name": axis.name, "values": list(axis.values)}
+
+
 def serialize_config(config: RunConfig) -> str:
     """Canonical JSON text for a config; parses back to an equal object."""
     doc: dict = {"system": dict(sorted(config.system.items()))}
     run: dict = {"mode": config.run.mode}
     for name, axis in (("axis1", config.run.axis1), ("axis2", config.run.axis2)):
         if axis is not None:
-            run[name] = {"name": axis.name, "values": list(axis.values)}
+            run[name] = _axis_doc(axis)
     doc["run"] = run
     out: dict = {"format": config.output.format}
     if config.output.path is not None:
@@ -274,13 +279,9 @@ def serialize_config(config: RunConfig) -> str:
 def to_si(key: str, value, omega_phi1: float) -> tuple[str, float]:
     """The :class:`SystemParams` field and SI value of one run-file key."""
     name, scale = _SYSTEM_KEYS[key][:2]
-    if scale == "ratio":
-        return name, value * omega_phi1
-    if scale == "hz":
-        return name, 2.0 * math.pi * value
-    if scale == "int":
-        return name, int(value)
-    return name, value
+    if scale in _UNITS:
+        value = value * _UNITS[scale](omega_phi1)
+    return name, int(value) if scale == "int" else value
 
 
 def to_system_params(config: RunConfig) -> SystemParams:
@@ -299,13 +300,8 @@ def system_to_display(params: SystemParams) -> dict:
     out = {}
     for key, (name, scale, _, _) in _SYSTEM_KEYS.items():
         value = getattr(params, name)
-        if value is None:
-            continue
-        if scale == "ratio":
-            value = value / w1
-        elif scale == "hz":
-            value = value / (2.0 * math.pi)
-        out[key] = value
+        if value is not None:
+            out[key] = value / _UNITS[scale](w1) if scale in _UNITS else value
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from .config import system_to_display
+from .config import _FORMATS, _axis_doc, system_to_display
 from .errors import BadUnit
 from .measures import CorrelationReport, SteeringClass
 from .sweep import SweepResult
@@ -34,6 +34,8 @@ MEASURE_COLUMNS = (
 )
 
 
+# the stable column's cells and what they read as
+_STABLE_CELLS = {"true": True, "false": False, "error": "error"}
 # single-point outputs put the margin second
 _POINT_ORDER = ("stable", "stability_margin_ratio") + MEASURE_COLUMNS[1:-1]
 
@@ -108,12 +110,8 @@ def serialize_json(result: SweepResult) -> str:
         },
         "spec": {
             "system": system_to_display(spec.base),
-            "axis1": {"name": spec.axis1.name, "values": list(spec.axis1.values)},
-            "axis2": (
-                None
-                if spec.axis2 is None
-                else {"name": spec.axis2.name, "values": list(spec.axis2.values)}
-            ),
+            "axis1": _axis_doc(spec.axis1),
+            "axis2": _axis_doc(spec.axis2),
         },
         "rows": [_row_dict(row, spec.base.omega_phi1) for row in result.rows],
     }
@@ -145,16 +143,9 @@ def parse_result_csv(text: str):
         for name, cell in zip(axis_names, cells[:n_axes]):
             doc[name] = float(cell)
         body = cells[n_axes:]
-        stable_cell = body[0]
-        if stable_cell == "error":
-            doc["stable"] = "error"
-            for name in MEASURE_COLUMNS[1:]:
-                doc[name] = None
-            rows.append(doc)
-            continue
-        if stable_cell not in ("true", "false"):
-            raise BadUnit(f"line {lineno}: bad stable cell {stable_cell!r}")
-        doc["stable"] = stable_cell == "true"
+        if body[0] not in _STABLE_CELLS:
+            raise BadUnit(f"line {lineno}: bad stable cell {body[0]!r}")
+        doc["stable"] = _STABLE_CELLS[body[0]]
         for name, cell in zip(MEASURE_COLUMNS[1:], body[1:]):
             if cell == "":
                 doc[name] = None
@@ -168,12 +159,9 @@ def parse_result_csv(text: str):
 
 def write_result(result: SweepResult, path: str, fmt: str) -> None:
     """Write a sweep result to ``path`` as ``csv`` or ``json``."""
-    if fmt == "csv":
-        payload = serialize_csv(result)
-    elif fmt == "json":
-        payload = serialize_json(result)
-    else:
-        raise BadUnit(f"format must be 'csv' or 'json', got {fmt!r}")
+    if fmt not in _FORMATS:
+        raise BadUnit(f"format must be {' or '.join(map(repr, _FORMATS))}, got {fmt!r}")
+    payload = serialize_csv(result) if fmt == "csv" else serialize_json(result)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(payload)
 

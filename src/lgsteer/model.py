@@ -26,6 +26,7 @@ that vary, every step broadcasts over the block's rows, and A and D are
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -91,7 +92,8 @@ def rule_breach(value, rule: str) -> str | None:
     """What ``value`` must be to obey ``rule``, or None when it does."""
     if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
         return "a number"
-    if not math.isfinite(value):
+    # false for NaN, infinities and ints beyond the double range
+    if not abs(value) <= sys.float_info.max:
         return "finite"
     if rule == "pos" and value <= 0:
         return "positive"

@@ -188,14 +188,14 @@ def optimum_detuning(base: SystemParams, measure: str = "ENmm") -> OptimumDetuni
     """
     if measure not in ("ENmm", "ENmc"):
         raise InvalidSpec(f"measure must be ENmm or ENmc, got {measure!r}")
-    grid = np.linspace(-2.0, 2.0, _GRID_1D)
+    grid = _DETUNING.values
     values = _scores(base, grid, measure)
     stable_vals = [v for v in values if v != -math.inf]
     if not stable_vals:
         raise NoStableRegion("every grid point in [-2, 2] is unstable")
     best_v = max(values)
     k = values.index(best_v)
-    best_x = float(grid[k])
+    best_x = grid[k]
     flat = max(stable_vals) == min(stable_vals)
     if not flat:
         lo = grid[max(0, k - 1)]

@@ -109,6 +109,33 @@ class TestPoint:
         assert capsys.readouterr().err == "error: both axes sweep 'detuning_ratio'\n"
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(b'{"run": {"mode": "point"}} \xff', id="not_utf8"),
+            pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested_100000_deep"),
+            pytest.param(
+                b'{"system": {"oam_number": 1%s}, "run": {"mode": "point"}}' % (b"0" * 400),
+                id="int_beyond_double_range",
+            ),
+            pytest.param(
+                b'{"system": {"oam_number": 1%s}, "run": {"mode": "point"}}' % (b"0" * 5000),
+                id="int_too_long_to_parse",
+            ),
+            pytest.param(
+                b'{"run": {"mode": "sweep", "axis1": {"name": "detuning_ratio",'
+                b' "start": 0.0, "stop": 1.0, "points": %d}}}' % 2**62,
+                id="points_beyond_numpy",
+            ),
+        ],
+    )
+    def test_malformed_config_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "run.json"
+        path.write_bytes(text)
+        assert main(["point", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestSweep:
     def test_config_sweep_writes_csv(self, tmp_path, capsys):
         out = str(tmp_path / "scan.csv")

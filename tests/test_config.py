@@ -87,6 +87,15 @@ class TestParsing:
             parse_config('{"run": {"modee": "point"}}')
         with pytest.raises(UnknownKey, match="pathh"):
             parse_config('{"run": {"mode": "point"}, "output": {"pathh": "x"}}')
+        # system keys are checked in file order, each value as its key is read
+        with pytest.raises(BadUnit, match="finesse"):
+            parse_config(
+                '{"system": {"finesse": -1, "finnesse": 1e4}, "run": {"mode": "point"}}'
+            )
+        with pytest.raises(UnknownKey, match="finnesse"):
+            parse_config(
+                '{"system": {"finnesse": 1e4, "finesse": -1}, "run": {"mode": "point"}}'
+            )
 
     def test_unknown_mode(self):
         with pytest.raises(UnknownMode, match="scan"):
@@ -199,6 +208,13 @@ class TestAxisParsing:
                 '{"run": {"mode": "sweep",'
                 ' "axis1": {"name": "detuning_ratio", "start": 0.0, "stop": 1.0,'
                 ' "points": 1}}}'
+            )
+        # beyond what NumPy can allocate; rejected before any grid is built
+        with pytest.raises(BadUnit, match="points is too large"):
+            parse_config(
+                '{"run": {"mode": "sweep",'
+                ' "axis1": {"name": "detuning_ratio", "start": 0.0, "stop": 1.0,'
+                f' "points": {2**62}}}}}}}'
             )
 
     @pytest.mark.parametrize("name", ["temperature_k", "laser_power_w", "opa_gain_ratio"])

@@ -494,7 +494,7 @@ class TestSystemParamsValidation:
         with pytest.raises(NonPositiveParameter, match=field):
             make_params(**{field: bad})
 
-    @pytest.mark.parametrize("bad", [0, -3, 2.5])
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, pytest.param(10**400, id="1e400")])
     def test_oam_number(self, bad):
         with pytest.raises(NonPositiveParameter, match="oam_number"):
             make_params(oam_number=bad)

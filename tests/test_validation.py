@@ -22,6 +22,7 @@ from lgsteer import (
     run_checks,
     solve_lyapunov,
     steering,
+    validation,
 )
 
 from conftest import W1, make_params
@@ -249,6 +250,18 @@ class TestRunChecks:
         # oracle and integrator do not depend on the injected solver
         assert by_name["oracle_identity"].passed
         assert by_name["integrator_identity"].passed
+
+    def test_every_declared_reference_value_is_checked(self, monkeypatch):
+        # the two-mode vacuum declares its steering; verify must measure it
+        def off_reference(name, value):
+            ref = reference(name, value)
+            if name == "vacuum":
+                ref.expected["steering_ab"] = 1e-11
+            return ref
+
+        monkeypatch.setattr(validation, "reference", off_reference)
+        by_name = {r.name: r for r in run_checks(n_random=2)}
+        assert by_name["reference_states"].detail == "vacuum(2) steering_ab off by 1e-11"
 
     def test_crashing_solver_is_reported_not_raised(self):
         def crashing_solver(a, d):

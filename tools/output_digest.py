@@ -4,8 +4,10 @@ Covers the CSV and the JSON of every preset variant, the default
 ``point`` output as a table, CSV and JSON, the exit code and stdout of
 ``verify`` and ``verify --seed 7``, ``sweep --config`` runs over
 a listed, a linear 2-D, a log-spaced and a mirror-frequency grid in
-both formats, the exit code and stderr of ``sweep --config`` for four
-bad axes, two ``sweep --preset`` runs (their stdout and the names and
+both formats, a run file that sets every ``system`` key away from its
+default through ``sweep --config`` in both formats and through
+``point --config --format json``, the exit code and stderr of
+``sweep --config`` for four bad axes, two ``sweep --preset`` runs (their stdout and the names and
 bytes of the files they write), and library sweeps whose error rows
 each come from one bad axis value.  Run it in two checkouts and diff
 what it prints to show that a change leaves every output byte-identical:
@@ -38,6 +40,25 @@ from lgsteer import (  # noqa: E402
 from lgsteer.cli import main  # noqa: E402
 from lgsteer.io import serialize_csv, serialize_json  # noqa: E402
 
+# every system key away from its default, the optional kappa_override too
+_ALL_KEYS = {
+    "cavity_length_m": 1.2e-3,
+    "mirror_mass_kg": 30e-12,
+    "mirror_radius_m": 12e-6,
+    "omega_phi1_hz": 1.2e7,
+    "omega_phi2_ratio": 1.25,
+    "laser_power_w": 0.03,
+    "laser_wavelength_m": 1064e-9,
+    "quality_factor": 1.5e7,
+    "finesse": 6e3,
+    "oam_number": 80,
+    "temperature_k": 0.01,
+    "opa_gain_ratio": 0.05,
+    "opa_phase_rad": 1.0,
+    "detuning_ratio": 1.0,
+    "kappa_override_ratio": 0.9,
+}
+
 # run-file sweeps: name -> (system section, axis1, axis2 or None)
 _CONFIG_SWEEPS = {
     "listed": (
@@ -61,6 +82,11 @@ _CONFIG_SWEEPS = {
         {"detuning_ratio": 1.0},
         {"name": "omega_phi2_ratio",
          "values": [0.5, 0.75, 0.9, 0.99, 1.0, 1.01, 1.1, 1.25, 1.5]},
+        None,
+    ),
+    "all_keys": (
+        _ALL_KEYS,
+        {"name": "detuning_ratio", "values": [0.5, 0.8, 1.0, 1.2, 1.6]},
         None,
     ),
 }
@@ -145,6 +171,9 @@ def digests():
                 log = _cli(argv + ["--format", fmt], tmp)
                 text = result.read_text(encoding="utf-8") if result.exists() else ""
                 yield _line(f"config_{name}.{fmt}", f"{log}\n{text}")
+            if name == "all_keys":
+                argv = ["point", "--config", config, "--format", "json"]
+                yield _line("config_all_keys_point.json", _cli(argv, tmp))
         for name, axis in _BAD_AXES.items():
             config = _run_file(tmp, name, {}, axis, None)
             log = _cli(["sweep", "--config", config], tmp)
