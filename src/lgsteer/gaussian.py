@@ -7,8 +7,8 @@ Symplectic eigenvalues are the positive eigenvalues of the Hermitian
 matrix i L^T Omega L, with V = L L^T the Cholesky factorization.
 
 The steady-state covariance of the linear model solves the Lyapunov
-equation A V + V A^T = -D; :func:`steady_covariances` solves its
-vectorized 36-unknown form for a whole stack of systems with batched
+equation A V + V A^T = -D; :func:`steady_covariances` solves it for the
+21 unknowns of a symmetric V over a whole stack of systems with batched
 LAPACK calls and refines the results in extended precision, and
 :func:`steady_covariance` is its one-system case.  Every stage drops a
 failing system through one helper, with its own error, and leaves the
@@ -53,6 +53,49 @@ _PHYS_TOL = 1e-9
 _FORWARD_FACTOR = 2.0
 _MAX_REFINE = 8
 _EYE6 = np.eye(6)
+# the 21 unknowns of a symmetric 6x6 V are its upper triangle, row by row;
+# _SYM[p, i] is the unknown that holds V[p, i], so u[..., _SYM] is V
+_ROWS, _COLS = np.triu_indices(6)
+_SYM = np.zeros((6, 6), dtype=int)
+_SYM[_ROWS, _COLS] = _SYM[_COLS, _ROWS] = np.arange(21)
+
+
+def _operator_terms() -> np.ndarray:
+    """Where the Lyapunov operator on the 21 unknowns takes its entries from A.
+
+    The operator is E (I (x) A + A (x) I) P: P (36x21) duplicates the
+    unknowns into vec V and E (21x36) keeps the rows of the upper
+    triangle, so it maps the unknowns of V to those of A V + V A^T, with
+    eigenvalues lambda_i + lambda_j, i <= j.  The unknown (q, j) enters
+    (A V + V A^T)[p, i] = sum_x a_px V[x, i] + a_ix V[p, x] through V[q, j]
+    as a_pq [j = i] + a_ij [q = p] and, off the diagonal, through V[j, q]
+    as a_pj [q = i] + a_iq [j = p].  At most two of the four terms are
+    present, so each entry is a sum of two entries of A, 36 standing for a
+    zero.  Returns their (2, 441) flat indices.
+    """
+    p, i = _ROWS[:, None], _COLS[:, None]
+    q, j = _ROWS, _COLS
+    off = q != j
+    terms = [
+        np.where(present, 6 * row + col, 36)
+        for present, row, col in (
+            (j == i, p, q), (q == p, i, j), (off & (q == i), p, j), (off & (j == p), i, q)
+        )
+    ]
+    return np.sort(terms, axis=0)[:2].reshape(2, 441)
+
+
+_TERMS = _operator_terms()
+
+
+def _operator(a: np.ndarray) -> np.ndarray:
+    """The (N, 21, 21) Lyapunov operators on the unknowns of V, of an (N, 6, 6) stack.
+
+    Each entry is gathered as the exact sum of its two terms (see
+    :func:`_operator_terms`), so it does not depend on the stack.
+    """
+    padded = np.concatenate([a.reshape(-1, 36), np.zeros((len(a), 1))], axis=1)
+    return (padded[:, _TERMS[0]] + padded[:, _TERMS[1]]).reshape(-1, 21, 21)
 
 
 @dataclass(frozen=True)
@@ -185,6 +228,14 @@ def min_pt_symplectic(cm: CovarianceMatrix, mode: str | None = None) -> float:
     cut.  A two-mode state may omit ``mode``: transposing either mode
     gives the same spectrum.
     """
+    return float(_spectra(_pt_stack(cm, mode))[0, 0])
+
+
+def _pt_stack(cm: CovarianceMatrix, mode: str | None) -> np.ndarray:
+    """``cm`` partially transposed on ``mode``, as a one-matrix stack.
+
+    A two-mode state may omit ``mode`` (see :func:`min_pt_symplectic`).
+    """
     if mode is None:
         if cm.n_modes != 2:
             raise NonPhysicalInput(
@@ -192,8 +243,7 @@ def min_pt_symplectic(cm: CovarianceMatrix, mode: str | None = None) -> float:
                 f"got {cm.n_modes} modes"
             )
         mode = cm.mode_labels[1]
-    cut = ((cm.mode_labels, mode),)
-    return float(_spectra(_stack(cm.data, cm.mode_labels, cut))[0, 0])
+    return _stack(cm.data, cm.mode_labels, ((cm.mode_labels, mode),))
 
 
 class _Rows:
@@ -277,19 +327,12 @@ def _lyapunov(a: np.ndarray, d: np.ndarray, scale: np.ndarray) -> tuple:
     """
     a_s = a / scale[:, None, None]
     d_s = d / scale[:, None, None]
-    # I (x) A + A (x) I, indexed [row, p, i, q, j]: a_ij on the p = q
-    # diagonal plus a_pq on the i = j diagonal, written through views
-    kron_sum = np.zeros((len(a_s), 6, 6, 6, 6))
-    np.einsum("npipj->npij", kron_sum)[...] = a_s[:, None]
-    np.einsum("npiqi->npqi", kron_sum)[...] += a_s[:, :, :, None]
     try:
-        inverse = np.linalg.inv(kron_sum.reshape(-1, 36, 36))
+        inverse = np.linalg.inv(_operator(a_s))
     except np.linalg.LinAlgError as exc:
         raise SolveFailure(f"singular Lyapunov operator: {exc}") from None
-    # ravel is the column-major vec of the transpose, and X -> A X + X A^T
-    # commutes with transposition, so ravel/reshape solve the same equation
-    v = (inverse @ -d_s.reshape(-1, 36, 1)).reshape(-1, 6, 6)
-    v = 0.5 * (v + v.swapaxes(1, 2))
+    # the unknowns and every correction fill V symmetrically through _SYM
+    v = (inverse @ -d_s[:, _ROWS, _COLS, None])[:, _SYM, 0]
     al = a_s.astype(np.longdouble)
     dl = d_s.astype(np.longdouble)
     limit = _FORWARD_FACTOR * float(np.finfo(float).eps)
@@ -300,9 +343,9 @@ def _lyapunov(a: np.ndarray, d: np.ndarray, scale: np.ndarray) -> tuple:
         vl = v[todo].astype(np.longdouble)
         ar = al[todo]
         resid = np.asarray(ar @ vl + vl @ ar.swapaxes(1, 2) + dl[todo], dtype=float)
-        delta = (inverse[todo] @ -resid.reshape(-1, 36, 1)).reshape(-1, 6, 6)
-        v[todo] = v[todo] + 0.5 * (delta + delta.swapaxes(1, 2))
-        going = np.abs(delta).max(axis=(1, 2)) > limit * np.abs(v[todo]).max(axis=(1, 2))
+        delta = (inverse[todo] @ -resid[:, _ROWS, _COLS, None])[..., 0]
+        v[todo] = v[todo] + delta[:, _SYM]
+        going = np.abs(delta).max(axis=1) > limit * np.abs(v[todo]).max(axis=(1, 2))
         n_going = np.count_nonzero(going)
         if not n_going:
             break
@@ -366,10 +409,10 @@ def steady_covariances(drifts, diffusions):
 
     Every stage is one batched LAPACK call over the rows still in play:
     the margins from one ``eigvals`` (see
-    :func:`lgsteer.eigen.spectral_abscissae`), the 36x36 Kronecker
-    inverses of the stable rows from one ``inv``, and each refinement
-    pass on the rows not yet converged.  Only when LAPACK or a check
-    rejects a whole stage is it re-run one row at a time.
+    :func:`lgsteer.eigen.spectral_abscissae`), the inverses of the
+    stable rows' 21x21 Lyapunov operators from one ``inv``, and each
+    refinement pass on the rows not yet converged.  Only when LAPACK or
+    a check rejects a whole stage is it re-run one row at a time.
     """
     rows, margins, v = _solve(drifts, diffusions)
     covariances = np.full((len(margins), 6, 6), np.nan)
@@ -385,9 +428,12 @@ def steady_covariance(a: np.ndarray, d: np.ndarray):
     this is the one-row case of :func:`steady_covariances`, and raises
     the row's error.
 
-    A stable system is solved as ``(I (x) A + A (x) I) vec V = -vec D``
-    on power-of-two-scaled inputs.  Near-marginal systems, and equal
-    mirror frequencies, make that operator ill conditioned (cond_2 up to
+    A stable system is solved on power-of-two-scaled inputs for the 21
+    unknowns of a symmetric V: the rows of the upper triangle of
+    ``(I (x) A + A (x) I) vec V = -vec D``, with V's lower triangle
+    eliminated, a 21x21 operator with eigenvalues ``lambda_i + lambda_j``
+    (i <= j) of A's.  Near-marginal systems, and equal mirror
+    frequencies, make that operator ill conditioned (cond_2 up to
     ~1e8), so the solution is refined with residuals accumulated in
     extended precision until a correction is at most ``2 eps max|V|``
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,

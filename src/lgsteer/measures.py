@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import LgsteerError, NonPhysicalInput, NonPositiveDeterminant, UnknownMode
-from .gaussian import MODE_ORDER, CovarianceMatrix, _solve, _spectra, _stack, min_pt_symplectic
+from .gaussian import MODE_ORDER, CovarianceMatrix, _pt_stack, _solve, _spectra, _stack
 from .model import LinearModel
 
 # ζ below this is treated as exactly zero when classifying directions
@@ -30,13 +30,21 @@ _CLASS_TOL = 1e-12
 _MONOGAMY_TOL = 1e-6
 # ζ > 0 must come with EN > 0 at this resolution
 _HIERARCHY_TOL = 1e-10
+# a symplectic spectrum is accurate to this times its largest value
+_EPS = float(np.finfo(float).eps)
 
 
-def _en(nu: float) -> float:
-    """``EN = max(0, -ln(2 nu))`` from a partial-transpose eigenvalue."""
+def _en(nu: float, nu_max: float) -> float:
+    """``EN = max(0, -ln(2 nu))`` from the ends of a partial-transpose spectrum.
+
+    ``nu`` and ``nu_max`` are the smallest and the largest symplectic
+    eigenvalue of one partially transposed state.  The spectrum is
+    accurate to about ``eps nu_max`` absolute, so a ``nu`` within that of
+    1/2 is not resolved below 1/2, and its EN is 0.
+    """
     if nu <= 0.0:
         raise NonPhysicalInput(f"partial-transpose eigenvalue {nu} is not positive")
-    return max(0.0, -math.log(2.0 * nu))
+    return 0.0 if nu >= 0.5 - _EPS * nu_max else -math.log(2.0 * nu)
 
 
 def log_negativity(cm: CovarianceMatrix, single: str | None = None) -> float:
@@ -44,32 +52,34 @@ def log_negativity(cm: CovarianceMatrix, single: str | None = None) -> float:
 
     ``EN = max(0, -ln(2 nu))`` with ``nu`` the smallest symplectic
     eigenvalue of the state partially transposed on ``single`` (see
-    :func:`lgsteer.gaussian.min_pt_symplectic`); a two-mode state may
-    omit ``single``.
+    :func:`lgsteer.gaussian.min_pt_symplectic`), and 0 where ``nu`` is
+    within the spectrum's accuracy of 1/2 (see :func:`_en`); a two-mode
+    state may omit ``single``.
     """
-    return _en(min_pt_symplectic(cm, single))
+    return _en(*_spectra(_pt_stack(cm, single))[0, [0, -1]].tolist())
 
 
 def _pt_nus(data: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
-    """Smallest partial-transpose symplectic eigenvalue of each cut of a stack.
+    """Smallest and largest partial-transpose symplectic eigenvalue of each cut.
 
-    For (K, 6, 6) three-mode states returns (K, 6): the pairs in
-    ``combinations`` order, then each ``mode | rest`` split.  The pairs
-    and the splits are one stacked spectrum each.
+    For a (K, 6, 6) stack of three-mode states returns (K, 6, 2): the
+    pairs in ``combinations`` order, then each ``mode | rest`` split,
+    each as the ``(nu, nu_max)`` that :func:`_en` takes.  The pairs and
+    the splits are one stacked spectrum each.
     """
     pairs = tuple((pair, pair[1]) for pair in itertools.combinations(labels, 2))
     cuts = tuple((labels, focus) for focus in labels)
     k = len(data)
     return np.concatenate(
-        [_spectra(_stack(data, labels, c).reshape(3 * k, n, n))[:, 0].reshape(k, 3)
+        [_spectra(_stack(data, labels, c).reshape(3 * k, n, n))[:, [0, -1]].reshape(k, 3, 2)
          for c, n in ((pairs, 4), (cuts, 6))],
         axis=1,
     )
 
 
-def _negativities(nus: list[float]) -> tuple[list[float], list[float]]:
+def _negativities(nus: list) -> tuple[list[float], list[float]]:
     """EN of each pair and each ``mode | rest`` cut, from one row of :func:`_pt_nus`."""
-    return [_en(nu) for nu in nus[:3]], [_en(nu) for nu in nus[3:]]
+    return [_en(*nu) for nu in nus[:3]], [_en(*nu) for nu in nus[3:]]
 
 
 def _residual_min(pair_en: list[float], cut_en: list[float]) -> float:

@@ -42,7 +42,7 @@ _GRID_2D = 101
 # points the optimum search adds inside the winning coarse bracket
 _REFINE_POINTS = 9
 # grid points per batched evaluation: bounds the solver's working arrays
-# (about 34 KB a row) and so the peak memory of any grid
+# (about 12 KB a row) and so the peak memory of any grid
 _BLOCK_ROWS = 64
 
 

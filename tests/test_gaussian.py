@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import lgsteer.gaussian
 from lgsteer import (
     CovarianceMatrix,
     MODE_ORDER,
@@ -440,6 +441,54 @@ class TestSteadyCovariance:
         )
         cm = solve_lyapunov(m.drift / W1, m.diffusion / W1)
         cm.check_physical()
+
+
+class TestSymmetricUnknowns:
+    """The solve for the 21 unknowns of a symmetric V."""
+
+    @staticmethod
+    def restricted(a: np.ndarray) -> np.ndarray:
+        # E (I (x) A + A (x) I) P: P duplicates the upper triangle into the
+        # row-major vec V, E keeps its rows
+        rows, cols = np.triu_indices(6)
+        index = np.zeros((6, 6), dtype=int)
+        index[rows, cols] = index[cols, rows] = np.arange(21)
+        dup = np.eye(21)[index.ravel()]
+        elim = np.eye(36)[6 * rows + cols]
+        return elim @ (np.kron(np.eye(6), a) + np.kron(a, np.eye(6))) @ dup
+
+    def test_operator_is_the_restricted_kronecker_sum(self):
+        rng = np.random.default_rng(16)
+        drifts = np.array([random_stable_system(rng)[0] for _ in range(5)])
+        ops = lgsteer.gaussian._operator(drifts)
+        assert ops.shape == (5, 21, 21)
+        for a, op in zip(drifts, ops):
+            assert np.array_equal(op, self.restricted(a))
+
+    def test_eigenvalues_are_the_pair_sums(self):
+        a, _ = random_stable_system(np.random.default_rng(21))
+        lam = np.linalg.eigvals(a)
+        rows, cols = np.triu_indices(6)
+        want = lam[rows] + lam[cols]
+        got = np.linalg.eigvals(lgsteer.gaussian._operator(a[None])[0])
+        tol = 1e-12 * np.abs(want).max()
+        assert np.abs(got[:, None] - want[None, :]).min(axis=0).max() < tol
+        assert np.abs(want[:, None] - got[None, :]).min(axis=0).max() < tol
+
+    def test_agrees_with_oracle_within_its_accuracy(self):
+        # the oracle is an unrefined dense solve of the 36x36 system: its
+        # forward error is about eps cond_2(I (x) A + A (x) I) max|V|; the
+        # solution is exactly symmetric with no symmetrizing step
+        rng = np.random.default_rng(2026)
+        systems = [random_stable_system(rng) for _ in range(40)]
+        _, covariances, errors = steady_covariances(*zip(*systems))
+        assert errors == [None] * 40
+        eps = np.finfo(float).eps
+        for (a, d), v in zip(systems, covariances):
+            assert np.array_equal(v, v.T)
+            cond = np.linalg.cond(np.kron(np.eye(6), a) + np.kron(a, np.eye(6)))
+            err = np.abs(v - lyapunov_oracle(a, d).data).max()
+            assert err <= 2.0 * eps * cond * np.abs(v).max()
 
 
 class TestNearMarginalPoint:

@@ -39,6 +39,7 @@ from lgsteer import (
     with_updates,
 )
 from lgsteer.eigen import power_of_two_scale
+from lgsteer.measures import _en
 
 from conftest import (
     REF_EN_CAV_SPLIT_PUMPED,
@@ -107,6 +108,25 @@ class TestLogNegativity:
         with pytest.raises(NonPhysicalInput, match="two-mode"):
             log_negativity(tmsv_plus_vacuum(0.5))
 
+    @pytest.mark.parametrize("nu_max", [0.5, 3.0, 2.8e7])
+    def test_nu_within_the_spectrum_accuracy_of_half_is_not_entangled(self, nu_max):
+        # the spectrum is accurate to eps nu_max: a nu that close below 1/2
+        # gives EN = 0, one just further below gives -ln(2 nu) > 0
+        band = np.finfo(float).eps * nu_max
+        assert _en(0.5, nu_max) == 0.0
+        assert _en(0.5 - band, nu_max) == 0.0
+        assert _en(0.5 - 0.5 * band, nu_max) == 0.0
+        outside = 0.5 - 2.0 * band
+        assert _en(outside, nu_max) == -math.log(2.0 * outside) > 0.0
+
+    def test_band_follows_the_cut_spectrum(self):
+        # the same nu is resolved below 1/2 in a narrow spectrum and not in
+        # a wide one
+        nu = 0.5 - 1e-9
+        assert _en(nu, 1.0) == pytest.approx(2e-9, rel=1e-6)
+        assert _en(nu, 1e7) == 0.0
+        assert _en(0.3, 1e7) == -math.log(0.6)
+
     def test_local_symplectic_invariance(self):
         s = local_symplectic(0.4, 0.3, -1.1, -0.2)
         for cm in (tmsv(0.7), noisy_tmsv(0.5, 0.2)):
@@ -162,6 +182,19 @@ class TestOneVsTwo:
 
 
 class TestResidualContangle:
+    def test_unresolved_cut_is_zero_on_every_path(self):
+        # equal mirrors at T = 0, Delta = 0, chi = 0.1 w1: the exact
+        # nu(cavity | rest) is 1/2 and nu_max is about 3e7, so the cut is
+        # not entangled whichever function reads it
+        model = build_model(
+            make_params(
+                detuning=0.0, opa_gain=0.1 * W1, opa_phase=0.0, temperature=0.0, omega_phi2=W1
+            )
+        )
+        _, cm = steady_covariance(model.drift, model.diffusion)
+        assert log_negativity(cm, "cavity") == 0.0
+        assert residual_contangle_min(cm) == full_report(model).r_min == 0.0
+
     def test_product_state(self):
         cm = CovarianceMatrix(0.5 * np.eye(6), ("alpha", "beta", "gamma"))
         assert residual_contangle_min(cm) == 0.0

@@ -203,6 +203,16 @@ class TestRunSweep:
         ]
         assert rows[3].error is None and rows[4].error == rows[0].error
 
+    def test_equal_mirrors_at_zero_temperature_have_no_residual_noise(self):
+        # at T = 0, omega_phi2 = omega_phi1, chi = 0 and Delta = 0 the exact
+        # nu(cavity | rest) is 1/2; the float spectrum puts it within
+        # eps nu_max of 1/2, which is no entanglement, so R_min is exactly 0
+        base = make_params(omega_phi2=W1, temperature=0.0, opa_gain=0.0)
+        rows = run_sweep(SweepSpec(base, Axis("detuning_ratio", np.linspace(-2, 2, 81)))).rows
+        at_zero = rows[40]
+        assert at_zero.coords == (("detuning_ratio", 0.0),)
+        assert at_zero.report.stable and at_zero.report.r_min == 0.0
+
     def test_metadata(self):
         result = run_sweep(small_delta_spec((1.0,)))
         meta = result.metadata
@@ -379,8 +389,9 @@ class TestBlocks:
     def test_forced_stage_failure_stays_on_its_row(self, monkeypatch, stage, prefix):
         # one stable row of a 21-row block fails a stage that LAPACK or a
         # guard rejects for the whole stack: the stacked eigvals, the
-        # stacked 36x36 inv, the Lyapunov residual bound, or the report's
-        # own steering-entanglement check (whose error stays untagged)
+        # stacked inv of the 21x21 Lyapunov operators, the Lyapunov
+        # residual bound, or the report's own steering-entanglement check
+        # (whose error stays untagged)
         spec = SweepSpec(make_params(), Axis("detuning_ratio", [k / 10 for k in range(-9, 12)]))
         clean = [repr(row) for row in run_sweep(spec).rows]
         marked = build_model(make_params(detuning=+W1))
@@ -409,7 +420,7 @@ class TestBlocks:
         else:
             target = scaled
             if stage == "inv":
-                target = np.kron(np.eye(6), scaled) + np.kron(scaled, np.eye(6))
+                target = lgsteer.gaussian._operator(scaled[None])[0]
             call = getattr(np.linalg, stage)
 
             def forced(x):
@@ -431,9 +442,9 @@ class TestBlocks:
         assert sum("stable=False" in r for r in clean) > 1
 
     def test_peak_memory_is_bounded(self):
-        # a stable row needs about 34 KB of working arrays (two 36x36
+        # a stable row needs about 12 KB of working arrays (two 21x21
         # operators among them), so a 401-point grid solved as one batch
-        # peaks near 12 MB; blocks of 64 rows keep it near 2 MB
+        # peaks near 5 MB; blocks of 64 rows keep it near 1 MB
         base = with_updates(make_params(), omega_phi2=1.5 * W1)
         opt = optimum_detuning(base, "ENmc")
         spec = SweepSpec(
