@@ -34,6 +34,13 @@ def boundary_sweep():
     return run_sweep(spec)
 
 
+def degenerate_detuning_sweep():
+    # T = 0, equal mirrors, Q = 10: 21 stable rows, 6 of them with R_min < -1e-6
+    vals = tuple(round(v, 10) for v in np.linspace(-2.0, 2.0, 41))
+    base = make_params(temperature=0.0, omega_phi2=W1, quality_factor=10.0)
+    return run_sweep(SweepSpec(base, Axis("detuning_ratio", vals)))
+
+
 def mini_2d_sweep():
     spec = SweepSpec(
         make_params(detuning=+W1),
@@ -182,6 +189,10 @@ class TestGoldenFiles:
     def test_boundary_sweep_json(self):
         expected = (GOLDEN / "boundary_sweep.json").read_text()
         assert serialize_json(boundary_sweep()) == expected
+
+    def test_degenerate_detuning_csv(self):
+        expected = (GOLDEN / "degenerate_detuning.csv").read_text()
+        assert serialize_csv(degenerate_detuning_sweep()) == expected
 
     def test_mini_2d_csv(self):
         expected = (GOLDEN / "mini_2d.csv").read_text()
