@@ -66,6 +66,9 @@ _AXIS_KEYS = {"name", "values", "start", "stop", "points", "spacing"}
 _OUTPUT_KEYS = {"path", "format"}
 _FORMATS = ("csv", "json")
 _SPACINGS = {"linear": np.linspace, "log": np.geomspace}
+# points in one run file's grid, over both axes: about 100 times fig3
+_MAX_GRID_POINTS = 10**6
+_TOO_LARGE = f"; a grid holds at most {_MAX_GRID_POINTS} points"
 
 
 def _section(raw, allowed, where: str, check=lambda key, value: value) -> dict:
@@ -161,8 +164,8 @@ class RunConfig:
     output: OutputSection = OutputSection()
 
 
-def _parse_axis(which: str, raw) -> Axis:
-    """A run file's axis; each value obeys the rule of the key it sweeps."""
+def _parse_axis(which: str, raw, limit: int = _MAX_GRID_POINTS) -> Axis:
+    """A run file's axis of at most ``limit`` points; each value obeys its key's rule."""
     if not isinstance(raw, dict):
         raise BadUnit(f"{which} must be an object, got {raw!r}")
     _section(raw, _AXIS_KEYS, which)
@@ -180,6 +183,8 @@ def _parse_axis(which: str, raw) -> Axis:
         vals = raw["values"]
         if not isinstance(vals, list) or not vals:
             raise BadUnit(f"{which}.values must be a non-empty list")
+        if len(vals) > limit:
+            raise BadUnit(f"{which}.values is too large, got {len(vals)}{_TOO_LARGE}")
         values = tuple(
             _check_number(f"{which}.values[{i}]", v, "axis units", "any")
             for i, v in enumerate(vals)
@@ -193,15 +198,14 @@ def _parse_axis(which: str, raw) -> Axis:
         points = raw["points"]
         if isinstance(points, bool) or not isinstance(points, int) or points < 2:
             raise BadUnit(f"{which}.points must be an integer >= 2, got {points!r}")
+        if points > limit:
+            raise BadUnit(f"{which}.points is too large, got {points!r}{_TOO_LARGE}")
         spacing = raw.get("spacing", "linear")
         if spacing not in _SPACINGS:
             raise BadUnit(f"{which}.spacing must be 'linear' or 'log', got {spacing!r}")
         if spacing == "log" and (start <= 0.0 or stop <= 0.0):
             raise BadUnit(f"{which} log spacing needs positive start/stop")
-        try:
-            values = tuple(float(v) for v in _SPACINGS[spacing](start, stop, points))
-        except (ValueError, MemoryError) as exc:
-            raise BadUnit(f"{which}.points is too large, got {points!r}") from exc
+        values = tuple(float(v) for v in _SPACINGS[spacing](start, stop, points))
     if name in _SYSTEM_KEYS:
         for value in values:
             _check_key(name, value)
@@ -238,7 +242,9 @@ def parse_config(text: str) -> RunConfig:
             raise MissingRequired("sweep mode needs run.axis1")
         axis1 = _parse_axis("run.axis1", run_raw["axis1"])
         if "axis2" in run_raw:
-            axis2 = _parse_axis("run.axis2", run_raw["axis2"])
+            axis2 = _parse_axis(
+                "run.axis2", run_raw["axis2"], _MAX_GRID_POINTS // len(axis1.values)
+            )
             _check_axes(axis1, axis2)
     else:
         for key in ("axis1", "axis2"):

@@ -6,9 +6,10 @@ smallest symplectic eigenvalue of a partially transposed state (the
 two-mode pair, or the full three-mode state for a one-versus-two
 split); steering uses the Renyi-2 entropy criterion.
 :func:`full_reports` bundles everything for a block of linearized
-models: it goes on with the rows of one batched solve, and takes each
-pair and each one-versus-two spectrum of every stable row from one
-stacked call per kind.  :func:`full_report` is its one-model case.
+models: it goes on with the rows of one batched solve and computes
+each measure of all stable rows at once, from one stacked spectrum
+per kind of cut.  The one-state functions and :func:`full_report` are
+one-row cases of the same array code.
 """
 
 from __future__ import annotations
@@ -34,17 +35,19 @@ _HIERARCHY_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
-def _en(nu: float, nu_max: float) -> float:
-    """``EN = max(0, -ln(2 nu))`` from the ends of a partial-transpose spectrum.
+def _en(nu: np.ndarray, nu_max: np.ndarray) -> np.ndarray:
+    """``EN = max(0, -ln(2 nu))`` of each cut, from the ends of its partial-transpose spectrum.
 
-    ``nu`` and ``nu_max`` are the smallest and the largest symplectic
-    eigenvalue of one partially transposed state.  The spectrum is
-    accurate to about ``eps nu_max`` absolute, so a ``nu`` within that of
-    1/2 is not resolved below 1/2, and its EN is 0.
+    ``nu`` and ``nu_max`` are each cut's smallest and largest symplectic
+    eigenvalue.  A spectrum is accurate to about ``eps nu_max`` absolute,
+    so a ``nu`` within that of 1/2 is not resolved below 1/2: its EN is 0.
     """
-    if nu <= 0.0:
-        raise NonPhysicalInput(f"partial-transpose eigenvalue {nu} is not positive")
-    return 0.0 if nu >= 0.5 - _EPS * nu_max else -math.log(2.0 * nu)
+    if (nu <= 0.0).any():
+        raise NonPhysicalInput(f"partial-transpose eigenvalue {nu[nu <= 0.0][0]} is not positive")
+    en = np.zeros(nu.shape)
+    logged = ~(nu >= 0.5 - _EPS * nu_max)
+    en[logged] = [-math.log(x) for x in (2.0 * nu[logged]).tolist()]
+    return en
 
 
 def log_negativity(cm: CovarianceMatrix, single: str | None = None) -> float:
@@ -56,41 +59,41 @@ def log_negativity(cm: CovarianceMatrix, single: str | None = None) -> float:
     within the spectrum's accuracy of 1/2 (see :func:`_en`); a two-mode
     state may omit ``single``.
     """
-    return _en(*_spectra(_pt_stack(cm, single))[0, [0, -1]].tolist())
+    nus = _spectra(_pt_stack(cm, single))
+    return float(_en(nus[:, 0], nus[:, -1])[0])
 
 
-def _pt_nus(data: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
-    """Smallest and largest partial-transpose symplectic eigenvalue of each cut.
+def _pt_en(data: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
+    """EN of each pair and each ``mode | rest`` cut of a (K, 6, 6) stack of states.
 
-    For a (K, 6, 6) stack of three-mode states returns (K, 6, 2): the
-    pairs in ``combinations`` order, then each ``mode | rest`` split,
-    each as the ``(nu, nu_max)`` that :func:`_en` takes.  The pairs and
-    the splits are one stacked spectrum each.
+    Returns (K, 6): the pairs in ``combinations`` order, then each split.
+    The pairs and the splits are one stacked spectrum each.
     """
     pairs = tuple((pair, pair[1]) for pair in itertools.combinations(labels, 2))
     cuts = tuple((labels, focus) for focus in labels)
     k = len(data)
-    return np.concatenate(
+    nus = np.concatenate(
         [_spectra(_stack(data, labels, c).reshape(3 * k, n, n))[:, [0, -1]].reshape(k, 3, 2)
          for c, n in ((pairs, 4), (cuts, 6))],
         axis=1,
     )
+    return _en(nus[..., 0], nus[..., 1])
 
 
-def _negativities(nus: list) -> tuple[list[float], list[float]]:
-    """EN of each pair and each ``mode | rest`` cut, from one row of :func:`_pt_nus`."""
-    return [_en(*nu) for nu in nus[:3]], [_en(*nu) for nu in nus[3:]]
+# the two pairs, in combinations order, that hold each focus mode
+_HELD = np.array([[p for p, pair in enumerate(itertools.combinations(range(3), 2))
+                   if focus in pair] for focus in range(3)])
 
 
-def _residual_min(pair_en: list[float], cut_en: list[float]) -> float:
-    """:func:`residual_contangle_min` from the output of :func:`_negativities`."""
-    pairs = list(itertools.combinations(range(3), 2))
-    residuals = []
-    for focus, e_all in enumerate(cut_en):
-        e_j, e_k = (e for pair, e in zip(pairs, pair_en) if focus in pair)
-        res = e_all**2 - e_j**2 - e_k**2
-        residuals.append(res if res < -_MONOGAMY_TOL else max(0.0, res))
-    return min(residuals)
+def _residual_min(en: np.ndarray) -> np.ndarray:
+    """:func:`residual_contangle_min` of each row of :func:`_pt_en`.
+
+    The squares are Python's ``x**2``, one at a time, as the residual
+    has always been rounded.
+    """
+    sq = np.reshape([e**2 for e in en.ravel().tolist()], en.shape)
+    res = sq[:, 3:] - sq[:, _HELD[:, 0]] - sq[:, _HELD[:, 1]]
+    return np.where(res < -_MONOGAMY_TOL, res, np.where(res > 0.0, res, 0.0)).min(axis=1)
 
 
 def residual_contangle_min(cm: CovarianceMatrix) -> float:
@@ -109,44 +112,32 @@ def residual_contangle_min(cm: CovarianceMatrix) -> float:
         raise NonPhysicalInput(
             f"residual_contangle_min needs a three-mode state, got {cm.n_modes}"
         )
-    return _residual_min(*_negativities(_pt_nus(cm.data[None], cm.mode_labels)[0].tolist()))
+    return float(_residual_min(_pt_en(cm.data[None], cm.mode_labels))[0])
 
 
-def _renyi2(dets: list[float]) -> list[float]:
+def _renyi2(dets: np.ndarray) -> np.ndarray:
     """Renyi-2 entropies ``S = 0.5 ln det(2 V)`` from the determinants det(2 V)."""
-    if min(dets) <= 0.0:
+    if (dets <= 0.0).any():
         raise NonPositiveDeterminant(
-            f"det(2V) = {min(dets)} is not positive; state is unphysical"
+            f"det(2V) = {dets.min()} is not positive; state is unphysical"
         )
-    return [0.5 * math.log(det) for det in dets]
-
-
-def _dets(stack: np.ndarray) -> list:
-    """det(2 V) of each matrix of a stack, as nested lists."""
-    return np.linalg.det(2.0 * stack).tolist()
+    return 0.5 * np.reshape([math.log(det) for det in dets.ravel().tolist()], dets.shape)
 
 
 def renyi2_entropy(cm: CovarianceMatrix) -> float:
     """Renyi-2 entropy ``S = 0.5 ln det(2 V)`` of a Gaussian state."""
-    return _renyi2(_dets(cm.data[None]))[0]
+    return float(_renyi2(np.linalg.det(2.0 * cm.data[None]))[0])
 
 
-def _zetas(pair_det: float, single_dets: list[float]) -> list[float]:
-    """Steering by each mode of a pair, from det(2 V) of the pair and of each mode."""
-    s_pair = _renyi2([pair_det])[0]
-    return [max(0.0, s - s_pair) for s in _renyi2(single_dets)]
+def _zetas(pair_dets: np.ndarray, single_dets: np.ndarray) -> np.ndarray:
+    """Steering by each mode of each pair, from det(2 V) of the pairs (K,) and their modes (K, 2)."""
+    s_pair = _renyi2(pair_dets)
+    gain = _renyi2(single_dets) - s_pair[:, None]
+    return np.where(gain > 0.0, gain, 0.0)
 
 
 def _singles(labels: tuple[str, ...]) -> tuple:
     return tuple(((label,), None) for label in labels)
-
-
-def _steerings(cm: CovarianceMatrix) -> list[float]:
-    """Steering by each mode of a two-mode state, in label order."""
-    if cm.n_modes != 2:
-        raise NonPhysicalInput(f"steering needs a two-mode state, got {cm.n_modes} modes")
-    singles = _stack(cm.data, cm.mode_labels, _singles(cm.mode_labels))
-    return _zetas(_dets(cm.data[None])[0], _dets(singles))
 
 
 def steering(cm: CovarianceMatrix, by: str) -> float:
@@ -157,7 +148,10 @@ def steering(cm: CovarianceMatrix, by: str) -> float:
     060403, 2015).  Positive values certify that ``by`` can steer the
     other mode.
     """
-    zetas = _steerings(cm)
+    if cm.n_modes != 2:
+        raise NonPhysicalInput(f"steering needs a two-mode state, got {cm.n_modes} modes")
+    singles = _stack(2.0 * cm.data[None], cm.mode_labels, _singles(cm.mode_labels))
+    zetas = _zetas(np.linalg.det(2.0 * cm.data[None]), np.linalg.det(singles))[0].tolist()
     if by not in cm.mode_labels:
         raise UnknownMode(f"mode {by!r} not in {cm.mode_labels}")
     return zetas[cm.mode_labels.index(by)]
@@ -177,21 +171,32 @@ class SteeringClass(enum.Enum):
     TWO_WAY = "two_way"
 
 
-def classify(zeta_ab: float, zeta_ba: float) -> SteeringClass:
-    """Classify steering directionality from the two ζ values.
+def _classes(zetas: np.ndarray) -> list[SteeringClass]:
+    """The :class:`SteeringClass` of each row of a (K, 2) stack of ζ, α steering β first.
 
     Values below ``1e-12`` count as zero so that floating-point dust
-    cannot flip the class.  ``zeta_ab`` is α steering β.
+    cannot flip the class.
     """
-    ab = zeta_ab > _CLASS_TOL
-    ba = zeta_ba > _CLASS_TOL
-    if ab and ba:
-        return SteeringClass.TWO_WAY
-    if ab:
-        return SteeringClass.ONE_WAY_ALPHA_TO_BETA
-    if ba:
-        return SteeringClass.ONE_WAY_BETA_TO_ALPHA
-    return SteeringClass.NO_WAY
+    # SteeringClass lists no-way, α to β, β to α, then two-way
+    classes = tuple(SteeringClass)
+    return [classes[k] for k in ((zetas > _CLASS_TOL) @ np.array([1, 2])).tolist()]
+
+
+def classify(zeta_ab: float, zeta_ba: float) -> SteeringClass:
+    """Classify steering directionality from the two ζ values (see :func:`_classes`).
+
+    ``zeta_ab`` is α steering β.
+    """
+    return _classes(np.array([[zeta_ab, zeta_ba]]))[0]
+
+
+def _unentangled(zeta, en_mm):
+    """Whether steering ``zeta`` comes without entanglement ``en_mm``; floats or arrays."""
+    return (zeta > _HIERARCHY_TOL) & (en_mm <= _HIERARCHY_TOL)
+
+
+def _hierarchy_error(zeta: float, en_mm: float) -> NonPhysicalInput:
+    return NonPhysicalInput(f"steering {zeta} without entanglement {en_mm}: hierarchy violated")
 
 
 @dataclass(frozen=True)
@@ -216,8 +221,7 @@ class CorrelationReport:
     r_min: float | None = None
 
     def __post_init__(self) -> None:
-        # every field after the stability margin is a measure
-        present = [getattr(self, f.name) is not None for f in fields(self)[2:]]
+        present = [getattr(self, name) is not None for name in _MEASURES]
         if not self.stable:
             if any(present):
                 raise NonPhysicalInput("unstable report must not carry measure values")
@@ -227,13 +231,14 @@ class CorrelationReport:
         if abs(self.zeta_asym - steering_asymmetry(self.zeta_m1_m2, self.zeta_m2_m1)) > 0.0:
             raise NonPhysicalInput("steering asymmetry does not match ζ values")
         zeta = max(self.zeta_m1_m2, self.zeta_m2_m1)
-        if zeta > _HIERARCHY_TOL and self.en_mm <= _HIERARCHY_TOL:
-            raise NonPhysicalInput(
-                f"steering {zeta} without entanglement {self.en_mm}: hierarchy violated"
-            )
+        if _unentangled(zeta, self.en_mm):
+            raise _hierarchy_error(zeta, self.en_mm)
 
 
+# every field after the stability margin is a measure
+_MEASURES = tuple(f.name for f in fields(CorrelationReport)[2:])
 _MIRRORS = (("mirror1", "mirror2"), None)
+_SINGLES = _singles(_MIRRORS[0])
 
 
 def _tagged(exc: LgsteerError, ratio: float) -> LgsteerError:
@@ -243,37 +248,21 @@ def _tagged(exc: LgsteerError, ratio: float) -> LgsteerError:
     return tagged
 
 
-def _report(margin: float, nus: list, pair_det: float, single_dets: list):
-    """The report of one stable row from its spectra and determinants.
-
-    A measure that fails raises; the error of a report that breaks the
-    steering-entanglement hierarchy is returned in its place, untagged.
-    """
-    pair_en, cut_en = _negativities(nus)
-    zeta_m1_m2, zeta_m2_m1 = _zetas(pair_det, single_dets)
-    try:
-        return CorrelationReport(
-            stable=True,
-            stability_margin=margin,
-            en_mm=pair_en[0],
-            en_m1c=pair_en[1],
-            en_m2c=pair_en[2],
-            zeta_m1_m2=zeta_m1_m2,
-            zeta_m2_m1=zeta_m2_m1,
-            zeta_asym=steering_asymmetry(zeta_m1_m2, zeta_m2_m1),
-            steering_class=classify(zeta_m1_m2, zeta_m2_m1),
-            r_min=_residual_min(pair_en, cut_en),
-        )
-    except LgsteerError as exc:
-        return exc
-
-
 def _reports(margins: np.ndarray, v: np.ndarray) -> tuple:
-    """Stage of :func:`full_reports`: :func:`_report` of each stable row."""
-    nus = _pt_nus(v, MODE_ORDER).tolist()
-    pair_dets = _dets(_stack(v, MODE_ORDER, (_MIRRORS,))[:, 0])
-    single_dets = _dets(_stack(v, MODE_ORDER, _singles(_MIRRORS[0])))
-    return ([_report(*row) for row in zip(margins.tolist(), nus, pair_dets, single_dets)],)
+    """Stage of :func:`full_reports`: the report of each stable row, each measure for all at once.
+
+    A measure that fails raises; a row that breaks the steering-entanglement
+    hierarchy gets that error, untagged, in place of its report.
+    """
+    en = _pt_en(v, MODE_ORDER)
+    pairs = _stack(2.0 * v, MODE_ORDER, (_MIRRORS,))[:, 0]
+    zetas = _zetas(np.linalg.det(pairs), np.linalg.det(_stack(2.0 * v, MODE_ORDER, _SINGLES)))
+    zeta = zetas.max(axis=1)
+    values = np.column_stack([en[:, :3], zetas, steering_asymmetry(zetas[:, 0], zetas[:, 1])])
+    rows = zip(_unentangled(zeta, en[:, 0]).tolist(), zeta.tolist(), margins.tolist(),
+               values.tolist(), _classes(zetas), _residual_min(en).tolist())
+    return ([_hierarchy_error(z, row[0]) if broken else CorrelationReport(True, m, *row, c, r)
+             for broken, z, m, row, c, r in rows],)
 
 
 def full_reports(models: LinearModel) -> list:
@@ -284,9 +273,8 @@ def full_reports(models: LinearModel) -> list:
     or the :class:`~lgsteer.errors.LgsteerError` that :func:`full_report`
     would raise for it alone.  A failing row never fails the batch.  The
     measures go on with the rows of the batched solve, so one error list
-    covers both: the three pair and three one-vs-two spectra of all stable
-    rows are one stacked ``eigvalsh`` each, and the steering determinants
-    one stacked ``det`` per size.  Callers bound memory by passing blocks.
+    covers both, and each is computed for all stable rows at once (see
+    :func:`_reports`).  Callers bound memory by passing blocks.
     """
     derived = models.derived
     n = math.prod(derived.shape)
@@ -298,10 +286,9 @@ def full_reports(models: LinearModel) -> list:
         drifts = np.where(np.reshape(threshold, (-1, 1, 1)), 0.0, drifts)
     rows, margins, v = _solve(drifts, np.reshape(models.diffusion, (n, 6, 6)))
     out: list = [None] * n
-    if len(v):
-        (reports,) = rows.run(_reports, margins[rows.live], v)
-        for k, report in zip(rows.live.tolist(), reports):
-            out[k] = report
+    (reports,) = rows.run(_reports, margins[rows.live], v)
+    for k, report in zip(rows.live.tolist(), reports):
+        out[k] = report
     for k, (exc, margin) in enumerate(zip(rows.errors, margins.tolist())):
         if exc is not None:
             ratio = derived.value("detuning") / derived.value("omega_phi1")

@@ -89,6 +89,14 @@ class TestPoint:
         assert main(["point", "--config", cfg]) == 2
         assert "laser_power_w" in capsys.readouterr().err
 
+    def test_oversized_grid_exits_two(self, tmp_path, capsys):
+        # point --config reads a sweep-mode file's axes too; a grid above
+        # the run-file limit is rejected at parse time, before it is built
+        axis = {"name": "detuning_ratio", "start": -1.0, "stop": 1.0, "points": 10**12}
+        cfg = write_config(tmp_path, {"run": {"mode": "sweep", "axis1": axis}})
+        assert main(["point", "--config", cfg]) == 2
+        assert "run.axis1.points is too large" in capsys.readouterr().err
+
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         assert main(["point", "--config", str(tmp_path / "absent.json")]) == 2
         assert "cannot read config" in capsys.readouterr().err

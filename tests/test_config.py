@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -216,6 +217,33 @@ class TestAxisParsing:
                 ' "axis1": {"name": "detuning_ratio", "start": 0.0, "stop": 1.0,'
                 f' "points": {2**62}}}}}}}'
             )
+
+    def test_grid_size_is_bounded_before_any_point_is_built(self):
+        # 10**12 points is within what NumPy may try to allocate; the parse
+        # rejects the size before a single value exists
+        axis = {"name": "detuning_ratio", "start": 0.0, "stop": 1.0, "points": 10**12}
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadUnit, match="axis1.points is too large, got 1000000000000; "
+                               "a grid holds at most 1000000 points"):
+                parse_config(json.dumps({"run": {"mode": "sweep", "axis1": axis}}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_grid_size_bounds_the_product_of_the_axes(self):
+        def sweep(n1, axis2):
+            axis1 = {"name": "detuning_ratio", "start": 0.0, "stop": 1.0, "points": n1}
+            return json.dumps({"run": {"mode": "sweep", "axis1": axis1, "axis2": axis2}})
+
+        gains = {"name": "opa_gain_ratio", "start": 0.0, "stop": 0.1, "points": 1000}
+        assert len(parse_config(sweep(1000, gains)).run.axis2.values) == 1000
+        with pytest.raises(BadUnit, match="axis2.points is too large, got 1000"):
+            parse_config(sweep(1001, gains))
+        listed = {"name": "opa_gain_ratio", "values": [0.0] * 1001}
+        with pytest.raises(BadUnit, match="axis2.values is too large, got 1001"):
+            parse_config(sweep(1000, listed))
 
     @pytest.mark.parametrize("name", ["temperature_k", "laser_power_w", "opa_gain_ratio"])
     def test_axis_values_obey_their_key_rule(self, name):

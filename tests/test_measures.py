@@ -1,6 +1,7 @@
 """Entanglement, steering, monogamy, and the per-point report."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +40,7 @@ from lgsteer import (
     with_updates,
 )
 from lgsteer.eigen import power_of_two_scale
-from lgsteer.measures import _en
+from lgsteer.measures import _classes, _en, _reports
 
 from conftest import (
     REF_EN_CAV_SPLIT_PUMPED,
@@ -113,19 +114,20 @@ class TestLogNegativity:
         # the spectrum is accurate to eps nu_max: a nu that close below 1/2
         # gives EN = 0, one just further below gives -ln(2 nu) > 0
         band = np.finfo(float).eps * nu_max
-        assert _en(0.5, nu_max) == 0.0
-        assert _en(0.5 - band, nu_max) == 0.0
-        assert _en(0.5 - 0.5 * band, nu_max) == 0.0
         outside = 0.5 - 2.0 * band
-        assert _en(outside, nu_max) == -math.log(2.0 * outside) > 0.0
+        nus = np.array([0.5, 0.5 - band, 0.5 - 0.5 * band, outside])
+        en = _en(nus, np.full(4, nu_max)).tolist()
+        assert en[:3] == [0.0, 0.0, 0.0]
+        assert en[3] == -math.log(2.0 * outside) > 0.0
 
     def test_band_follows_the_cut_spectrum(self):
         # the same nu is resolved below 1/2 in a narrow spectrum and not in
         # a wide one
         nu = 0.5 - 1e-9
-        assert _en(nu, 1.0) == pytest.approx(2e-9, rel=1e-6)
-        assert _en(nu, 1e7) == 0.0
-        assert _en(0.3, 1e7) == -math.log(0.6)
+        en = _en(np.array([nu, nu, 0.3]), np.array([1.0, 1e7, 1e7])).tolist()
+        assert en[0] == pytest.approx(2e-9, rel=1e-6)
+        assert en[1] == 0.0
+        assert en[2] == -math.log(0.6)
 
     def test_local_symplectic_invariance(self):
         s = local_symplectic(0.4, 0.3, -1.1, -0.2)
@@ -502,6 +504,72 @@ class TestFullReport:
         )
         with pytest.raises(SolveFailure, match="detuning_ratio=1"):
             full_report(broken)
+
+
+def _with_vacuum_cavity(mirrors: np.ndarray) -> np.ndarray:
+    """A three-mode state in MODE_ORDER: ``mirrors`` beside a vacuum cavity."""
+    v = 0.5 * np.eye(6)
+    v[:4, :4] = mirrors
+    return v
+
+
+# [[1.5 I, I], [I, I]]: positive definite but not a state (its symplectic
+# eigenvalues are 0.22 and 2.28), where mirror 1 steers with EN = 0
+_UNENTANGLED_STEERING = np.kron([[1.5, 1.0], [1.0, 1.0]], np.eye(2))
+
+
+class TestReportStage:
+    """The array stage of full_reports on synthetic stacks the model never gives."""
+
+    @staticmethod
+    def stage(*mirrors) -> list:
+        v = np.stack([_with_vacuum_cavity(m) for m in mirrors])
+        (reports,) = _reports(np.full(len(v), -0.25), v)
+        return reports
+
+    def test_tmsv_beside_a_vacuum_cavity(self):
+        rs = (0.25, 0.5, 1.0)
+        for r, report in zip(rs, self.stage(*(tmsv(r).data for r in rs))):
+            zeta = math.log(math.cosh(2.0 * r))
+            assert report.stable and report.stability_margin == -0.25
+            assert report.en_mm == pytest.approx(2.0 * r, rel=1e-12)
+            assert report.en_m1c == report.en_m2c == 0.0
+            assert report.zeta_m1_m2 == pytest.approx(zeta, rel=1e-12)
+            assert report.zeta_m2_m1 == pytest.approx(zeta, rel=1e-12)
+            assert report.zeta_asym == abs(report.zeta_m1_m2 - report.zeta_m2_m1)
+            assert report.steering_class is SteeringClass.TWO_WAY
+            # EN(m|rest)^2 = EN_mm^2 for each mirror, and the cavity has none
+            assert report.r_min == 0.0
+
+    def test_one_way_states_in_both_directions(self):
+        # thermal noise on mirror 2, then the same state with the mirrors
+        # swapped: only the noisy mirror steers
+        noisy = noisy_tmsv(0.5, 0.3).data
+        swapped = noisy[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])]
+        to_1, to_2 = self.stage(noisy, swapped)
+        z = steering(noisy_tmsv(0.5, 0.3), "beta")
+        assert z > 0.05
+        assert (to_1.zeta_m1_m2, to_1.zeta_m2_m1) == (0.0, z)
+        assert to_2.zeta_m1_m2 == pytest.approx(z, rel=1e-12) and to_2.zeta_m2_m1 == 0.0
+        assert to_1.steering_class is SteeringClass.ONE_WAY_BETA_TO_ALPHA
+        assert to_2.steering_class is SteeringClass.ONE_WAY_ALPHA_TO_BETA
+        assert to_1.en_mm == pytest.approx(to_2.en_mm, rel=1e-12) and to_1.en_mm > 0.0
+
+    def test_a_hierarchy_breach_stays_on_its_row(self):
+        clean = [tmsv(0.5).data, noisy_tmsv(0.5, 0.3).data]
+        reports = self.stage(clean[0], _UNENTANGLED_STEERING, clean[1])
+        # untagged: the stage knows no detuning
+        assert type(reports[1]) is NonPhysicalInput
+        message = re.fullmatch(
+            r"steering (\S+) without entanglement 0.0: hierarchy violated", str(reports[1])
+        )
+        zeta = math.log(1.5)
+        assert float(message.group(1)) == pytest.approx(zeta, rel=1e-12)
+        assert [reports[0], reports[2]] == self.stage(*clean)
+
+    def test_no_rows(self):
+        assert _reports(np.zeros(0), np.zeros((0, 6, 6))) == ([],)
+        assert _classes(np.zeros((0, 2))) == []
 
 
 def _degenerate_zero_temperature_sweep():

@@ -397,24 +397,23 @@ class TestBlocks:
         marked = build_model(make_params(detuning=+W1))
         scaled = marked.drift / power_of_two_scale(marked.drift)
         if stage == "residual":
-            residual = lgsteer.gaussian.lyapunov_residual
+            residual = lgsteer.gaussian._residual
 
-            def inflated(a, d, v):
-                out = residual(a, d, v)
-                if np.ndim(out):
-                    out[[np.array_equal(x, marked.drift) for x in a]] *= 1e12
+            def inflated(a, v, d):
+                out = residual(a, v, d)
+                out[[np.array_equal(x, marked.drift) for x in a]] *= 1e12
                 return out
 
-            monkeypatch.setattr(lgsteer.gaussian, "lyapunov_residual", inflated)
+            monkeypatch.setattr(lgsteer.gaussian, "_residual", inflated)
         elif stage == "report":
             _, cm = steady_covariance(marked.drift, marked.diffusion)
             pair_det = np.linalg.det(2.0 * reduce(cm, ("mirror1", "mirror2")).data)
             zetas = lgsteer.measures._zetas
 
-            def steering(det, single_dets):
-                if math.isclose(det, pair_det, rel_tol=1e-12):
-                    return [0.3, 0.0]
-                return zetas(det, single_dets)
+            def steering(pair_dets, single_dets):
+                out = zetas(pair_dets, single_dets)
+                out[[math.isclose(det, pair_det, rel_tol=1e-12) for det in pair_dets]] = 0.3, 0.0
+                return out
 
             monkeypatch.setattr(lgsteer.measures, "_zetas", steering)
         else:
