@@ -41,6 +41,7 @@ def _en(nu: np.ndarray, nu_max: np.ndarray) -> np.ndarray:
     ``nu`` and ``nu_max`` are each cut's smallest and largest symplectic
     eigenvalue.  A spectrum is accurate to about ``eps nu_max`` absolute,
     so a ``nu`` within that of 1/2 is not resolved below 1/2: its EN is 0.
+    Each log is :func:`math.log`, which NumPy's ``log`` need not match.
     """
     if (nu <= 0.0).any():
         raise NonPhysicalInput(f"partial-transpose eigenvalue {nu[nu <= 0.0][0]} is not positive")
@@ -81,15 +82,14 @@ def _pt_en(data: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
 
 
 # the two pairs, in combinations order, that hold each focus mode
-_HELD = np.array([[p for p, pair in enumerate(itertools.combinations(range(3), 2))
-                   if focus in pair] for focus in range(3)])
+_HELD = np.array([[0, 1], [0, 2], [1, 2]])
 
 
 def _residual_min(en: np.ndarray) -> np.ndarray:
     """:func:`residual_contangle_min` of each row of :func:`_pt_en`.
 
-    The squares are Python's ``x**2``, one at a time, as the residual
-    has always been rounded.
+    Each square is Python's ``x**2`` (libm ``pow``): ``x * x`` rounds
+    differently on about 0.1 % of doubles, which would move R_min.
     """
     sq = np.reshape([e**2 for e in en.ravel().tolist()], en.shape)
     res = sq[:, 3:] - sq[:, _HELD[:, 0]] - sq[:, _HELD[:, 1]]
@@ -130,7 +130,7 @@ def renyi2_entropy(cm: CovarianceMatrix) -> float:
 
 
 def _zetas(pair_dets: np.ndarray, single_dets: np.ndarray) -> np.ndarray:
-    """Steering by each mode of each pair, from det(2 V) of the pairs (K,) and their modes (K, 2)."""
+    """Steering by each mode of each pair, from det(2 V) of pairs (K,) and their modes (K, 2)."""
     s_pair = _renyi2(pair_dets)
     gain = _renyi2(single_dets) - s_pair[:, None]
     return np.where(gain > 0.0, gain, 0.0)
@@ -172,11 +172,8 @@ class SteeringClass(enum.Enum):
 
 
 def _classes(zetas: np.ndarray) -> list[SteeringClass]:
-    """The :class:`SteeringClass` of each row of a (K, 2) stack of ζ, α steering β first.
-
-    Values below ``1e-12`` count as zero so that floating-point dust
-    cannot flip the class.
-    """
+    """The :class:`SteeringClass` of each row of (K, 2) ζ, α steering β first; a ζ
+    below ``1e-12`` counts as zero so that floating-point dust cannot flip the class."""
     # SteeringClass lists no-way, α to β, β to α, then two-way
     classes = tuple(SteeringClass)
     return [classes[k] for k in ((zetas > _CLASS_TOL) @ np.array([1, 2])).tolist()]
@@ -286,9 +283,10 @@ def full_reports(models: LinearModel) -> list:
         drifts = np.where(np.reshape(threshold, (-1, 1, 1)), 0.0, drifts)
     rows, margins, v = _solve(drifts, np.reshape(models.diffusion, (n, 6, 6)))
     out: list = [None] * n
-    (reports,) = rows.run(_reports, margins[rows.live], v)
-    for k, report in zip(rows.live.tolist(), reports):
-        out[k] = report
+    if len(v):
+        (reports,) = rows.run(_reports, margins[rows.live], v)
+        for k, report in zip(rows.live.tolist(), reports):
+            out[k] = report
     for k, (exc, margin) in enumerate(zip(rows.errors, margins.tolist())):
         if exc is not None:
             ratio = derived.value("detuning") / derived.value("omega_phi1")
