@@ -325,7 +325,7 @@ def _residual(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
     product M = A V gives the residual as M + M^T + D.
     """
     m = a.astype(np.longdouble) @ v.astype(np.longdouble)
-    return np.asarray(m[:, _ROWS, _COLS] + m[:, _COLS, _ROWS] + d[:, _ROWS, _COLS], dtype=float)
+    return np.asarray((m + m.swapaxes(1, 2))[:, _ROWS, _COLS] + d[:, _ROWS, _COLS], dtype=float)
 
 
 def _lyapunov(a: np.ndarray, d: np.ndarray, scale: np.ndarray) -> tuple:

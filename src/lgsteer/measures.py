@@ -93,7 +93,7 @@ def _residual_min(en: np.ndarray) -> np.ndarray:
     """
     sq = np.reshape([e**2 for e in en.ravel().tolist()], en.shape)
     res = sq[:, 3:] - sq[:, _HELD[:, 0]] - sq[:, _HELD[:, 1]]
-    return np.where(res < -_MONOGAMY_TOL, res, np.where(res > 0.0, res, 0.0)).min(axis=1)
+    return np.where((res < -_MONOGAMY_TOL) | (res > 0.0), res, 0.0).min(axis=1)
 
 
 def residual_contangle_min(cm: CovarianceMatrix) -> float:
@@ -131,8 +131,8 @@ def renyi2_entropy(cm: CovarianceMatrix) -> float:
 
 def _zetas(pair_dets: np.ndarray, single_dets: np.ndarray) -> np.ndarray:
     """Steering by each mode of each pair, from det(2 V) of pairs (K,) and their modes (K, 2)."""
-    s_pair = _renyi2(pair_dets)
-    gain = _renyi2(single_dets) - s_pair[:, None]
+    s = _renyi2(np.column_stack([pair_dets, single_dets]))
+    gain = s[:, 1:] - s[:, :1]
     return np.where(gain > 0.0, gain, 0.0)
 
 
@@ -176,7 +176,7 @@ def _classes(zetas: np.ndarray) -> list[SteeringClass]:
     below ``1e-12`` counts as zero so that floating-point dust cannot flip the class."""
     # SteeringClass lists no-way, α to β, β to α, then two-way
     classes = tuple(SteeringClass)
-    return [classes[k] for k in ((zetas > _CLASS_TOL) @ np.array([1, 2])).tolist()]
+    return [classes[ab + 2 * ba] for ab, ba in (zetas > _CLASS_TOL).tolist()]
 
 
 def classify(zeta_ab: float, zeta_ba: float) -> SteeringClass:
@@ -252,14 +252,16 @@ def _reports(margins: np.ndarray, v: np.ndarray) -> tuple:
     hierarchy gets that error, untagged, in place of its report.
     """
     en = _pt_en(v, MODE_ORDER)
-    pairs = _stack(2.0 * v, MODE_ORDER, (_MIRRORS,))[:, 0]
-    zetas = _zetas(np.linalg.det(pairs), np.linalg.det(_stack(2.0 * v, MODE_ORDER, _SINGLES)))
+    v2 = 2.0 * v
+    zetas = _zetas(np.linalg.det(_stack(v2, MODE_ORDER, (_MIRRORS,))[:, 0]),
+                   np.linalg.det(_stack(v2, MODE_ORDER, _SINGLES)))
     zeta = zetas.max(axis=1)
-    values = np.column_stack([en[:, :3], zetas, steering_asymmetry(zetas[:, 0], zetas[:, 1])])
+    asym = steering_asymmetry(zetas[:, 0], zetas[:, 1])
     rows = zip(_unentangled(zeta, en[:, 0]).tolist(), zeta.tolist(), margins.tolist(),
-               values.tolist(), _classes(zetas), _residual_min(en).tolist())
-    return ([_hierarchy_error(z, row[0]) if broken else CorrelationReport(True, m, *row, c, r)
-             for broken, z, m, row, c, r in rows],)
+               en[:, :3].tolist(), zetas.tolist(), asym.tolist(), _classes(zetas),
+               _residual_min(en).tolist())
+    return ([_hierarchy_error(z, e[0]) if broken else CorrelationReport(True, m, *e, *zs, a, c, r)
+             for broken, z, m, e, zs, a, c, r in rows],)
 
 
 def full_reports(models: LinearModel) -> list:
