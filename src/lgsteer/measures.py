@@ -91,7 +91,7 @@ def _residual_min(en: np.ndarray) -> np.ndarray:
     Each square is Python's ``x**2`` (libm ``pow``): ``x * x`` rounds
     differently on about 0.1 % of doubles, which would move R_min.
     """
-    sq = np.reshape([e**2 for e in en.ravel().tolist()], en.shape)
+    sq = np.array([e**2 for e in en.ravel().tolist()]).reshape(en.shape)
     res = sq[:, 3:] - sq[:, _HELD[:, 0]] - sq[:, _HELD[:, 1]]
     return np.where((res < -_MONOGAMY_TOL) | (res > 0.0), res, 0.0).min(axis=1)
 
@@ -117,11 +117,12 @@ def residual_contangle_min(cm: CovarianceMatrix) -> float:
 
 def _renyi2(dets: np.ndarray) -> np.ndarray:
     """Renyi-2 entropies ``S = 0.5 ln det(2 V)`` from the determinants det(2 V)."""
-    if (dets <= 0.0).any():
+    flat = dets.ravel().tolist()
+    if flat and min(flat) <= 0.0:
         raise NonPositiveDeterminant(
-            f"det(2V) = {dets.min()} is not positive; state is unphysical"
+            f"det(2V) = {min(flat)} is not positive; state is unphysical"
         )
-    return 0.5 * np.reshape([math.log(det) for det in dets.ravel().tolist()], dets.shape)
+    return 0.5 * np.array([math.log(det) for det in flat]).reshape(dets.shape)
 
 
 def renyi2_entropy(cm: CovarianceMatrix) -> float:
@@ -131,7 +132,7 @@ def renyi2_entropy(cm: CovarianceMatrix) -> float:
 
 def _zetas(pair_dets: np.ndarray, single_dets: np.ndarray) -> np.ndarray:
     """Steering by each mode of each pair, from det(2 V) of pairs (K,) and their modes (K, 2)."""
-    s = _renyi2(np.column_stack([pair_dets, single_dets]))
+    s = _renyi2(np.concatenate([pair_dets[:, None], single_dets], axis=1))
     gain = s[:, 1:] - s[:, :1]
     return np.where(gain > 0.0, gain, 0.0)
 
@@ -252,10 +253,10 @@ def _reports(margins: np.ndarray, v: np.ndarray) -> tuple:
     hierarchy gets that error, untagged, in place of its report.
     """
     en = _pt_en(v, MODE_ORDER)
-    v2 = 2.0 * v
-    zetas = _zetas(np.linalg.det(_stack(v2, MODE_ORDER, (_MIRRORS,))[:, 0]),
-                   np.linalg.det(_stack(v2, MODE_ORDER, _SINGLES)))
-    zeta = zetas.max(axis=1)
+    two_v = 2.0 * v
+    zetas = _zetas(np.linalg.det(_stack(two_v, MODE_ORDER, (_MIRRORS,))[:, 0]),
+                   np.linalg.det(_stack(two_v, MODE_ORDER, _SINGLES)))
+    zeta = np.maximum(zetas[:, 0], zetas[:, 1])
     asym = steering_asymmetry(zetas[:, 0], zetas[:, 1])
     rows = zip(_unentangled(zeta, en[:, 0]).tolist(), zeta.tolist(), margins.tolist(),
                en[:, :3].tolist(), zetas.tolist(), asym.tolist(), _classes(zetas),
