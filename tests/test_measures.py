@@ -40,7 +40,7 @@ from lgsteer import (
     with_updates,
 )
 from lgsteer.eigen import power_of_two_scale
-from lgsteer.measures import _classes, _en, _reports
+from lgsteer.measures import _en, _reports
 
 from conftest import (
     REF_EN_CAV_SPLIT_PUMPED,
@@ -569,7 +569,6 @@ class TestReportStage:
 
     def test_no_rows(self):
         assert _reports(np.zeros(0), np.zeros((0, 6, 6))) == ([],)
-        assert _classes(np.zeros((0, 2))) == []
 
 
 def _degenerate_zero_temperature_sweep():
