@@ -1,15 +1,16 @@
-"""Eigenvalues and stability margins of small general real matrices.
+"""Eigenvalues of small general real matrices: a reference off the production path.
 
-:func:`eigenvalues` and :func:`spectral_abscissa` call LAPACK through
-``numpy.linalg.eigvals``; they are what the package uses, and
-:func:`spectral_abscissae` takes a whole stack of matrices in one call.  The
+:func:`eigenvalues` calls LAPACK through ``numpy.linalg.eigvals``.  The
 Hessenberg reduction and Francis double-shift QR below
 (:func:`hessenberg`, :func:`real_schur`) are a self-contained real Schur
 decomposition A = Q T Q^T with T quasi upper triangular (1x1 and 2x2
-diagonal blocks), kept as a tested reference off the per-point path.
-Everything here is sized for the n <= 16 matrices this package produces;
-the QR has no balancing, blocking, or sparsity handling, and leaves 2x2
-blocks with real eigenvalues unsplit.
+diagonal blocks).  No module of the package calls into this one (the
+stability margins are taken in :mod:`lgsteer.gaussian`); it stays only
+because the ``TARGETS`` of the benchmark's tracer, ``benchmarks/spans.py``,
+name ``eigen.real_schur`` and ``eigen.eigenvalues``, and
+``tests/test_api.py`` checks that every such name resolves.  It is sized
+for matrices of order n <= 16: the QR has no balancing, blocking, or
+sparsity handling, and leaves 2x2 blocks with real eigenvalues unsplit.
 """
 
 from __future__ import annotations
@@ -20,21 +21,13 @@ import numpy as np
 
 from .errors import EigenFailure
 
-__all__ = [
-    "hessenberg",
-    "real_schur",
-    "eigenvalues",
-    "power_of_two_scale",
-    "spectral_abscissa",
-    "spectral_abscissae",
-]
+__all__ = ["hessenberg", "real_schur", "eigenvalues"]
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny / _EPS
 _MAX_SIZE = 16
 _ITER_FACTOR = 100          # total Francis-iteration budget is 100 * n
 _EXCEPTIONAL_EVERY = 10     # ad-hoc shifts after this many stalled sweeps
-_MARGIN_FLOOR = 8.0         # scaled margins within this many eps of 0 read 0
 
 
 def _check_input(a: np.ndarray) -> np.ndarray:
@@ -200,47 +193,3 @@ def eigenvalues(a: np.ndarray) -> list[complex]:
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"eigenvalue iteration did not converge: {exc}") from exc
     return lam.astype(complex).tolist()
-
-
-def power_of_two_scale(a: np.ndarray):
-    """Smallest power of two at or above max|a|; 0 for the zero matrix.
-
-    The largest finite power of two, 2^1023, stands in when max|a| is
-    above it, so the scale is never inf.  Taken over the last two axes,
-    so a (N, n, n) stack gets one scale per matrix.  Dividing by it is
-    exact, so SI-scale and unit-scale inputs take the same numerical
-    path.
-    """
-    # max|a| = m 2^e with m in [0.5, 1), or m = 0 for the zero matrix
-    m, e = np.frexp(np.abs(a).max(axis=(-2, -1)))
-    return np.ldexp(np.ceil(m), np.minimum(e - (m == 0.5), 1023))
-
-
-def spectral_abscissae(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """:func:`spectral_abscissa` of each matrix in a finite (N, n, n) stack.
-
-    ``scale`` is :func:`power_of_two_scale` of ``a``.  One batched LAPACK
-    call; raises :class:`EigenFailure` when it does not converge on some
-    matrix.
-    """
-    # the zero matrix has eigenvalues 0 at any scale
-    unit = scale + (scale == 0.0)
-    try:
-        lam = np.linalg.eigvals(a / unit[:, None, None])
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"eigenvalue iteration did not converge: {exc}") from exc
-    margin = lam.real.max(axis=-1)
-    margin[(-_MARGIN_FLOOR * _EPS < margin) & (margin < 0.0)] = 0.0
-    return unit * margin
-
-
-def spectral_abscissa(a: np.ndarray) -> float:
-    """Largest real part of the spectrum of ``a``, in the units of ``a``.
-
-    The eigenvalues are taken of ``a`` divided by
-    :func:`power_of_two_scale` s; the zero matrix gives 0.  A value in
-    (-8 eps s, 0), s < 2 max|a|, is below what the eigensolver resolves: it
-    reads 0.0, not stable (Lyapunov solves there failed up to 2.3 eps max|a|).
-    """
-    a = _check_input(a)[None]
-    return float(spectral_abscissae(a, power_of_two_scale(a))[0])

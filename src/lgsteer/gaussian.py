@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import power_of_two_scale, spectral_abscissae
 from .errors import (
+    EigenFailure,
     LgsteerError,
     NonPhysicalInput,
     SolveFailure,
@@ -47,8 +47,11 @@ __all__ = [
 
 MODE_ORDER = ("mirror1", "mirror2", "cavity")
 
+_EPS = float(np.finfo(float).eps)
 _SYM_TOL = 1e-12
 _PHYS_TOL = 1e-9
+# margins within this many eps of 0 after power-of-two scaling read 0
+_MARGIN_FLOOR = 8.0
 # refinement stops once a correction is at most this many eps of max|V|
 _FORWARD_FACTOR = 2.0
 _MAX_REFINE = 8
@@ -312,10 +315,38 @@ def _inputs(a, d) -> tuple:
     return a, d
 
 
+def _scale(a: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack, the smallest power of two at or above max|a|; 1 if a = 0.
+
+    The largest finite power of two, 2^1023, stands in when max|a| is
+    above it, so the scale is never inf.  Dividing by it is exact, so
+    SI-scale and unit-scale inputs take the same numerical path.
+    """
+    # max|a| = m 2^e with m in [0.5, 1), or m = 0 for the zero matrix
+    m, e = np.frexp(np.abs(a).max(axis=(-2, -1)))
+    scale = np.ldexp(np.ceil(m), np.minimum(e - (m == 0.5), 1023))
+    # the zero matrix has eigenvalues 0 at any scale
+    return scale + (scale == 0.0)
+
+
 def _margins(a: np.ndarray, d: np.ndarray) -> tuple:
-    """Stage: margins and power-of-two scales, with the stacks they go on with."""
-    scale = power_of_two_scale(a)
-    return spectral_abscissae(a, scale), a, d, scale
+    """Stage: margins and power-of-two scales, with the stacks they go on with.
+
+    A margin is the largest real part of a drift's spectrum, in the units
+    of the drift, from one batched ``eigvals`` of the drifts divided by
+    their :func:`_scale` s.  A margin in (-8 eps s, 0), s < 2 max|a|, is
+    below what the eigensolver resolves: it reads 0.0, not stable
+    (Lyapunov solves there failed up to 2.3 eps max|a|).  Raises
+    :class:`EigenFailure` when ``eigvals`` does not converge.
+    """
+    scale = _scale(a)
+    try:
+        lam = np.linalg.eigvals(a / scale[:, None, None])
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"eigenvalue iteration did not converge: {exc}") from exc
+    margin = lam.real.max(axis=-1)
+    margin[(-_MARGIN_FLOOR * _EPS < margin) & (margin < 0.0)] = 0.0
+    return scale * margin, a, d, scale
 
 
 def _residual(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -343,7 +374,7 @@ def _lyapunov(a: np.ndarray, d: np.ndarray, scale: np.ndarray) -> tuple:
         raise SolveFailure(f"singular Lyapunov operator: {exc}") from None
     # the unknowns and every correction fill V symmetrically through _SYM
     v = (inverse @ -d_s[:, _ROWS, _COLS, None])[:, _SYM, 0]
-    limit = _FORWARD_FACTOR * float(np.finfo(float).eps)
+    limit = _FORWARD_FACTOR * _EPS
     # rows still refining; a row whose V is not finite compares false
     # below, stops, and fails the finiteness check after the loop
     todo = slice(None)
@@ -414,11 +445,12 @@ def steady_covariances(drifts, diffusions):
     or raises for it alone.
 
     Every stage is one batched LAPACK call over the rows still in play:
-    the margins from one ``eigvals`` (see
-    :func:`lgsteer.eigen.spectral_abscissae`), the inverses of the
-    stable rows' 21x21 Lyapunov operators from one ``inv``, and each
-    refinement pass on the rows not yet converged.  Only when LAPACK or
-    a check rejects a whole stage is it re-run one row at a time.
+    the margins from one ``eigvals`` of the power-of-two-scaled drifts
+    (a margin within 8 eps of 0 after scaling reads 0.0, not stable),
+    the inverses of the stable rows' 21x21 Lyapunov operators from one
+    ``inv``, and each refinement pass on the rows not yet converged.
+    Only when LAPACK or a check rejects a whole stage is it re-run one
+    row at a time.
     """
     rows, margins, v = _solve(drifts, diffusions)
     covariances = np.full((len(margins), 6, 6), np.nan)
@@ -430,9 +462,8 @@ def steady_covariance(a: np.ndarray, d: np.ndarray):
     """Stability margin and (when stable) steady-state covariance.
 
     Returns ``(margin, cm_or_None)`` with the margin in the units of
-    ``a``, from :func:`lgsteer.eigen.spectral_abscissae` via ``_solve``;
-    this is the one-row case of :func:`steady_covariances`, and raises
-    the row's error.
+    ``a``; this is the one-row case of :func:`steady_covariances`, and
+    raises the row's error.
 
     A stable system is solved on power-of-two-scaled inputs for the 21
     unknowns of a symmetric V: the rows of the upper triangle of

@@ -99,3 +99,23 @@ def test_every_name_the_benchmark_uses_resolves():
         except AttributeError:
             missing.append(name)
     assert missing == []
+
+
+def test_no_module_but_the_package_root_imports_eigen():
+    # the reference QR in ``eigen`` is off the production path: only the
+    # package root re-exports it, so deleting it touches no other module
+    importers = []
+    for path in sorted(Path(lgsteer.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ("." * node.level) + (node.module or "")
+                modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(m.split(".")[-1] == "eigen" for m in modules):
+                importers.append(path.name)
+    assert importers == []

@@ -227,6 +227,28 @@ class TestSweep:
         assert f"{name} must be {need}, got {values[0]!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_axis_value_overflowing_in_si_is_an_error_row(self, tmp_path, capsys, fmt):
+        # 1e303 passes the run-file check in units of omega_phi1, but its
+        # SI detuning overflows to inf: the sweep's own check of the SI value
+        # makes that point an error row, and the run still exits 0
+        out = tmp_path / f"scan.{fmt}"
+        axis = {"name": "detuning_ratio", "values": [1.0, 1e303]}
+        cfg = write_config(tmp_path, {"run": {"mode": "sweep", "axis1": axis}})
+        assert main(["sweep", "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
+        assert f"wrote {out}: 2 rows, 1 stable" in capsys.readouterr().out
+        if fmt == "csv":
+            _, rows = parse_result_csv(out.read_text())
+            assert [r["stable"] for r in rows] == [True, "error"]
+        else:
+            rows = json.loads(out.read_text())["rows"]
+            assert rows[0]["stable"] is True
+            assert rows[1] == {
+                "detuning_ratio": 1e303,
+                "stable": "error",
+                "error": "NonPositiveParameter: detuning must be finite, got inf",
+            }
+
     def test_point_mode_config_rejected_for_sweep(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"run": {"mode": "point"}})
         assert main(["sweep", "--config", cfg]) == 2

@@ -30,7 +30,6 @@ from lgsteer import (
     symplectic_eigenvalues,
     symplectic_form,
 )
-from lgsteer.eigen import spectral_abscissa
 
 from conftest import REF_NUS_BLUE, REF_V_BLUE, W1, make_params
 
@@ -293,13 +292,27 @@ class TestSteadyCovariance:
         margin, cm = steady_covariance(m.drift / W1, m.diffusion / W1)
         assert cm is None
         assert margin > 0.0
-        assert margin == pytest.approx(spectral_abscissa(m.drift / W1), rel=1e-10)
+        assert margin == pytest.approx(np.linalg.eigvals(m.drift / W1).real.max(), rel=1e-10)
 
     def test_margin_matches_stability_margin_when_stable(self):
         m = build_model(make_params(detuning=+W1))
         margin, cm = steady_covariance(m.drift / W1, m.diffusion / W1)
         assert cm is not None
-        assert margin == pytest.approx(spectral_abscissa(m.drift / W1), rel=1e-10)
+        assert margin == pytest.approx(np.linalg.eigvals(m.drift / W1).real.max(), rel=1e-10)
+
+    def test_margin_below_the_floor_reads_zero(self):
+        # LAPACK resolves a margin only beyond about eps max|A|; within 8 eps s
+        # of 0, s = max|A| rounded up to a power of two, it reads 0.0 (not
+        # stable), beyond it is kept
+        eps = np.finfo(float).eps
+        drifts = [
+            np.diag([-4.0 * eps] + [-1.0] * 5),
+            np.diag([-4.0 * eps] + [-1.0] * 5) * 1e8,
+            np.diag([-16.0 * eps] + [-1.0] * 5),
+            np.diag([4.0 * eps] + [-1.0] * 5),
+        ]
+        margins = steady_covariances(drifts, [np.eye(6)] * 4)[0]
+        assert margins.tolist() == [0.0, 0.0, -16.0 * eps, 4.0 * eps]
 
     def test_agrees_with_independent_oracle(self):
         m = build_model(make_params(detuning=+W1))
@@ -406,12 +419,12 @@ class TestSteadyCovariance:
         a = m.drift * 1e300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            alone = spectral_abscissa(a)
-        margins, covariances, errors = steady_covariances([a], [m.diffusion])
+            margins, covariances, errors = steady_covariances([a], [m.diffusion])
         margin, cm = steady_covariance(a, m.diffusion)
-        assert margins[0] == margin == alone
+        assert margins[0] == margin
+        assert margin == pytest.approx(np.linalg.eigvals(a).real.max(), rel=2e-14)
         assert margin == pytest.approx(-5.8358652736951e306, rel=1e-14)
-        assert margin == pytest.approx(1e300 * spectral_abscissa(m.drift), rel=2e-14)
+        assert margin == pytest.approx(1e300 * np.linalg.eigvals(m.drift).real.max(), rel=2e-14)
         assert errors == [None] and np.isfinite(covariances).all() and cm is not None
         underflow = r"det\(2V\) = 0.0 is not positive"
         with pytest.raises(NonPositiveDeterminant, match=underflow):
@@ -420,7 +433,7 @@ class TestSteadyCovariance:
         report = full_report(dataclasses.replace(red, drift=red.drift * 1e300))
         assert report.stable is False
         assert report.stability_margin == pytest.approx(
-            1e300 * spectral_abscissa(red.drift), rel=2e-14
+            1e300 * np.linalg.eigvals(red.drift).real.max(), rel=2e-14
         )
 
     def test_blue_point_regression(self):

@@ -39,7 +39,7 @@ from lgsteer import (
     table_defaults,
     with_updates,
 )
-from lgsteer.eigen import power_of_two_scale
+from lgsteer.gaussian import _scale
 from lgsteer.measures import _en, _reports
 
 from conftest import (
@@ -673,7 +673,7 @@ class TestStabilityBoundary:
         solve_errors, n_unresolved, n_floor, n_rows = [], 0, 0, 0
 
         def raw_margin(a):
-            scale = power_of_two_scale(a)
+            scale = _scale(a)
             return np.linalg.eigvals(a / scale).real.max(), np.abs(a / scale).max()
 
         for b in range(16):

@@ -38,8 +38,8 @@ from lgsteer import (
     to_system_params,
     with_updates,
 )
-from lgsteer.eigen import power_of_two_scale
 from lgsteer.config import _SWEEPABLE
+from lgsteer.gaussian import _scale
 from lgsteer.sweep import _PRESETS, _column
 
 from conftest import W1, make_params, params_at
@@ -395,7 +395,7 @@ class TestBlocks:
         spec = SweepSpec(make_params(), Axis("detuning_ratio", [k / 10 for k in range(-9, 12)]))
         clean = [repr(row) for row in run_sweep(spec).rows]
         marked = build_model(make_params(detuning=+W1))
-        scaled = marked.drift / power_of_two_scale(marked.drift)
+        scaled = marked.drift / _scale(marked.drift)
         if stage == "residual":
             residual = lgsteer.gaussian._residual
 
