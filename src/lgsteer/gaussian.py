@@ -55,6 +55,9 @@ _MARGIN_FLOOR = 8.0
 # refinement stops once a correction is at most this many eps of max|V|
 _FORWARD_FACTOR = 2.0
 _MAX_REFINE = 8
+# stable rows per call of the Lyapunov and report stages: bounds their
+# working arrays (about 12 KB a row, two 21x21 operators among them)
+_CHUNK_ROWS = 64
 _EYE6 = np.eye(6)
 # the 21 unknowns of a symmetric 6x6 V are its upper triangle, row by row;
 # _SYM[p, i] is the unknown that holds V[p, i], so u[..., _SYM] is V
@@ -97,8 +100,12 @@ def _operator(a: np.ndarray) -> np.ndarray:
     Each entry is gathered as the exact sum of its two terms (see
     :func:`_operator_terms`), so it does not depend on the stack.
     """
-    padded = np.concatenate([a.reshape(-1, 36), np.zeros((len(a), 1))], axis=1)
-    return (padded[:, _TERMS[0]] + padded[:, _TERMS[1]]).reshape(-1, 21, 21)
+    n = len(a)
+    padded = np.zeros((n, 37))
+    padded[:, :36] = a.reshape(n, 36)
+    out = padded.take(_TERMS[0], axis=1)
+    out += padded.take(_TERMS[1], axis=1)
+    return out.reshape(n, 21, 21)
 
 
 @dataclass(frozen=True)
@@ -262,26 +269,40 @@ class _Rows:
             self.live, *arrays = (x[mask] for x in (self.live, *arrays))
         return arrays
 
-    def run(self, stage, *arrays) -> tuple:
+    def run(self, stage, *arrays, chunk: int | None = None) -> tuple:
         """``stage(*arrays)``, the tuple of stacks the live rows go on with.
 
         The one way a stage drops a failing row: ``arrays`` and the stacks
-        ``stage`` returns are aligned with the live rows, and when LAPACK
-        or a guard rejects the whole stack, the stage is re-run on no rows
-        (for the shapes) and then row by row, and each row that fails
-        alone is dropped with its own exception as its error.
+        ``stage`` returns are aligned with the live rows.  ``stage`` runs on
+        all of them at once, or on ``chunk`` rows at a time, which bounds
+        its working arrays.  When LAPACK or a guard rejects a call, the
+        stage is re-run on that call's rows one by one, and each row that
+        fails alone is dropped with its own exception as its error.
         """
-        try:
-            return stage(*arrays)
-        except (np.linalg.LinAlgError, LgsteerError):
-            pass
-        outs, kept = [stage(*(x[:0] for x in arrays))], []
-        for k, row in enumerate(self.live.tolist()):
+        n = len(self.live)
+        step = chunk or max(n, 1)
+        outs, kept = [], []
+        for start in range(0, max(n, 1), step):
+            stop = min(start + step, n)
             try:
-                outs.append(stage(*(x[k : k + 1] for x in arrays)))
-                kept.append(k)
-            except (np.linalg.LinAlgError, LgsteerError) as exc:
-                self.errors[row] = exc
+                out = stage(*(x[start:stop] for x in arrays))
+            except (np.linalg.LinAlgError, LgsteerError):
+                pass
+            else:
+                if stop - start == n:
+                    return out
+                outs.append(out)
+                kept.extend(range(start, stop))
+                continue
+            for k in range(start, stop):
+                try:
+                    outs.append(stage(*(x[k : k + 1] for x in arrays)))
+                    kept.append(k)
+                except (np.linalg.LinAlgError, LgsteerError) as exc:
+                    self.errors[self.live[k]] = exc
+        if not outs:
+            # every row failed: the stage on no rows gives the shapes
+            outs.append(stage(*(x[:0] for x in arrays)))
         self.live = self.live[kept]
         return tuple(np.concatenate(parts) for parts in zip(*outs))
 
@@ -353,10 +374,11 @@ def _residual(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
     """A V + V A^T + D on the 21 unknowns of each system, accumulated in extended precision.
 
     V is exactly symmetric, so V A^T is (A V)^T bit for bit and one
-    product M = A V gives the residual as M + M^T + D.
+    product M = A V gives the residual as M + M^T + D, summed on the
+    upper triangle only.
     """
     m = a.astype(np.longdouble) @ v.astype(np.longdouble)
-    return np.asarray((m + m.swapaxes(1, 2))[:, _ROWS, _COLS] + d[:, _ROWS, _COLS], dtype=float)
+    return np.asarray(m[:, _ROWS, _COLS] + m[:, _COLS, _ROWS] + d[:, _ROWS, _COLS], dtype=float)
 
 
 def _lyapunov(a: np.ndarray, d: np.ndarray, scale: np.ndarray) -> tuple:
@@ -425,7 +447,7 @@ def _solve(drifts, diffusions):
         rows.live = rows.live[:0]
         return rows, margins, a[:0]
     a, d, scale = rows.keep(stable, a, d, scale)
-    (v,) = rows.run(_lyapunov, a, d, scale)
+    (v,) = rows.run(_lyapunov, a, d, scale, chunk=_CHUNK_ROWS)
     return rows, margins, v
 
 
@@ -444,13 +466,13 @@ def steady_covariances(drifts, diffusions):
     others; each row gets exactly what :func:`steady_covariance` returns
     or raises for it alone.
 
-    Every stage is one batched LAPACK call over the rows still in play:
+    Each stage makes batched LAPACK calls over the rows still in play:
     the margins from one ``eigvals`` of the power-of-two-scaled drifts
     (a margin within 8 eps of 0 after scaling reads 0.0, not stable),
-    the inverses of the stable rows' 21x21 Lyapunov operators from one
-    ``inv``, and each refinement pass on the rows not yet converged.
-    Only when LAPACK or a check rejects a whole stage is it re-run one
-    row at a time.
+    then, 64 stable rows at a time, the inverses of their 21x21 Lyapunov
+    operators from one ``inv`` and each refinement pass on the rows not
+    yet converged.  Only when LAPACK or a check rejects a call is it
+    re-run one row at a time.
     """
     rows, margins, v = _solve(drifts, diffusions)
     covariances = np.full((len(margins), 6, 6), np.nan)

@@ -36,6 +36,8 @@ MEASURE_COLUMNS = (
 
 # the stable column's cells and what they read as
 _STABLE_CELLS = {"true": True, "false": False, "error": "error"}
+# a row's item separator at indent=2: its fields sit three levels deep
+_ROW_SEPARATORS = (",\n      ", ": ")
 # single-point outputs put the margin second
 _POINT_ORDER = ("stable", "stability_margin_ratio") + MEASURE_COLUMNS[1:-1]
 
@@ -100,7 +102,9 @@ def serialize_json(result: SweepResult) -> str:
     """JSON mirror: same field names as the CSV plus spec and metadata.
 
     The run timestamp is deliberately not serialized so identical runs
-    produce identical bytes.
+    produce identical bytes.  The bytes are those of ``json.dumps(doc,
+    indent=2)``; the rows go through the C encoder, which ``indent``
+    would turn off.
     """
     spec = result.spec
     doc = {
@@ -113,9 +117,16 @@ def serialize_json(result: SweepResult) -> str:
             "axis1": _axis_doc(spec.axis1),
             "axis2": _axis_doc(spec.axis2),
         },
-        "rows": [_row_dict(row, spec.base.omega_phi1) for row in result.rows],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    rows = json.dumps(
+        [_row_dict(row, spec.base.omega_phi1) for row in result.rows],
+        separators=_ROW_SEPARATORS,
+    )
+    # the rows are flat objects whose strings escape every newline, so the
+    # only "},\n      {" joins two rows and these edits give indent=2's layout
+    rows = rows.replace("},\n      {", "\n    },\n    {\n      ")
+    head = json.dumps(doc, indent=2)[:-2]
+    return f'{head},\n  "rows": [\n    {{\n      {rows[2:-2]}\n    }}\n  ]\n}}\n'
 
 
 def parse_result_csv(text: str):

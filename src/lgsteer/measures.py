@@ -22,7 +22,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import LgsteerError, NonPhysicalInput, NonPositiveDeterminant, UnknownMode
-from .gaussian import MODE_ORDER, CovarianceMatrix, _pt_stack, _solve, _spectra, _stack
+from .gaussian import (
+    _CHUNK_ROWS,
+    MODE_ORDER,
+    CovarianceMatrix,
+    _pt_stack,
+    _solve,
+    _spectra,
+    _stack,
+)
 from .model import LinearModel
 
 # ζ below this is treated as exactly zero when classifying directions
@@ -219,12 +227,15 @@ class CorrelationReport:
     r_min: float | None = None
 
     def __post_init__(self) -> None:
-        present = [getattr(self, name) is not None for name in _MEASURES]
+        missing = (
+            self.en_mm, self.en_m1c, self.en_m2c, self.zeta_m1_m2, self.zeta_m2_m1,
+            self.zeta_asym, self.steering_class, self.r_min,
+        ).count(None)
         if not self.stable:
-            if any(present):
+            if missing < _N_MEASURES:
                 raise NonPhysicalInput("unstable report must not carry measure values")
             return
-        if not all(present):
+        if missing:
             raise NonPhysicalInput("stable report is missing measure values")
         if abs(self.zeta_asym - steering_asymmetry(self.zeta_m1_m2, self.zeta_m2_m1)) > 0.0:
             raise NonPhysicalInput("steering asymmetry does not match ζ values")
@@ -234,7 +245,7 @@ class CorrelationReport:
 
 
 # every field after the stability margin is a measure
-_MEASURES = tuple(f.name for f in fields(CorrelationReport)[2:])
+_N_MEASURES = len(fields(CorrelationReport)) - 2
 _MIRRORS = (("mirror1", "mirror2"), None)
 _SINGLES = _singles(_MIRRORS[0])
 
@@ -287,15 +298,18 @@ def full_reports(models: LinearModel) -> list:
     rows, margins, v = _solve(drifts, np.reshape(models.diffusion, (n, 6, 6)))
     out: list = [None] * n
     if len(v):
-        (reports,) = rows.run(_reports, margins[rows.live], v)
+        (reports,) = rows.run(_reports, margins[rows.live], v, chunk=_CHUNK_ROWS)
         for k, report in zip(rows.live.tolist(), reports):
             out[k] = report
-    for k, (exc, margin) in enumerate(zip(rows.errors, margins.tolist())):
+    empty = np.ones(n, dtype=bool)
+    empty[rows.live] = False
+    for k in np.flatnonzero(empty).tolist():
+        exc = rows.errors[k]
         if exc is not None:
             ratio = derived.value("detuning") / derived.value("omega_phi1")
             out[k] = _tagged(exc, float(np.broadcast_to(ratio, n)[k]))
-        elif out[k] is None:
-            out[k] = CorrelationReport(stable=False, stability_margin=margin)
+        else:
+            out[k] = CorrelationReport(stable=False, stability_margin=float(margins[k]))
     return out
 
 

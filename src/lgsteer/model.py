@@ -295,6 +295,25 @@ def _amplitude(re: float, im: float, e_amp: float) -> complex:
     return complex(re * e_amp / denom, -im * e_amp / denom)
 
 
+@np.errstate(all="ignore")
+def _amplitudes(re, im, e_amp) -> np.ndarray:
+    """:func:`_amplitude` of arrays; the squares are libm ``pow``, as ``x**2`` is."""
+    re, im, e_amp = np.broadcast_arrays(re, im, e_amp)
+    re_sq, im_sq = np.float_power(re, 2.0), np.float_power(im, 2.0)
+    if np.isinf(re_sq).any() or np.isinf(im_sq).any():
+        # where x**2 overflows, it raises: the scalar code does so
+        return np.array(np.frompyfunc(_amplitude, 3, 1)(re, im, e_amp).tolist())
+    denom = re_sq + im_sq
+    a0 = np.empty(denom.shape, dtype=complex)
+    a0.real = re * e_amp / denom
+    a0.imag = -im * e_amp / denom
+    a0[denom == 0.0] = math.inf
+    return a0
+
+
+_VECTORIZED[_amplitude] = _amplitudes
+
+
 def derive(params: SystemParams, swept: dict | None = None) -> DerivedParams:
     """Compute all derived rates from the raw inputs.
 

@@ -1,10 +1,11 @@
 """Grid evaluation of correlation reports with figure presets.
 
 Sweeps evaluate correlation reports over 1-D or 2-D parameter grids in
-blocks of at most 64 points, which bounds the working memory of any
-grid.  Each axis is converted to SI and checked once; a block's models
-are built as one (N, 6, 6) stack by :func:`lgsteer.model.build_model`
-and solved and measured by :func:`lgsteer.measures.full_reports`.  Axis
+blocks of at most 512 points, whose stable rows are solved and measured
+64 at a time, which bounds the working memory of any grid.  Each axis
+is converted to SI and checked once; a block's models are built as one
+(N, 6, 6) stack by :func:`lgsteer.model.build_model` and solved and
+measured by :func:`lgsteer.measures.full_reports`.  Axis
 coordinates use the same display units as the configuration surface
 (frequencies as ratios to the left-mirror frequency, phases in radians,
 temperatures in kelvin, powers in watts); absolute SI values exist only
@@ -17,6 +18,7 @@ built by :func:`to_sweep_spec` as any run file is.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -41,9 +43,10 @@ _GRID_1D = 401
 _GRID_2D = 101
 # points the optimum search adds inside the winning coarse bracket
 _REFINE_POINTS = 9
-# grid points per batched evaluation: bounds the solver's working arrays
-# (about 12 KB a row) and so the peak memory of any grid
-_BLOCK_ROWS = 64
+# grid points per batched evaluation (about 1-2 KB a point to build and
+# take margins); the solve and the measures bound their own working
+# arrays by taking a block's stable rows 64 at a time
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -112,14 +115,12 @@ def _evaluate_point(index: tuple[int, int], coords, outcome) -> SweepRow:
     return SweepRow(index, coords, outcome)
 
 
-def _evaluate_block(spec: SweepSpec, columns, points) -> list[SweepRow]:
+def _evaluate_block(spec: SweepSpec, columns, points, coords) -> list[SweepRow]:
     """Rows of some grid points: the valid points' models built and reported as one block.
 
     A bad point's error is its first in ``columns`` (``FIELD_RULES``) order,
     as ``SystemParams`` would raise it.
     """
-    axes = [axis for axis in (spec.axis1, spec.axis2) if axis is not None]
-    coords = [tuple((a.name, a.values[k]) for a, k in zip(axes, point)) for point in points]
     outcomes = [None] * len(points)
     for which, _, _, errors in columns:
         for k, point in enumerate(points):
@@ -138,17 +139,22 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid; rows come back in (axis1, axis2) index order.
 
     Points are evaluated in blocks of ``_BLOCK_ROWS`` through
-    :func:`lgsteer.measures.full_reports`, which bounds the working
-    memory whatever the grid size.
+    :func:`lgsteer.measures.full_reports`, which solves and measures a
+    block's stable rows 64 at a time: that bounds the working memory
+    whatever the grid size.
     """
     n1, n2 = spec.shape
     points = [(i, j) for i in range(n1) for j in range(n2)]
     axes = enumerate((spec.axis1, spec.axis2))
     columns = [_column(spec.base, which, axis) for which, axis in axes if axis is not None]
     columns.sort(key=lambda column: list(FIELD_RULES).index(column[1]))
+    # each point's (name, value) coordinates, in the order of ``points``
+    pairs = [[(a.name, v) for v in a.values] for a in (spec.axis1, spec.axis2) if a is not None]
+    coords = list(itertools.product(*pairs))
     rows = []
     for start in range(0, len(points), _BLOCK_ROWS):
-        rows.extend(_evaluate_block(spec, columns, points[start : start + _BLOCK_ROWS]))
+        block = slice(start, start + _BLOCK_ROWS)
+        rows.extend(_evaluate_block(spec, columns, points[block], coords[block]))
     metadata = {
         "created_at": datetime.now(timezone.utc).isoformat(),
         "version": __version__,

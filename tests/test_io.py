@@ -1,5 +1,6 @@
 """CSV/JSON serialization, exact round-trips, and golden-file pins."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -7,6 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import lgsteer.io
 from lgsteer import (
     Axis,
     BadUnit,
@@ -22,6 +24,7 @@ from lgsteer import (
     serialize_json,
     write_result,
 )
+from lgsteer.config import _axis_doc, system_to_display
 
 from conftest import W1, make_params
 
@@ -172,6 +175,40 @@ class TestSerializeJson:
         assert doc["spec"]["axis1"]["name"] == "detuning_ratio"
         assert doc["spec"]["axis2"] is None
         assert doc["metadata"]["constants"]["clight"] == 299792458.0
+
+    @pytest.mark.parametrize("sweep", [boundary_sweep, mini_2d_sweep, error_sweep])
+    def test_bytes_are_those_of_indent_2(self, sweep):
+        # the rows go through the C encoder; the document must still be
+        # json.dumps(doc, indent=2) byte for byte, also for error rows whose
+        # messages hold quotes, a backslash, non-ASCII text, a newline, and
+        # the very text that joins two rows
+        result = sweep()
+        messages = [
+            'SolveFailure: "quoted" \\ back\\slash',
+            "NonPhysicalInput: ν < ½ at Δ = −1 ω, ünïcödé ✓",
+            'x"},\n      {"y": 1',
+        ]
+        rows = list(result.rows)
+        marked = dict(zip(range(0, len(rows), 2), messages))
+        for k, message in marked.items():
+            rows[k] = dataclasses.replace(rows[k], report=None, error=message)
+        result = dataclasses.replace(result, rows=tuple(rows))
+        spec = result.spec
+        doc = {
+            "metadata": {
+                "version": result.metadata["version"],
+                "constants": result.metadata["constants"],
+            },
+            "spec": {
+                "system": system_to_display(spec.base),
+                "axis1": _axis_doc(spec.axis1),
+                "axis2": _axis_doc(spec.axis2),
+            },
+            "rows": [lgsteer.io._row_dict(row, spec.base.omega_phi1) for row in rows],
+        }
+        assert serialize_json(result) == json.dumps(doc, indent=2) + "\n"
+        loaded = json.loads(serialize_json(result))["rows"]
+        assert all(loaded[k]["error"] == message for k, message in marked.items())
 
     def test_identical_runs_identical_bytes(self):
         # the volatile timestamp stays out of the serialized form

@@ -440,16 +440,23 @@ class TestBlocks:
         assert sum("stable=True" in r for r in clean) > 1
         assert sum("stable=False" in r for r in clean) > 1
 
-    def test_peak_memory_is_bounded(self):
-        # a stable row needs about 12 KB of working arrays (two 21x21
-        # operators among them), so a 401-point grid solved as one batch
-        # peaks near 5 MB; blocks of 64 rows keep it near 1 MB
+    @staticmethod
+    def _gain_spec() -> SweepSpec:
+        # 401 gains at the EN_m1c optimum: every row stable, one block of
+        # the sweep, seven chunks (6 x 64 + 17) of the solve and measures
         base = with_updates(make_params(), omega_phi2=1.5 * W1)
         opt = optimum_detuning(base, "ENmc")
-        spec = SweepSpec(
+        return SweepSpec(
             with_updates(base, detuning=opt.delta),
             Axis("opa_gain_ratio", tuple(np.linspace(0.0, 0.2, 401))),
         )
+
+    def test_peak_memory_is_bounded(self):
+        # a stable row needs about 12 KB of working arrays (two 21x21
+        # operators among them), so a 401-point grid solved as one batch
+        # peaks near 5 MB; solving and measuring a block's stable rows 64
+        # at a time keeps it near 1 MB, with 1-2 KB a point for the block
+        spec = self._gain_spec()
         tracemalloc.start()
         try:
             rows = run_sweep(spec).rows
@@ -458,6 +465,49 @@ class TestBlocks:
             tracemalloc.stop()
         assert all(row.report.stable for row in rows)
         assert peak < 3e6
+
+    @pytest.mark.parametrize("stage", ["eigvals", "inv"])
+    def test_chunks_are_invisible(self, monkeypatch, stage):
+        # every row of the one 401-point block equals its own one-row
+        # full_report bit for bit; a row of the second chunk that fails a
+        # stage alone (the block's stacked eigvals, or its chunk's stacked
+        # inv) is the only error row
+        spec = self._gain_spec()
+        sizes = []
+        lyapunov = lgsteer.gaussian._lyapunov
+
+        def counted(a, d, scale):
+            sizes.append(len(a))
+            return lyapunov(a, d, scale)
+
+        monkeypatch.setattr(lgsteer.gaussian, "_lyapunov", counted)
+        clean = run_sweep(spec).rows
+        assert sizes == [64] * 6 + [17]
+        assert all(row.report.stable for row in clean)
+        for row in clean:
+            alone = full_report(build_model(params_at(spec.base, row.coords)))
+            assert repr(alone) == repr(row.report)
+        k = 100
+        marked = build_model(params_at(spec.base, clean[k].coords))
+        target = marked.drift / _scale(marked.drift)
+        if stage == "inv":
+            target = lgsteer.gaussian._operator(target[None])[0]
+        call = getattr(np.linalg, stage)
+
+        def forced(x):
+            if self._holds(x, target):
+                raise np.linalg.LinAlgError("forced")
+            return call(x)
+
+        monkeypatch.setattr(np.linalg, stage, forced)
+        with pytest.raises(LgsteerError) as alone:
+            full_report(marked)
+        rows = run_sweep(spec).rows
+        assert rows[k].report is None
+        assert rows[k].error == f"{type(alone.value).__name__}: {alone.value}"
+        assert [repr(r) for i, r in enumerate(rows) if i != k] == [
+            repr(r) for i, r in enumerate(clean) if i != k
+        ]
 
 
 class TestOptimumDetuning:

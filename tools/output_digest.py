@@ -151,9 +151,13 @@ def _run_file(tmp: str, name: str, system: dict, axis1: dict, axis2) -> str:
 
 def digests():
     """Yield one ``sha256  name`` line per output."""
+    # fig2a, fig2b and fig5 share their grids: each distinct grid runs once
+    results = {}
     for preset in PRESET_NAMES:
         for suffix, spec in preset_variants(preset):
-            result = run_sweep(spec)
+            if spec not in results:
+                results[spec] = run_sweep(spec)
+            result = results[spec]
             stem = f"{preset}_{suffix}" if suffix else preset
             yield _line(f"{stem}.csv", serialize_csv(result))
             yield _line(f"{stem}.json", serialize_json(result))
