@@ -18,6 +18,7 @@ rest of the stack alone.  An independent solver lives in
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 
@@ -273,36 +274,34 @@ class _Rows:
         """``stage(*arrays)``, the tuple of stacks the live rows go on with.
 
         The one way a stage drops a failing row: ``arrays`` and the stacks
-        ``stage`` returns are aligned with the live rows.  ``stage`` runs on
-        all of them at once, or on ``chunk`` rows at a time, which bounds
-        its working arrays.  When LAPACK or a guard rejects a call, the
-        stage is re-run on that call's rows one by one, and each row that
-        fails alone is dropped with its own exception as its error.
+        ``stage`` returns are aligned with the live rows, and when LAPACK
+        or a guard rejects the whole stack, the stage is re-run on no rows
+        (for the shapes) and then row by row, and each row that fails
+        alone is dropped with its own exception as its error.  With
+        ``chunk``, the stage runs on at most that many rows at a time,
+        which bounds its working arrays, and a failing row is re-run alone
+        within its chunk.
         """
-        n = len(self.live)
-        step = chunk or max(n, 1)
-        outs, kept = [], []
-        for start in range(0, max(n, 1), step):
-            stop = min(start + step, n)
+        if chunk is not None and len(self.live) > chunk:
+            outs, live = [], []
+            for start in range(0, len(self.live), chunk):
+                part = copy.copy(self)
+                part.live = self.live[start : start + chunk]
+                outs.append(part.run(stage, *(x[start : start + chunk] for x in arrays)))
+                live.append(part.live)
+            self.live = np.concatenate(live)
+            return tuple(np.concatenate(parts) for parts in zip(*outs))
+        try:
+            return stage(*arrays)
+        except (np.linalg.LinAlgError, LgsteerError):
+            pass
+        outs, kept = [stage(*(x[:0] for x in arrays))], []
+        for k, row in enumerate(self.live.tolist()):
             try:
-                out = stage(*(x[start:stop] for x in arrays))
-            except (np.linalg.LinAlgError, LgsteerError):
-                pass
-            else:
-                if stop - start == n:
-                    return out
-                outs.append(out)
-                kept.extend(range(start, stop))
-                continue
-            for k in range(start, stop):
-                try:
-                    outs.append(stage(*(x[k : k + 1] for x in arrays)))
-                    kept.append(k)
-                except (np.linalg.LinAlgError, LgsteerError) as exc:
-                    self.errors[self.live[k]] = exc
-        if not outs:
-            # every row failed: the stage on no rows gives the shapes
-            outs.append(stage(*(x[:0] for x in arrays)))
+                outs.append(stage(*(x[k : k + 1] for x in arrays)))
+                kept.append(k)
+            except (np.linalg.LinAlgError, LgsteerError) as exc:
+                self.errors[row] = exc
         self.live = self.live[kept]
         return tuple(np.concatenate(parts) for parts in zip(*outs))
 

@@ -301,9 +301,9 @@ def full_reports(models: LinearModel) -> list:
         (reports,) = rows.run(_reports, margins[rows.live], v, chunk=_CHUNK_ROWS)
         for k, report in zip(rows.live.tolist(), reports):
             out[k] = report
-    empty = np.ones(n, dtype=bool)
-    empty[rows.live] = False
-    for k in np.flatnonzero(empty).tolist():
+    for k, report in enumerate(out):
+        if report is not None:
+            continue
         exc = rows.errors[k]
         if exc is not None:
             ratio = derived.value("detuning") / derived.value("omega_phi1")
