@@ -284,8 +284,9 @@ def full_reports(models: LinearModel) -> list:
     or the :class:`~lgsteer.errors.LgsteerError` that :func:`full_report`
     would raise for it alone.  A failing row never fails the batch.  The
     measures go on with the rows of the batched solve, so one error list
-    covers both, and each is computed for all stable rows at once (see
-    :func:`_reports`).  Callers bound memory by passing blocks.
+    covers both, and each is computed for 64 stable rows at once (see
+    :func:`_reports`), which bounds their working arrays.  Callers bound
+    the rest, about 1-2 KB a row, by passing blocks.
     """
     derived = models.derived
     n = math.prod(derived.shape)
