@@ -72,20 +72,19 @@ def log_negativity(cm: CovarianceMatrix, single: str | None = None) -> float:
     return float(_en(nus[:, 0], nus[:, -1])[0])
 
 
-def _pt_en(data: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
-    """EN of each pair and each ``mode | rest`` cut of a (K, 6, 6) stack of states.
+def _pt_en(data: np.ndarray, labels: tuple[str, ...], splits: bool = False) -> np.ndarray:
+    """EN of each pair of a (K, 6, 6) stack of states, in ``combinations`` order, as (K, 3).
 
-    Returns (K, 6): the pairs in ``combinations`` order, then each split.
-    The pairs and the splits are one stacked spectrum each.
+    With ``splits``, of each ``mode | rest`` cut instead.  Each kind of cut
+    is one stacked spectrum, and :func:`_en` is elementwise, so a row's
+    values do not depend on the stack or on the other kind.
     """
-    pairs = tuple((pair, pair[1]) for pair in itertools.combinations(labels, 2))
-    cuts = tuple((labels, focus) for focus in labels)
+    if splits:
+        cuts, n = tuple((labels, focus) for focus in labels), 6
+    else:
+        cuts, n = tuple((pair, pair[1]) for pair in itertools.combinations(labels, 2)), 4
     k = len(data)
-    nus = np.concatenate(
-        [_spectra(_stack(data, labels, c).reshape(3 * k, n, n))[:, [0, -1]].reshape(k, 3, 2)
-         for c, n in ((pairs, 4), (cuts, 6))],
-        axis=1,
-    )
+    nus = _spectra(_stack(data, labels, cuts).reshape(3 * k, n, n))[:, [0, -1]].reshape(k, 3, 2)
     return _en(nus[..., 0], nus[..., 1])
 
 
@@ -93,14 +92,16 @@ def _pt_en(data: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
 _HELD = np.array([[0, 1], [0, 2], [1, 2]])
 
 
-def _residual_min(en: np.ndarray) -> np.ndarray:
-    """:func:`residual_contangle_min` of each row of :func:`_pt_en`.
+def _residual_min(pairs: np.ndarray, splits: np.ndarray) -> np.ndarray:
+    """:func:`residual_contangle_min` of each row of the pair and split EN of :func:`_pt_en`.
 
     Each square is Python's ``x**2`` (libm ``pow``): ``x * x`` rounds
     differently on about 0.1 % of doubles, which would move R_min.
     """
-    sq = np.array([e**2 for e in en.ravel().tolist()]).reshape(en.shape)
-    res = sq[:, 3:] - sq[:, _HELD[:, 0]] - sq[:, _HELD[:, 1]]
+    sq_pairs, sq_splits = (
+        np.array([e**2 for e in en.ravel().tolist()]).reshape(en.shape) for en in (pairs, splits)
+    )
+    res = sq_splits - sq_pairs[:, _HELD[:, 0]] - sq_pairs[:, _HELD[:, 1]]
     return np.where((res < -_MONOGAMY_TOL) | (res > 0.0), res, 0.0).min(axis=1)
 
 
@@ -120,7 +121,8 @@ def residual_contangle_min(cm: CovarianceMatrix) -> float:
         raise NonPhysicalInput(
             f"residual_contangle_min needs a three-mode state, got {cm.n_modes}"
         )
-    return float(_residual_min(_pt_en(cm.data[None], cm.mode_labels))[0])
+    en = (_pt_en(cm.data[None], cm.mode_labels, splits) for splits in (False, True))
+    return float(_residual_min(*en)[0])
 
 
 def _renyi2(dets: np.ndarray) -> np.ndarray:
@@ -257,23 +259,50 @@ def _tagged(exc: LgsteerError, ratio: float) -> LgsteerError:
     return tagged
 
 
-def _reports(margins: np.ndarray, v: np.ndarray) -> tuple:
-    """Stage of :func:`full_reports`: the report of each stable row, each measure for all at once.
+def _pairs(v: np.ndarray) -> tuple:
+    """Stage: the EN (K, 3) and steering ζ (K, 2) of each pair of a (K, 6, 6) stack of states.
 
-    A measure that fails raises; a row that breaks the steering-entanglement
-    hierarchy gets that error, untagged, in place of its report.
+    The pairs are mirror-mirror, mirror 1-cavity and mirror 2-cavity, and
+    ζ is mirror 1 steering mirror 2, then the reverse.  The first half of
+    :func:`_reports`, and all that the optimum search reads.  A measure
+    that fails raises.
     """
     en = _pt_en(v, MODE_ORDER)
     two_v = 2.0 * v
-    zetas = _zetas(np.linalg.det(_stack(two_v, MODE_ORDER, (_MIRRORS,))[:, 0]),
-                   np.linalg.det(_stack(two_v, MODE_ORDER, _SINGLES)))
+    return en, _zetas(np.linalg.det(_stack(two_v, MODE_ORDER, (_MIRRORS,))[:, 0]),
+                      np.linalg.det(_stack(two_v, MODE_ORDER, _SINGLES)))
+
+
+def _reports(margins: np.ndarray, v: np.ndarray) -> tuple:
+    """Stage of :func:`full_reports`: the report of each stable row, each measure for all at once.
+
+    :func:`_pairs`, then the one-vs-two splits, R_min and the classes.  A
+    measure that fails raises; a row that breaks the steering-entanglement
+    hierarchy gets that error, untagged, in place of its report.
+    """
+    pairs, zetas = _pairs(v)
     zeta = np.maximum(zetas[:, 0], zetas[:, 1])
     asym = steering_asymmetry(zetas[:, 0], zetas[:, 1])
-    rows = zip(_unentangled(zeta, en[:, 0]).tolist(), zeta.tolist(), margins.tolist(),
-               en[:, :3].tolist(), zetas.tolist(), asym.tolist(), _classes(zetas),
-               _residual_min(en).tolist())
+    r_min = _residual_min(pairs, _pt_en(v, MODE_ORDER, splits=True))
+    rows = zip(_unentangled(zeta, pairs[:, 0]).tolist(), zeta.tolist(), margins.tolist(),
+               pairs.tolist(), zetas.tolist(), asym.tolist(), _classes(zetas), r_min.tolist())
     return ([_hierarchy_error(z, e[0]) if broken else CorrelationReport(True, m, *e, *zs, a, c, r)
              for broken, z, m, e, zs, a, c, r in rows],)
+
+
+def _solve_models(models: LinearModel) -> tuple:
+    """The batched solve of a block of models, as ``(rows, margins, v)`` (see
+    :func:`lgsteer.gaussian._solve`), with one row per row of its (N, 6, 6) stacks.
+
+    At the OPA threshold the drift is not finite; the zero matrix stands
+    in for it, with the margin 0 reported there (see :func:`full_report`).
+    """
+    n = math.prod(models.derived.shape)
+    drifts = np.reshape(models.drift, (n, 6, 6))
+    threshold = abs(models.steady.a0) == math.inf
+    if np.any(threshold):
+        drifts = np.where(np.reshape(threshold, (-1, 1, 1)), 0.0, drifts)
+    return _solve(drifts, np.reshape(models.diffusion, (n, 6, 6)))
 
 
 def full_reports(models: LinearModel) -> list:
@@ -283,20 +312,14 @@ def full_reports(models: LinearModel) -> list:
     :func:`lgsteer.model.build_model`), in order: its :class:`CorrelationReport`,
     or the :class:`~lgsteer.errors.LgsteerError` that :func:`full_report`
     would raise for it alone.  A failing row never fails the batch.  The
-    measures go on with the rows of the batched solve, so one error list
-    covers both, and each is computed for 64 stable rows at once (see
-    :func:`_reports`), which bounds their working arrays.  Callers bound
-    the rest, about 1-2 KB a row, by passing blocks.
+    measures go on with the rows of the batched solve (:func:`_solve_models`),
+    so one error list covers both, and each is computed for 64 stable rows
+    at once (see :func:`_reports`), which bounds their working arrays.
+    Callers bound the rest, about 1-2 KB a row, by passing blocks.
     """
     derived = models.derived
-    n = math.prod(derived.shape)
-    drifts = np.reshape(models.drift, (n, 6, 6))
-    # at the OPA threshold the drift is not finite; the zero matrix stands
-    # in for it, with the margin 0 reported there (see full_report)
-    threshold = abs(models.steady.a0) == math.inf
-    if np.any(threshold):
-        drifts = np.where(np.reshape(threshold, (-1, 1, 1)), 0.0, drifts)
-    rows, margins, v = _solve(drifts, np.reshape(models.diffusion, (n, 6, 6)))
+    rows, margins, v = _solve_models(models)
+    n = len(margins)
     out: list = [None] * n
     if len(v):
         (reports,) = rows.run(_reports, margins[rows.live], v, chunk=_CHUNK_ROWS)

@@ -288,8 +288,17 @@ def _gather(shape: tuple, terms, index: np.ndarray) -> np.ndarray:
 
 
 def _amplitude(re: float, im: float, e_amp: float) -> complex:
-    """a0 = (re - i im) E / (re^2 + im^2); infinite where that denominator is 0."""
-    denom = re**2 + im**2
+    """a0 = (re - i im) E / (re^2 + im^2); infinite where that denominator is 0.
+
+    Where a square overflows, re and im are first divided by the larger
+    magnitude s, and the denominator is s ((re/s)^2 + (im/s)^2).
+    """
+    try:
+        denom = re**2 + im**2
+    except OverflowError:
+        s = max(abs(re), abs(im))
+        re, im = re / s, im / s
+        denom = s * (re**2 + im**2)
     if denom == 0.0:
         return complex(math.inf, 0.0)
     return complex(re * e_amp / denom, -im * e_amp / denom)
@@ -301,7 +310,7 @@ def _amplitudes(re, im, e_amp) -> np.ndarray:
     re, im, e_amp = np.broadcast_arrays(re, im, e_amp)
     re_sq, im_sq = np.float_power(re, 2.0), np.float_power(im, 2.0)
     if np.isinf(re_sq).any() or np.isinf(im_sq).any():
-        # where x**2 overflows, it raises: the scalar code does so
+        # where x**2 overflows, the scalar code takes a scaled form
         return np.array(np.frompyfunc(_amplitude, 3, 1)(re, im, e_amp).tolist())
     denom = re_sq + im_sq
     a0 = np.empty(denom.shape, dtype=complex)

@@ -36,7 +36,8 @@ from .errors import (
     NoStableRegion,
     UnknownPreset,
 )
-from .measures import CorrelationReport, full_reports
+from .gaussian import _CHUNK_ROWS
+from .measures import CorrelationReport, _pairs, _solve_models, _unentangled, full_reports
 from .model import FIELD_RULES, SystemParams, build_model, check_field, with_updates
 
 _GRID_1D = 401
@@ -172,11 +173,24 @@ class OptimumDetuning(NamedTuple):
 
 
 def _scores(base: SystemParams, ratios, measure: str) -> list[float]:
-    """Chosen measure at each detuning ratio; -inf marks unstable or failed rows."""
-    rows = run_sweep(SweepSpec(base, Axis("detuning_ratio", ratios))).rows
-    name = "en_mm" if measure == "ENmm" else "en_m1c"
-    reports = [row.report for row in rows]
-    return [getattr(r, name) if r and r.stable else -math.inf for r in reports]
+    """Chosen measure at each detuning ratio, from one block through the solve of
+    :func:`run_sweep` and the pair half of its measures (:func:`lgsteer.measures._pairs`).
+
+    -inf marks a row that is not stable, fails its detuning check, its
+    solve or its pair measures, or breaks the steering-entanglement
+    hierarchy.  No report is built, so the one-vs-two splits are not
+    computed; every other row scores what its report would hold.
+    """
+    _, name, values, errors = _column(base, 0, Axis("detuning_ratio", ratios))
+    scores = np.full(len(values), -math.inf)
+    good = np.flatnonzero([error is None for error in errors])
+    if len(good):
+        rows, _, v = _solve_models(build_model(base, {name: values[good]}))
+        if len(v):
+            en, zetas = rows.run(_pairs, v, chunk=_CHUNK_ROWS)
+            kept = ~_unentangled(zetas.max(axis=1), en[:, 0])
+            scores[good[rows.live[kept]]] = en[kept, 0 if measure == "ENmm" else 1]
+    return scores.tolist()
 
 
 def optimum_detuning(base: SystemParams, measure: str = "ENmm") -> OptimumDetuning:
@@ -186,10 +200,11 @@ def optimum_detuning(base: SystemParams, measure: str = "ENmm") -> OptimumDetuni
     the bracket around the best grid point (one grid step either side,
     split in 10, skipping the grid point itself), which resolves the
     optimum to 2e-3 of the mirror-1 frequency; the grid winner stands
-    unless a refined point is strictly better.  Both grids are
-    :func:`run_sweep` rows.  A flat landscape (every stable point
-    identical) skips refinement and returns the smallest-detuning argmax
-    with ``flat=True``.  Raises :class:`NoStableRegion` when no grid
+    unless a refined point is strictly better.  Each grid is one block
+    through the solve that :func:`run_sweep` makes, scored from the pair
+    measures alone (see :func:`_scores`).  A flat landscape (every stable
+    point identical) skips refinement and returns the smallest-detuning
+    argmax with ``flat=True``.  Raises :class:`NoStableRegion` when no grid
     point is stable.
     """
     if measure not in ("ENmm", "ENmc"):

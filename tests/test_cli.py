@@ -249,6 +249,29 @@ class TestSweep:
                 "error": "NonPositiveParameter: detuning must be finite, got inf",
             }
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_axis_value_whose_square_overflows_gets_a_row(self, tmp_path, capsys, fmt):
+        # the SI detuning of 1e150 is finite, but its square in the mean
+        # field's denominator is not: the point still gets its own row
+        out = tmp_path / f"scan.{fmt}"
+        axis = {"name": "detuning_ratio", "values": [1.0, 1e150]}
+        cfg = write_config(tmp_path, {"run": {"mode": "sweep", "axis1": axis}})
+        assert main(["sweep", "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
+        assert f"wrote {out}: 2 rows, 1 stable" in capsys.readouterr().out
+        if fmt == "csv":
+            _, rows = parse_result_csv(out.read_text())
+            assert [r["stable"] for r in rows] == [True, False]
+        else:
+            rows = json.loads(out.read_text())["rows"]
+            assert [r["stable"] for r in rows] == [True, False]
+            assert rows[1]["detuning_ratio"] == 1e150
+
+    def test_point_whose_square_overflows_exits_zero(self, tmp_path, capsys):
+        system = {"detuning_ratio": 1e150}
+        cfg = write_config(tmp_path, {"system": system, "run": {"mode": "point"}})
+        assert main(["point", "--format", "json", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["stable"] is False
+
     def test_point_mode_config_rejected_for_sweep(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"run": {"mode": "point"}})
         assert main(["sweep", "--config", cfg]) == 2

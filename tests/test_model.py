@@ -160,6 +160,18 @@ class TestSteadyState:
                 delta_ratio, chi_ratio, theta, abs(residual) / d.drive_amplitude
             )
 
+    def test_amplitude_where_a_square_overflows(self):
+        # 1e160^2 overflows a double; a0 = -i E / Delta does not, in one
+        # model or as a row of a block
+        delta = 1e160 * W1
+        d = derive(make_params(detuning=delta))
+        a0 = steady_state(d).a0
+        assert a0.imag == pytest.approx(-d.drive_amplitude / delta, rel=1e-12)
+        assert abs(a0.real) <= 1e-300
+        block = build_model(make_params(), {"detuning": np.array([W1, delta])})
+        assert block.steady.a0[1] == a0
+        assert block.steady.a0[0] == steady_state(derive(make_params(detuning=W1))).a0
+
     def test_static_tilt_signs(self):
         # radiation torque pushes the two mirrors in opposite directions
         s = steady_state(derive(make_params()))

@@ -24,7 +24,6 @@ from lgsteer import (
     __version__,
     build_model,
     full_report,
-    full_reports,
     optimum_detuning,
     parse_config,
     preset_variants,
@@ -520,14 +519,16 @@ class TestOptimumDetuning:
     def test_refinement_lands_on_the_fine_lattice(self, monkeypatch):
         # the grid step is 0.01; the refinement splits the winning
         # bracket [x_k - 0.01, x_k + 0.01] into steps of 0.002 and skips
-        # its middle, x_k itself: 401 + 8 evaluations
+        # its middle, x_k itself: 401 + 8 evaluations, counted at the
+        # search's block solve
         evaluated = []
+        solve = lgsteer.sweep._solve_models
 
-        def counting_reports(models):
+        def counting_solve(models):
             evaluated.append(len(models.drift))
-            return full_reports(models)
+            return solve(models)
 
-        monkeypatch.setattr(lgsteer.sweep, "full_reports", counting_reports)
+        monkeypatch.setattr(lgsteer.sweep, "_solve_models", counting_solve)
         base = table_defaults()
         opt = optimum_detuning(base, "ENmc")
         assert opt.delta_ratio == pytest.approx(1.402, abs=1e-12)
@@ -561,6 +562,63 @@ class TestOptimumDetuning:
         opt = optimum_detuning(make_params(laser_power=5e3), "ENmm")
         assert opt.flat is True
         assert opt.delta_ratio == 0.0
+
+
+class TestSearchScores:
+    """The search scores each detuning from the solve and the pair measures
+    alone; every score is the one its run_sweep row gives."""
+
+    BASES = {
+        "unpumped": make_params(),
+        # kappa = 2 chi cos(theta) and Delta = 0 is the OPA threshold, a grid point
+        "pumped": make_params(kappa_override=0.2 * W1, opa_gain=0.1 * W1, opa_phase=0.0),
+    }
+
+    @staticmethod
+    def from_reports(base, measure) -> list[float]:
+        name = "en_mm" if measure == "ENmm" else "en_m1c"
+        rows = run_sweep(SweepSpec(base, lgsteer.sweep._DETUNING)).rows
+        return [getattr(r.report, name) if r.report and r.report.stable else -math.inf
+                for r in rows]
+
+    @pytest.mark.parametrize("measure", ["ENmm", "ENmc"])
+    @pytest.mark.parametrize("base", list(BASES))
+    def test_scores_are_the_report_scores(self, base, measure):
+        base = self.BASES[base]
+        grid = lgsteer.sweep._DETUNING.values
+        assert len(grid) == 401
+        scores = lgsteer.sweep._scores(base, grid, measure)
+        assert scores == self.from_reports(base, measure)
+        rows = run_sweep(SweepSpec(base, lgsteer.sweep._DETUNING)).rows
+        unstable = [k for k, row in enumerate(rows) if not row.report.stable]
+        assert unstable and all(scores[k] == -math.inf for k in unstable)
+        assert sum(score != -math.inf for score in scores) > 100
+        if base.opa_gain:
+            assert grid[200] == 0.0 and rows[200].report.stability_margin == 0.0
+
+    def test_a_hierarchy_breach_scores_minus_infinity(self, monkeypatch):
+        # EN_mm is 0 at every stable detuning of this base, so forcing one
+        # row's steering on breaks the hierarchy there and only there
+        base = self.BASES["unpumped"]
+        grid = lgsteer.sweep._DETUNING.values
+        clean = lgsteer.sweep._scores(base, grid, "ENmc")
+        k = grid.index(1.4)
+        assert clean[k] > 0.05
+        marked = build_model(with_updates(base, detuning=1.4 * W1))
+        _, cm = steady_covariance(marked.drift, marked.diffusion)
+        pair_det = np.linalg.det(2.0 * reduce(cm, ("mirror1", "mirror2")).data)
+        zetas = lgsteer.measures._zetas
+
+        def steering(pair_dets, single_dets):
+            out = zetas(pair_dets, single_dets)
+            out[[math.isclose(det, pair_det, rel_tol=1e-12) for det in pair_dets]] = 0.3, 0.0
+            return out
+
+        monkeypatch.setattr(lgsteer.measures, "_zetas", steering)
+        scores = lgsteer.sweep._scores(base, grid, "ENmc")
+        assert scores[k] == -math.inf
+        assert scores[:k] + scores[k + 1 :] == clean[:k] + clean[k + 1 :]
+        assert scores == self.from_reports(base, "ENmc")
 
 
 class TestPresets:

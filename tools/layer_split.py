@@ -18,8 +18,10 @@ A layer's time in a round is the summed wall time of its functions:
 - ``margins``: ``gaussian._inputs`` and ``gaussian._margins``;
 - ``lyapunov``: ``gaussian._lyapunov``, with ``np.linalg.inv`` inside it
   on its own line;
-- ``measures``: ``measures._reports``, with ``np.linalg.eigvalsh``
-  inside it on its own line;
+- ``measures``: ``measures._reports``, and ``measures._pairs`` where the
+  optimum search calls it from ``sweep`` (timed there, so its calls from
+  ``_reports`` are not counted twice; a tree without it has none), with
+  ``np.linalg.eigvalsh`` inside them on its own line;
 - ``serialize``: ``io.serialize_json`` or ``io.serialize_csv``;
 - ``assembly``: the rest of the round, which is row assembly and the
   searches' own bookkeeping.
@@ -94,6 +96,8 @@ def _load(root: Path) -> dict:
     _timed(mods["gaussian"], "_margins", "margins")
     _timed(mods["gaussian"], "_lyapunov", "lyapunov")
     _timed(mods["measures"], "_reports", "measures")
+    if hasattr(mods["sweep"], "_pairs"):
+        _timed(mods["sweep"], "_pairs", "measures")
     _timed(mods["io"], "serialize_json", "serialize")
     _timed(mods["io"], "serialize_csv", "serialize")
     return mods
