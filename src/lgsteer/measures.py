@@ -84,8 +84,8 @@ def _pt_en(data: np.ndarray, labels: tuple[str, ...], splits: bool = False) -> n
     else:
         cuts, n = tuple((pair, pair[1]) for pair in itertools.combinations(labels, 2)), 4
     k = len(data)
-    nus = _spectra(_stack(data, labels, cuts).reshape(3 * k, n, n))[:, [0, -1]].reshape(k, 3, 2)
-    return _en(nus[..., 0], nus[..., 1])
+    nus = _spectra(_stack(data, labels, cuts).reshape(3 * k, n, n))
+    return _en(nus[:, 0].reshape(k, 3), nus[:, -1].reshape(k, 3))
 
 
 # the two pairs, in combinations order, that hold each focus mode
@@ -98,10 +98,9 @@ def _residual_min(pairs: np.ndarray, splits: np.ndarray) -> np.ndarray:
     Each square is Python's ``x**2`` (libm ``pow``): ``x * x`` rounds
     differently on about 0.1 % of doubles, which would move R_min.
     """
-    sq_pairs, sq_splits = (
-        np.array([e**2 for e in en.ravel().tolist()]).reshape(en.shape) for en in (pairs, splits)
-    )
-    res = sq_splits - sq_pairs[:, _HELD[:, 0]] - sq_pairs[:, _HELD[:, 1]]
+    en = np.concatenate((pairs, splits), axis=1)
+    sq = np.array([e**2 for e in en.ravel().tolist()]).reshape(en.shape)
+    res = sq[:, 3:] - sq[:, _HELD[:, 0]] - sq[:, _HELD[:, 1]]
     return np.where((res < -_MONOGAMY_TOL) | (res > 0.0), res, 0.0).min(axis=1)
 
 

@@ -575,9 +575,8 @@ class TestSearchScores:
     }
 
     @staticmethod
-    def from_reports(base, measure) -> list[float]:
+    def from_reports(rows, measure) -> list[float]:
         name = "en_mm" if measure == "ENmm" else "en_m1c"
-        rows = run_sweep(SweepSpec(base, lgsteer.sweep._DETUNING)).rows
         return [getattr(r.report, name) if r.report and r.report.stable else -math.inf
                 for r in rows]
 
@@ -588,8 +587,8 @@ class TestSearchScores:
         grid = lgsteer.sweep._DETUNING.values
         assert len(grid) == 401
         scores = lgsteer.sweep._scores(base, grid, measure)
-        assert scores == self.from_reports(base, measure)
         rows = run_sweep(SweepSpec(base, lgsteer.sweep._DETUNING)).rows
+        assert scores == self.from_reports(rows, measure)
         unstable = [k for k, row in enumerate(rows) if not row.report.stable]
         assert unstable and all(scores[k] == -math.inf for k in unstable)
         assert sum(score != -math.inf for score in scores) > 100
@@ -618,7 +617,9 @@ class TestSearchScores:
         scores = lgsteer.sweep._scores(base, grid, "ENmc")
         assert scores[k] == -math.inf
         assert scores[:k] + scores[k + 1 :] == clean[:k] + clean[k + 1 :]
-        assert scores == self.from_reports(base, "ENmc")
+        rows = run_sweep(SweepSpec(base, lgsteer.sweep._DETUNING)).rows
+        assert rows[k].error.endswith("hierarchy violated")
+        assert scores == self.from_reports(rows, "ENmc")
 
 
 class TestPresets:
