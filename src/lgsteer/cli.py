@@ -84,7 +84,7 @@ def cmd_sweep(args) -> int:
         except OSError as exc:
             print(f"error writing {path!r}: {exc}", file=sys.stderr)
             return 3
-        n_stable = sum(1 for r in result.rows if r.report and r.report.stable)
+        n_stable = int(result.columns.stable.sum())
         print(f"wrote {path}: {len(result.rows)} rows, {n_stable} stable")
     return 0
 

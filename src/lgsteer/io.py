@@ -13,11 +13,14 @@ unstable rows too — it locates the stability boundary.
 
 from __future__ import annotations
 
+import itertools
 import json
+
+import numpy as np
 
 from .config import _FORMATS, _axis_doc, system_to_display
 from .errors import BadUnit
-from .measures import CorrelationReport, SteeringClass
+from .measures import _CLASSES, CorrelationReport, SteeringClass
 from .sweep import SweepResult
 
 MEASURE_COLUMNS = (
@@ -34,6 +37,12 @@ MEASURE_COLUMNS = (
 )
 
 
+# the cells after the stable cell of a row that is not stable, but for its margin
+_BLANKS = "," * (len(MEASURE_COLUMNS) - 1)
+# the values of a row that is not stable, from its stable cell to its margin
+_NOT_STABLE = (False,) + (None,) * (len(MEASURE_COLUMNS) - 2)
+# each steering-class code's cell
+_CLASS_VALUES = tuple(c.value for c in _CLASSES)
 # the stable column's cells and what they read as
 _STABLE_CELLS = {"true": True, "false": False, "error": "error"}
 # a row's item separator at indent=2: its fields sit three levels deep
@@ -75,27 +84,58 @@ def _report_cells(report: CorrelationReport | None, omega_phi1: float) -> list[s
     return [_fmt(v) for v in _report_values(report, omega_phi1).values()]
 
 
+def _axes(spec) -> list:
+    return [axis for axis in (spec.axis1, spec.axis2) if axis is not None]
+
+
+def _margin_ratios(result: SweepResult) -> list[float]:
+    return (result.columns.margin / result.spec.base.omega_phi1).tolist()
+
+
+def _stable_columns(result: SweepResult, numbers) -> tuple[list[int], list[list]]:
+    """The stable rows, and their values from ``EN_mm`` to ``R_min``, one list per column
+    of ``MEASURE_COLUMNS``; ``numbers`` maps each list of floats (to its cells, say).
+
+    Each column is taken whole from the result's columns.
+    """
+    table = result.columns
+    stable = np.flatnonzero(table.stable)
+    floats = [numbers(column) for column in table.values[stable].T.tolist()]
+    classes = [_CLASS_VALUES[code] for code in table.classes[stable].tolist()]
+    return stable.tolist(), [*floats[:6], classes, floats[6]]
+
+
 def serialize_csv(result: SweepResult) -> str:
-    """Fixed-column CSV text for a sweep result (LF endings)."""
-    axis_names = [result.spec.axis1.name]
-    if result.spec.axis2 is not None:
-        axis_names.append(result.spec.axis2.name)
-    lines = [",".join(axis_names + list(MEASURE_COLUMNS))]
-    w1 = result.spec.base.omega_phi1
-    for row in result.rows:
-        coord_cells = [_fmt(v) for _, v in row.coords]
-        lines.append(",".join(coord_cells + _report_cells(row.report, w1)))
-    return "\n".join(lines) + "\n"
+    """Fixed-column CSV text for a sweep result (LF endings), written a column at a time."""
+    axes = _axes(result.spec)
+    coords = list(map(",".join, itertools.product(*(map(repr, a.values) for a in axes))))
+    margins = list(map(repr, _margin_ratios(result)))
+    lines = [f"{point},false{_BLANKS}{margin}" for point, margin in zip(coords, margins)]
+    for k in result.errors:
+        lines[k] = f"{coords[k]},error{_BLANKS}"
+    stable, columns = _stable_columns(result, lambda column: list(map(repr, column)))
+    cells = zip(map(coords.__getitem__, stable), itertools.repeat("true"), *columns,
+                map(margins.__getitem__, stable))
+    for k, line in zip(stable, map(",".join, cells)):
+        lines[k] = line
+    header = ",".join([axis.name for axis in axes] + list(MEASURE_COLUMNS))
+    return "\n".join([header, *lines]) + "\n"
 
 
-def _row_dict(row, omega_phi1: float) -> dict:
-    doc: dict = {name: value for name, value in row.coords}
-    if row.report is None:
-        doc["stable"] = "error"
-        doc["error"] = row.error
-    else:
-        doc.update(_report_values(row.report, omega_phi1))
-    return doc
+def _row_docs(result: SweepResult) -> list[dict]:
+    """The JSON object of each row: coordinates, then its values or its error."""
+    axes = _axes(result.spec)
+    names = [axis.name for axis in axes]
+    coords = list(itertools.product(*(axis.values for axis in axes)))
+    margins = _margin_ratios(result)
+    rows = [point + _NOT_STABLE + (margin,) for point, margin in zip(coords, margins)]
+    stable, columns = _stable_columns(result, lambda column: column)
+    for k, values in zip(stable, zip(*columns)):
+        rows[k] = (*coords[k], True, *values, margins[k])
+    docs = [dict(zip(names + list(MEASURE_COLUMNS), row)) for row in rows]
+    for k, message in result.errors.items():
+        docs[k] = {**dict(zip(names, coords[k])), "stable": "error", "error": message}
+    return docs
 
 
 def serialize_json(result: SweepResult) -> str:
@@ -118,10 +158,7 @@ def serialize_json(result: SweepResult) -> str:
             "axis2": _axis_doc(spec.axis2),
         },
     }
-    rows = json.dumps(
-        [_row_dict(row, spec.base.omega_phi1) for row in result.rows],
-        separators=_ROW_SEPARATORS,
-    )
+    rows = json.dumps(_row_docs(result), separators=_ROW_SEPARATORS)
     # the rows are flat objects whose strings escape every newline, so the
     # only "},\n      {" joins two rows and these edits give indent=2's layout
     rows = rows.replace("},\n      {", "\n    },\n    {\n      ")

@@ -8,8 +8,9 @@ split); steering uses the Renyi-2 entropy criterion.
 :func:`full_reports` bundles everything for a block of linearized
 models: it goes on with the rows of one batched solve and computes
 each measure of all stable rows at once, from one stacked spectrum
-per kind of cut.  The one-state functions and :func:`full_report` are
-one-row cases of the same array code.
+per kind of cut, into columns that sweeps keep as they are.  The
+one-state functions and :func:`full_report` are one-row cases of the
+same array code.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,20 +183,24 @@ class SteeringClass(enum.Enum):
     TWO_WAY = "two_way"
 
 
-def _classes(zetas: np.ndarray) -> list[SteeringClass]:
-    """The :class:`SteeringClass` of each row of (K, 2) ζ, α steering β first; a ζ
-    below ``1e-12`` counts as zero so that floating-point dust cannot flip the class."""
-    # SteeringClass lists no-way, α to β, β to α, then two-way
-    classes = tuple(SteeringClass)
-    return [classes[ab + 2 * ba] for ab, ba in (zetas > _CLASS_TOL).tolist()]
+# the classes in code order: no-way, α to β, β to α, then two-way
+_CLASSES = tuple(SteeringClass)
+
+
+def _class_codes(zetas: np.ndarray) -> np.ndarray:
+    """The :class:`SteeringClass` code (its index in ``_CLASSES``) of each row of (K, 2) ζ,
+    α steering β first; a ζ below ``1e-12`` counts as zero so that floating-point dust
+    cannot flip the class."""
+    steers = zetas > _CLASS_TOL
+    return (steers[:, 0] + 2 * steers[:, 1]).astype(np.int8)
 
 
 def classify(zeta_ab: float, zeta_ba: float) -> SteeringClass:
-    """Classify steering directionality from the two ζ values (see :func:`_classes`).
+    """Classify steering directionality from the two ζ values (see :func:`_class_codes`).
 
     ``zeta_ab`` is α steering β.
     """
-    return _classes(np.array([[zeta_ab, zeta_ba]]))[0]
+    return _CLASSES[_class_codes(np.array([[zeta_ab, zeta_ba]]))[0]]
 
 
 def _unentangled(zeta, en_mm):
@@ -272,21 +278,50 @@ def _pairs(v: np.ndarray) -> tuple:
                       np.linalg.det(_stack(two_v, MODE_ORDER, _SINGLES)))
 
 
-def _reports(margins: np.ndarray, v: np.ndarray) -> tuple:
-    """Stage of :func:`full_reports`: the report of each stable row, each measure for all at once.
+def _reports(v: np.ndarray) -> tuple:
+    """Stage of :func:`_report_columns`: the measures of a (K, 6, 6) stack of stable states.
 
-    :func:`_pairs`, then the one-vs-two splits, R_min and the classes.  A
-    measure that fails raises; a row that breaks the steering-entanglement
-    hierarchy gets that error, untagged, in place of its report.
+    :func:`_pairs`, then the one-vs-two splits, R_min and the classes, each
+    measure for all rows at once.  Returns the rows' ``_Columns.values``
+    (K, 7) and class codes (K,).  A measure that fails raises.
     """
     pairs, zetas = _pairs(v)
-    zeta = np.maximum(zetas[:, 0], zetas[:, 1])
     asym = steering_asymmetry(zetas[:, 0], zetas[:, 1])
     r_min = _residual_min(pairs, _pt_en(v, MODE_ORDER, splits=True))
-    rows = zip(_unentangled(zeta, pairs[:, 0]).tolist(), zeta.tolist(), margins.tolist(),
-               pairs.tolist(), zetas.tolist(), asym.tolist(), _classes(zetas), r_min.tolist())
-    return ([_hierarchy_error(z, e[0]) if broken else CorrelationReport(True, m, *e, *zs, a, c, r)
-             for broken, z, m, e, zs, a, c, r in rows],)
+    values = np.concatenate((pairs, zetas, asym[:, None], r_min[:, None]), axis=1)
+    return values, _class_codes(zetas)
+
+
+class _Columns(NamedTuple):
+    """The reports of N rows as arrays, one entry per row.
+
+    ``values`` holds each stable row's EN_mm, EN_m1c, EN_m2c, ζ_m1_m2,
+    ζ_m2_m1, ζ_M and R_min, and ``classes`` its steering-class code (an
+    index into ``_CLASSES``); both are filler on the other rows.  The
+    margin is NaN where a row failed before its margin was taken.  A row
+    with an error is not stable; the errors are kept beside the columns.
+    """
+
+    stable: np.ndarray
+    margin: np.ndarray
+    values: np.ndarray
+    classes: np.ndarray
+
+    @classmethod
+    def of(cls, margin: np.ndarray) -> _Columns:
+        """Columns with the margins ``margin`` and no stable row."""
+        n = len(margin)
+        # every measure but the class is a float
+        values = np.full((n, _N_MEASURES - 1), np.nan)
+        return cls(np.zeros(n, dtype=bool), margin, values, np.zeros(n, dtype=np.int8))
+
+    def report(self, k: int) -> CorrelationReport:
+        """The :class:`CorrelationReport` of row ``k``, which must not be an error row."""
+        margin = float(self.margin[k])
+        if not self.stable[k]:
+            return CorrelationReport(False, margin)
+        *measures, asym, r_min = self.values[k].tolist()
+        return CorrelationReport(True, margin, *measures, asym, _CLASSES[self.classes[k]], r_min)
 
 
 def _solve_models(models: LinearModel) -> tuple:
@@ -304,36 +339,50 @@ def _solve_models(models: LinearModel) -> tuple:
     return _solve(drifts, np.reshape(models.diffusion, (n, 6, 6)))
 
 
+def _report_columns(models: LinearModel) -> tuple:
+    """:func:`full_reports` as ``(_Columns, {row: its LgsteerError})``.
+
+    The measures go on with the rows of the batched solve
+    (:func:`_solve_models`), so one error list covers both, and are
+    computed for 64 stable rows at once (see :func:`_reports`), which
+    bounds their working arrays.  A solve or measure error is tagged with
+    its row's detuning; a row that breaks the steering-entanglement
+    hierarchy gets that error, untagged.
+    """
+    rows, margins, v = _solve_models(models)
+    table = _Columns.of(margins)
+    errors: dict = {}
+    if len(v):
+        measures, codes = rows.run(_reports, v, chunk=_CHUNK_ROWS)
+        live = rows.live
+        table.stable[live], table.values[live], table.classes[live] = True, measures, codes
+        zeta = np.maximum(measures[:, 3], measures[:, 4])
+        for k in np.flatnonzero(_unentangled(zeta, measures[:, 0])).tolist():
+            errors[int(live[k])] = _hierarchy_error(zeta[k].item(), measures[k, 0].item())
+    failed = [k for k, exc in enumerate(rows.errors) if exc is not None]
+    if failed:
+        derived = models.derived
+        ratio = derived.value("detuning") / derived.value("omega_phi1")
+        ratio = np.broadcast_to(ratio, len(margins))
+        errors.update((k, _tagged(rows.errors[k], float(ratio[k]))) for k in failed)
+    if errors:
+        table.stable[list(errors)] = False
+    return table, errors
+
+
 def full_reports(models: LinearModel) -> list:
     """:func:`full_report` of each row of a block of models, as one batch.
 
     Returns one entry per row of the (N, 6, 6) stacks of ``models`` (see
     :func:`lgsteer.model.build_model`), in order: its :class:`CorrelationReport`,
     or the :class:`~lgsteer.errors.LgsteerError` that :func:`full_report`
-    would raise for it alone.  A failing row never fails the batch.  The
-    measures go on with the rows of the batched solve (:func:`_solve_models`),
-    so one error list covers both, and each is computed for 64 stable rows
-    at once (see :func:`_reports`), which bounds their working arrays.
-    Callers bound the rest, about 1-2 KB a row, by passing blocks.
+    would raise for it alone.  A failing row never fails the batch.  Each
+    measure is computed for 64 stable rows at once (see
+    :func:`_report_columns`), which bounds their working arrays.  Callers
+    bound the rest, about 1-2 KB a row, by passing blocks.
     """
-    derived = models.derived
-    rows, margins, v = _solve_models(models)
-    n = len(margins)
-    out: list = [None] * n
-    if len(v):
-        (reports,) = rows.run(_reports, margins[rows.live], v, chunk=_CHUNK_ROWS)
-        for k, report in zip(rows.live.tolist(), reports):
-            out[k] = report
-    for k, report in enumerate(out):
-        if report is not None:
-            continue
-        exc = rows.errors[k]
-        if exc is not None:
-            ratio = derived.value("detuning") / derived.value("omega_phi1")
-            out[k] = _tagged(exc, float(np.broadcast_to(ratio, n)[k]))
-        else:
-            out[k] = CorrelationReport(stable=False, stability_margin=float(margins[k]))
-    return out
+    columns, errors = _report_columns(models)
+    return [errors[k] if k in errors else columns.report(k) for k in range(len(columns.margin))]
 
 
 def full_report(model: LinearModel) -> CorrelationReport:

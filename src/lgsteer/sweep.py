@@ -5,7 +5,8 @@ blocks of at most 512 points, whose stable rows are solved and measured
 64 at a time, which bounds the working memory of any grid.  Each axis
 is converted to SI and checked once; a block's models are built as one
 (N, 6, 6) stack by :func:`lgsteer.model.build_model` and solved and
-measured by :func:`lgsteer.measures.full_reports`.  Axis
+measured into columns by :func:`lgsteer.measures._report_columns`,
+which the result keeps; its rows are built only when read.  Axis
 coordinates use the same display units as the configuration surface
 (frequencies as ratios to the left-mirror frequency, phases in radians,
 temperatures in kelvin, powers in watts); absolute SI values exist only
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import NamedTuple
@@ -31,13 +34,19 @@ from .config import Axis, RunConfig, RunSection, _check_axes, to_si, to_system_p
 from .constants import CLIGHT, HBAR, KBOLTZ
 from .errors import (
     InvalidSpec,
-    LgsteerError,
     NonPositiveParameter,
     NoStableRegion,
     UnknownPreset,
 )
 from .gaussian import _CHUNK_ROWS
-from .measures import CorrelationReport, _pairs, _solve_models, _unentangled, full_reports
+from .measures import (
+    CorrelationReport,
+    _Columns,
+    _pairs,
+    _report_columns,
+    _solve_models,
+    _unentangled,
+)
 from .model import FIELD_RULES, SystemParams, build_model, check_field, with_updates
 
 _GRID_1D = 401
@@ -76,23 +85,99 @@ def to_sweep_spec(config: RunConfig) -> SweepSpec:
     return SweepSpec(to_system_params(config), config.run.axis1, config.run.axis2)
 
 
-@dataclass(frozen=True)
 class SweepRow:
-    """One grid point: coordinates, report, or a captured error."""
+    """One grid point of a :class:`SweepResult`: coordinates, report, or a captured error.
 
-    index: tuple[int, int]
-    coords: tuple[tuple[str, float], ...]
-    report: CorrelationReport | None
-    error: str | None = None
+    A row reads its result's columns: ``index`` is its (axis1, axis2)
+    index, ``coords`` its ``(axis name, value)`` pairs, ``report`` its
+    :class:`CorrelationReport`, built each time it is read (None on an
+    error row), and ``error`` the error row's ``"<class>: <message>"``
+    (None elsewhere).  Rows compare, hash and print by those four.
+    """
+
+    __slots__ = ("_result", "_k")
+
+    def __init__(self, result: SweepResult, k: int) -> None:
+        self._result, self._k = result, k
+
+    @property
+    def index(self) -> tuple[int, int]:
+        return divmod(self._k, self._result.spec.shape[1])
+
+    @property
+    def coords(self) -> tuple[tuple[str, float], ...]:
+        spec, (i, j) = self._result.spec, self.index
+        coords = ((spec.axis1.name, spec.axis1.values[i]),)
+        if spec.axis2 is None:
+            return coords
+        return coords + ((spec.axis2.name, spec.axis2.values[j]),)
+
+    @property
+    def report(self) -> CorrelationReport | None:
+        result = self._result
+        return None if self._k in result.errors else result.columns.report(self._k)
+
+    @property
+    def error(self) -> str | None:
+        return self._result.errors.get(self._k)
+
+    def _fields(self) -> tuple:
+        return self.index, self.coords, self.report, self.error
+
+    def __eq__(self, other):
+        if type(other) is not SweepRow:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        index, coords, report, error = self._fields()
+        return f"SweepRow(index={index!r}, coords={coords!r}, report={report!r}, error={error!r})"
 
 
-@dataclass(frozen=True)
+class _Rows(Sequence):
+    """:attr:`SweepResult.rows`: a row is built when it is read, and not kept."""
+
+    __slots__ = ("_result",)
+
+    def __init__(self, result: SweepResult) -> None:
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._result.columns.margin)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(*k.indices(len(self)))))
+        k, n = operator.index(k), len(self)
+        if not -n <= k < n:
+            raise IndexError(f"row {k} of a {n}-row sweep")
+        return SweepRow(self._result, k % n)
+
+    def __iter__(self):
+        return map(SweepRow, itertools.repeat(self._result), range(len(self)))
+
+
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """All rows of a sweep in grid order plus run metadata."""
+    """All rows of a sweep in grid order plus run metadata.
+
+    The rows are held as columns: ``columns`` has each row's report values
+    as arrays and ``errors`` each error row's message, both by row number
+    ``i * n2 + j`` (``n2`` is 1 on a 1-D grid).  :attr:`rows` reads them.
+    """
 
     spec: SweepSpec
-    rows: tuple[SweepRow, ...]
+    columns: _Columns
+    errors: dict[int, str]
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def rows(self) -> Sequence[SweepRow]:
+        """The rows in (axis1, axis2) index order, each built as it is read."""
+        return _Rows(self)
 
 
 def _column(base: SystemParams, which: int, axis: Axis) -> tuple:
@@ -109,59 +194,57 @@ def _column(base: SystemParams, which: int, axis: Axis) -> tuple:
     return which, name, np.array(values), errors
 
 
-def _evaluate_point(index: tuple[int, int], coords, outcome) -> SweepRow:
-    """A grid row from the point's report, or an error row from its exception."""
-    if isinstance(outcome, LgsteerError):
-        return SweepRow(index, coords, None, f"{type(outcome).__name__}: {outcome}")
-    return SweepRow(index, coords, outcome)
+def _evaluate_block(spec: SweepSpec, columns, rows: np.ndarray, table: _Columns,
+                    errors: dict) -> None:
+    """Fill grid rows ``rows`` of ``table`` and ``errors``: the valid points' models built
+    and reported as one block.
 
-
-def _evaluate_block(spec: SweepSpec, columns, points, coords) -> list[SweepRow]:
-    """Rows of some grid points: the valid points' models built and reported as one block.
-
-    A bad point's error is its first in ``columns`` (``FIELD_RULES``) order,
-    as ``SystemParams`` would raise it.
+    ``columns`` holds each axis's ``(which, field, SI values, {value index:
+    its error})``.  A bad point's error is its first in ``columns``
+    (``FIELD_RULES``) order, as ``SystemParams`` would raise it.
     """
-    outcomes = [None] * len(points)
-    for which, _, _, errors in columns:
-        for k, point in enumerate(points):
-            if outcomes[k] is None:
-                outcomes[k] = errors[point[which]]
-    good = [k for k, error in enumerate(outcomes) if error is None]
-    if good:
-        index = np.array(points)[good]
-        swept = {name: values[index[:, which]] for which, name, values, _ in columns}
-        for k, report in zip(good, full_reports(build_model(spec.base, swept))):
-            outcomes[k] = report
-    return [_evaluate_point(*row) for row in zip(points, coords, outcomes)]
+    index = np.stack(np.divmod(rows, spec.shape[1]), axis=1)
+    failed = {}
+    for which, _, _, bad in columns:
+        if bad:
+            for k in np.flatnonzero(np.isin(index[:, which], list(bad))).tolist():
+                failed.setdefault(k, bad[int(index[k, which])])
+    good = np.delete(np.arange(len(rows)), list(failed))
+    if len(good):
+        swept = {name: values[index[good, which]] for which, name, values, _ in columns}
+        block, block_errors = _report_columns(build_model(spec.base, swept))
+        at = rows[good]
+        for whole, part in zip(table, block):
+            whole[at] = part
+        failed.update((int(good[k]), exc) for k, exc in block_errors.items())
+    errors.update((int(rows[k]), f"{type(exc).__name__}: {exc}") for k, exc in failed.items())
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid; rows come back in (axis1, axis2) index order.
 
     Points are evaluated in blocks of ``_BLOCK_ROWS`` through
-    :func:`lgsteer.measures.full_reports`, which solves and measures a
+    :func:`lgsteer.measures._report_columns`, which solves and measures a
     block's stable rows 64 at a time: that bounds the working memory
-    whatever the grid size.
+    whatever the grid size.  The result keeps the blocks' columns, about
+    70 B a row; no row object is built.
     """
-    n1, n2 = spec.shape
-    points = [(i, j) for i in range(n1) for j in range(n2)]
+    n = math.prod(spec.shape)
     axes = enumerate((spec.axis1, spec.axis2))
     columns = [_column(spec.base, which, axis) for which, axis in axes if axis is not None]
     columns.sort(key=lambda column: list(FIELD_RULES).index(column[1]))
-    # each point's (name, value) coordinates, in the order of ``points``
-    pairs = [[(a.name, v) for v in a.values] for a in (spec.axis1, spec.axis2) if a is not None]
-    coords = list(itertools.product(*pairs))
-    rows = []
-    for start in range(0, len(points), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        rows.extend(_evaluate_block(spec, columns, points[block], coords[block]))
+    columns = [(which, name, values, {i: e for i, e in enumerate(errors) if e is not None})
+               for which, name, values, errors in columns]
+    table, errors = _Columns.of(np.full(n, np.nan)), {}
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = np.arange(start, min(n, start + _BLOCK_ROWS))
+        _evaluate_block(spec, columns, rows, table, errors)
     metadata = {
         "created_at": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
         "constants": {"hbar": HBAR, "kboltz": KBOLTZ, "clight": CLIGHT},
     }
-    return SweepResult(spec, tuple(rows), metadata)
+    return SweepResult(spec, table, errors, metadata)
 
 
 class OptimumDetuning(NamedTuple):

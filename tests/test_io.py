@@ -59,6 +59,16 @@ def error_sweep():
     )
 
 
+def row_doc(row, omega_phi1: float) -> dict:
+    """A row's JSON object, read from the row itself rather than the result's columns."""
+    doc = dict(row.coords)
+    if row.report is None:
+        doc.update(stable="error", error=row.error)
+    else:
+        doc.update(lgsteer.io._report_values(row.report, omega_phi1))
+    return doc
+
+
 class TestSerializeCsv:
     def test_header_layout(self):
         text = serialize_csv(boundary_sweep())
@@ -188,11 +198,14 @@ class TestSerializeJson:
             "NonPhysicalInput: ν < ½ at Δ = −1 ω, ünïcödé ✓",
             'x"},\n      {"y": 1',
         ]
-        rows = list(result.rows)
-        marked = dict(zip(range(0, len(rows), 2), messages))
-        for k, message in marked.items():
-            rows[k] = dataclasses.replace(rows[k], report=None, error=message)
-        result = dataclasses.replace(result, rows=tuple(rows))
+        marked = dict(zip(range(0, len(result.rows), 2), messages))
+        stable = result.columns.stable.copy()
+        stable[list(marked)] = False
+        result = dataclasses.replace(
+            result,
+            columns=result.columns._replace(stable=stable),
+            errors={**result.errors, **marked},
+        )
         spec = result.spec
         doc = {
             "metadata": {
@@ -204,7 +217,7 @@ class TestSerializeJson:
                 "axis1": _axis_doc(spec.axis1),
                 "axis2": _axis_doc(spec.axis2),
             },
-            "rows": [lgsteer.io._row_dict(row, spec.base.omega_phi1) for row in rows],
+            "rows": [row_doc(row, spec.base.omega_phi1) for row in result.rows],
         }
         assert serialize_json(result) == json.dumps(doc, indent=2) + "\n"
         loaded = json.loads(serialize_json(result))["rows"]

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import lgsteer.measures
 from lgsteer import (
     CorrelationReport,
     CovarianceMatrix,
@@ -22,6 +23,7 @@ from lgsteer import (
     classify,
     derive,
     full_report,
+    full_reports,
     log_negativity,
     lyapunov_oracle,
     min_pt_symplectic,
@@ -39,7 +41,7 @@ from lgsteer import (
     table_defaults,
     with_updates,
 )
-from lgsteer.gaussian import _scale
+from lgsteer.gaussian import _Rows, _scale
 from lgsteer.measures import _en, _reports
 
 from conftest import (
@@ -521,11 +523,16 @@ _UNENTANGLED_STEERING = np.kron([[1.5, 1.0], [1.0, 1.0]], np.eye(2))
 class TestReportStage:
     """The array stage of full_reports on synthetic stacks the model never gives."""
 
-    @staticmethod
-    def stage(*mirrors) -> list:
+    @pytest.fixture(autouse=True)
+    def _patch(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+
+    def stage(self, *mirrors) -> list:
+        # full_reports of a block whose solve gives these stable states
         v = np.stack([_with_vacuum_cavity(m) for m in mirrors])
-        (reports,) = _reports(np.full(len(v), -0.25), v)
-        return reports
+        solved = (_Rows(len(v)), np.full(len(v), -0.25), v)
+        self.monkeypatch.setattr(lgsteer.measures, "_solve_models", lambda models: solved)
+        return full_reports(None)
 
     def test_tmsv_beside_a_vacuum_cavity(self):
         rs = (0.25, 0.5, 1.0)
@@ -568,7 +575,8 @@ class TestReportStage:
         assert [reports[0], reports[2]] == self.stage(*clean)
 
     def test_no_rows(self):
-        assert _reports(np.zeros(0), np.zeros((0, 6, 6))) == ([],)
+        values, codes = _reports(np.zeros((0, 6, 6)))
+        assert values.shape == (0, 7) and codes.shape == (0,)
 
 
 def _degenerate_zero_temperature_sweep():

@@ -1,6 +1,7 @@
 """Grid sweeps, the detuning optimizer, and the figure presets."""
 
 import dataclasses
+import gc
 import json
 import math
 import tracemalloc
@@ -507,6 +508,103 @@ class TestBlocks:
         assert [repr(r) for i, r in enumerate(rows) if i != k] == [
             repr(r) for i, r in enumerate(clean) if i != k
         ]
+
+
+class TestColumns:
+    """A result holds its rows as columns, and ``rows`` builds each row as it is read."""
+
+    @staticmethod
+    def _mixed_2d() -> SweepSpec:
+        # kappa = 0.2 w1, chi = 0.1 w1, theta = 0: Delta = 0 is the OPA
+        # threshold (not stable, margin 0), Delta < 0 is not stable, and
+        # Delta >= w1 is stable with EN_mm = 0; laser power 0 is a bad value
+        base = make_params(kappa_override=0.2 * W1, opa_gain=0.1 * W1, opa_phase=0.0)
+        return SweepSpec(
+            base,
+            Axis("detuning_ratio", (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0)),
+            Axis("laser_power_w", (0.0, 0.02, 0.05)),
+        )
+
+    def test_rows_are_the_per_point_reports(self, monkeypatch):
+        # every row equals, field by field, what full_report gives its
+        # point alone, or that point's error text; one stable row is
+        # forced to steer without entanglement, which both paths reject
+        spec = self._mixed_2d()
+        marked = build_model(params_at(spec.base, (("detuning_ratio", 1.0),
+                                                    ("laser_power_w", 0.02))))
+        _, cm = steady_covariance(marked.drift, marked.diffusion)
+        pair_det = np.linalg.det(2.0 * reduce(cm, ("mirror1", "mirror2")).data)
+        zetas = lgsteer.measures._zetas
+
+        def steering(pair_dets, single_dets):
+            out = zetas(pair_dets, single_dets)
+            out[[math.isclose(det, pair_det, rel_tol=1e-12) for det in pair_dets]] = 0.3, 0.0
+            return out
+
+        monkeypatch.setattr(lgsteer.measures, "_zetas", steering)
+        result = run_sweep(spec)
+        rows = result.rows
+        assert len(rows) == 18
+        kinds = {"stable": 0, "not stable": 0, "threshold": 0, "bad value": 0, "hierarchy": 0}
+        for k, row in enumerate(rows):
+            assert row.index == divmod(k, 3)
+            assert row.coords == tuple(
+                (axis.name, axis.values[i]) for axis, i in zip((spec.axis1, spec.axis2), row.index)
+            )
+            report, error = None, None
+            try:
+                report = full_report(build_model(params_at(spec.base, row.coords)))
+            except LgsteerError as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            assert row.report == report and row.error == error
+            assert repr(row) == (
+                f"SweepRow(index={row.index!r}, coords={row.coords!r}, report={report!r}, "
+                f"error={error!r})"
+            )
+            if error is not None:
+                kinds["hierarchy" if "hierarchy" in error else "bad value"] += 1
+            elif report.stable:
+                kinds["stable"] += 1
+                assert f"en_m1c={report.en_m1c!r}" in repr(row)
+            else:
+                kinds["threshold" if report.stability_margin == 0.0 else "not stable"] += 1
+        assert kinds == {"stable": 5, "not stable": 4, "threshold": 2, "bad value": 6,
+                         "hierarchy": 1}
+        assert int(result.columns.stable.sum()) == 5
+
+    def test_rows_view(self):
+        result = run_sweep(self._mixed_2d())
+        rows = result.rows
+        assert rows[-1] == rows[17] and rows[-1] is not rows[17]
+        assert hash(rows[4]) == hash(result.rows[4])
+        assert rows[3:6] == tuple(rows)[3:6] and rows[1] != rows[2]
+        assert [row.error is None for row in rows].count(True) == 12
+        with pytest.raises(IndexError):
+            rows[18]
+
+    @pytest.mark.parametrize("detuning", [-1.0, 1.0], ids=["fig3", "fig3_at_plus_w1"])
+    def test_result_keeps_columns_not_rows(self, detuning):
+        # fig3's 101 x 101 grid is not stable at its own detuning, -w1, and
+        # 95 % stable at +w1: either way the result keeps its columns, 66 B
+        # a row, where a SweepRow and a CorrelationReport per row took
+        # 410-573 B; walking the rows keeps none of them
+        spec = to_sweep_spec(_PRESETS["fig3"][0][1])
+        spec = dataclasses.replace(spec, base=with_updates(spec.base, detuning=detuning * W1))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = run_sweep(spec)
+            kept = []
+            for _ in range(2):
+                gc.collect()
+                kept.append((tracemalloc.get_traced_memory()[0] - start) / len(result.rows))
+                for row in result.rows:
+                    row.error, row.report
+        finally:
+            tracemalloc.stop()
+        assert len(result.rows) == 10201
+        assert max(kept) <= 150, kept
 
 
 class TestOptimumDetuning:

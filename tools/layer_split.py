@@ -12,19 +12,27 @@ workloads of the same names build theirs:
   a 51-point temperature or gain sweep at the optimum, written as JSON;
 - ``detuning_sweeps``: 30 sweeps of 81 detunings, written as CSV.
 
+After writing a sweep, each round takes ``len(result.rows)`` and reads
+every row's ``error``, as the benchmark does.
+
 A layer's time in a round is the summed wall time of its functions:
 
 - ``build``: ``model.build_model`` as ``sweep`` calls it;
 - ``margins``: ``gaussian._inputs`` and ``gaussian._margins``;
 - ``lyapunov``: ``gaussian._lyapunov``, with ``np.linalg.inv`` inside it
   on its own line;
-- ``measures``: ``measures._reports``, and ``measures._pairs`` where the
-  optimum search calls it from ``sweep`` (timed there, so its calls from
-  ``_reports`` are not counted twice; a tree without it has none), with
-  ``np.linalg.eigvalsh`` inside them on its own line;
-- ``serialize``: ``io.serialize_json`` or ``io.serialize_csv``;
-- ``assembly``: the rest of the round, which is row assembly and the
-  searches' own bookkeeping.
+- ``measures``: ``measures._reports``, the report stage of a block's
+  stable rows (the stage that returns the measures as columns, or in
+  trees before columns the one that builds a report per row), and
+  ``measures._pairs`` where the optimum search calls it from ``sweep``
+  (timed there, so its calls from ``_reports`` are not counted twice; a
+  tree without it has none), with ``np.linalg.eigvalsh`` inside them on
+  its own line;
+- ``serialize``: ``io.serialize_json`` or ``io.serialize_csv``, which in
+  a columnar tree format whole columns;
+- ``assembly``: the rest of the round: gathering the stage's columns
+  (or building row objects), the walk of the rows, and the searches'
+  own bookkeeping.
 
 It prints each layer's minimum and median over the timed rounds (after
 one warm-up round per tree and workload) and the after/before ratio of
@@ -103,6 +111,15 @@ def _load(root: Path) -> dict:
     return mods
 
 
+def _written(serialize, result) -> str:
+    """``serialize(result)``, then the benchmark's read of the rows: their count and errors."""
+    text = serialize(result)
+    len(result.rows)
+    for row in result.rows:
+        row.error
+    return text
+
+
 def _optimum_scans(mods: dict):
     lg = mods["lgsteer"]
     base = lg.table_defaults()
@@ -115,7 +132,7 @@ def _optimum_scans(mods: dict):
             for measure, axis in (("ENmm", t_axis), ("ENmc", g_axis)):
                 opt = lg.optimum_detuning(b, measure)
                 spec = lg.SweepSpec(lg.with_updates(b, detuning=opt.delta), axis)
-                yield mods["io"].serialize_json(lg.run_sweep(spec))
+                yield _written(mods["io"].serialize_json, lg.run_sweep(spec))
 
 
 def _detuning_sweeps(mods: dict):
@@ -128,7 +145,7 @@ def _detuning_sweeps(mods: dict):
             for _, chi, theta in _PUMPS:
                 b = lg.with_updates(base, omega_phi2=ratio * w1, opa_gain=chi * w1,
                                     opa_phase=theta, temperature=temperature)
-                yield mods["io"].serialize_csv(lg.run_sweep(lg.SweepSpec(b, axis)))
+                yield _written(mods["io"].serialize_csv, lg.run_sweep(lg.SweepSpec(b, axis)))
 
 
 WORKLOADS = {"optimum_scans": _optimum_scans, "detuning_sweeps": _detuning_sweeps}
