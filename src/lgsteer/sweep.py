@@ -137,7 +137,7 @@ class SweepRow:
         return f"SweepRow(index={index!r}, coords={coords!r}, report={report!r}, error={error!r})"
 
 
-class _Rows(Sequence):
+class _RowView(Sequence):
     """:attr:`SweepResult.rows`: a row is built when it is read, and not kept."""
 
     __slots__ = ("_result",)
@@ -177,7 +177,7 @@ class SweepResult:
     @property
     def rows(self) -> Sequence[SweepRow]:
         """The rows in (axis1, axis2) index order, each built as it is read."""
-        return _Rows(self)
+        return _RowView(self)
 
 
 def _column(base: SystemParams, which: int, axis: Axis) -> tuple:
