@@ -105,19 +105,26 @@ def _stable_columns(result: SweepResult, numbers) -> tuple[list[int], list[list]
     return stable.tolist(), [*floats[:6], classes, floats[6]]
 
 
+def _not_stable(result: SweepResult):
+    """Each row that is not stable, with its error message or None."""
+    for k in np.flatnonzero(~result.columns.stable).tolist():
+        yield k, result.errors.get(k)
+
+
 def serialize_csv(result: SweepResult) -> str:
     """Fixed-column CSV text for a sweep result (LF endings), written a column at a time."""
     axes = _axes(result.spec)
     coords = list(map(",".join, itertools.product(*(map(repr, a.values) for a in axes))))
     margins = list(map(repr, _margin_ratios(result)))
-    lines = [f"{point},false{_BLANKS}{margin}" for point, margin in zip(coords, margins)]
-    for k in result.errors:
-        lines[k] = f"{coords[k]},error{_BLANKS}"
+    lines = [""] * len(coords)
     stable, columns = _stable_columns(result, lambda column: list(map(repr, column)))
     cells = zip(map(coords.__getitem__, stable), itertools.repeat("true"), *columns,
                 map(margins.__getitem__, stable))
     for k, line in zip(stable, map(",".join, cells)):
         lines[k] = line
+    for k, error in _not_stable(result):
+        cells = f"false{_BLANKS}{margins[k]}" if error is None else "error" + _BLANKS
+        lines[k] = f"{coords[k]},{cells}"
     header = ",".join([axis.name for axis in axes] + list(MEASURE_COLUMNS))
     return "\n".join([header, *lines]) + "\n"
 
@@ -126,15 +133,18 @@ def _row_docs(result: SweepResult) -> list[dict]:
     """The JSON object of each row: coordinates, then its values or its error."""
     axes = _axes(result.spec)
     names = [axis.name for axis in axes]
+    keys = names + list(MEASURE_COLUMNS)
     coords = list(itertools.product(*(axis.values for axis in axes)))
     margins = _margin_ratios(result)
-    rows = [point + _NOT_STABLE + (margin,) for point, margin in zip(coords, margins)]
+    docs: list = [None] * len(coords)
     stable, columns = _stable_columns(result, lambda column: column)
     for k, values in zip(stable, zip(*columns)):
-        rows[k] = (*coords[k], True, *values, margins[k])
-    docs = [dict(zip(names + list(MEASURE_COLUMNS), row)) for row in rows]
-    for k, message in result.errors.items():
-        docs[k] = {**dict(zip(names, coords[k])), "stable": "error", "error": message}
+        docs[k] = dict(zip(keys, (*coords[k], True, *values, margins[k])))
+    for k, error in _not_stable(result):
+        if error is None:
+            docs[k] = dict(zip(keys, coords[k] + _NOT_STABLE + (margins[k],)))
+        else:
+            docs[k] = {**dict(zip(names, coords[k])), "stable": "error", "error": error}
     return docs
 
 
