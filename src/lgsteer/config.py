@@ -298,16 +298,31 @@ def to_system_params(config: RunConfig) -> SystemParams:
     return SystemParams(**dict(to_si(k, v, w1) for k, v in system.items()))
 
 
+def _unscaled(value: float, factor: float) -> float:
+    """The shortest decimal that :func:`to_si` multiplies by ``factor`` back to ``value``.
+
+    ``value / factor`` can be one ulp off the number a run file gave:
+    ``1.5 * w1 / w1`` is 1.4999999999999998 for some ``w1``.
+    """
+    quotient = value / factor
+    for digits in range(1, 17):
+        shorter = float(f"{quotient:.{digits}g}")
+        if shorter * factor == value:
+            return shorter
+    return quotient
+
+
 def system_to_display(params: SystemParams) -> dict:
     """Inverse of :func:`to_system_params`: SI model inputs back to
     display-unit config keys (frequencies as ratios, hertz for the
-    reference frequency)."""
+    reference frequency), each scaled key as the shortest decimal that
+    converts back to the stored value."""
     w1 = params.omega_phi1
     out = {}
     for key, (name, scale, _, _) in _SYSTEM_KEYS.items():
         value = getattr(params, name)
         if value is not None:
-            out[key] = value / _UNITS[scale](w1) if scale in _UNITS else value
+            out[key] = _unscaled(value, _UNITS[scale](w1)) if scale in _UNITS else value
     return out
 
 

@@ -333,6 +333,23 @@ class TestConversion:
             back = to_system_params(parse_config(text))
             assert back == p
 
+    @pytest.mark.parametrize("hz", [1e7, 1.2e7, 2e7, 3.3e6])
+    def test_scaled_keys_come_back_as_written(self, hz):
+        # a scaled key's quotient by its scale can be one ulp off the run
+        # file's number (0.9 came back as 0.8999999999999999 at 1.2e7 Hz);
+        # the spec must name the run file's own decimal
+        scaled = [key for key, (_, scale, _, _) in _SYSTEM_KEYS.items() if scale in ("ratio", "hz")]
+        values = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 1.05, 1.1, 1.25, 1.4017,
+                  1.5, 2.0, 1 / 3)
+        for key in scaled:
+            for value in values:
+                if key == "detuning_ratio":
+                    value = -value
+                system = {"omega_phi1_hz": hz, key: value * (1e6 if key == "omega_phi1_hz" else 1)}
+                config = parse_config(json.dumps({"system": system, "run": {"mode": "point"}}))
+                display = system_to_display(to_system_params(config))
+                assert display[key] == system[key], (key, system[key], display[key])
+
     def test_to_sweep_spec_requires_sweep_mode(self):
         from lgsteer import InvalidSpec
 
