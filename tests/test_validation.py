@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lgsteer import (
+    NonPhysicalInput,
     SingularSystem,
     SolveFailure,
     StepOverflow,
@@ -21,6 +22,7 @@ from lgsteer import (
     renyi2_entropy,
     run_checks,
     solve_lyapunov,
+    steady_covariances,
     steering,
     validation,
 )
@@ -237,11 +239,9 @@ class TestRunChecks:
         assert all(r.passed for r in results)
 
     def test_corrupted_solver_is_caught_by_name(self):
-        def wrong_solver(a, d):
-            v = solve_lyapunov(a, d)
-            from lgsteer import CovarianceMatrix
-
-            return CovarianceMatrix(1.02 * v.data, v.mode_labels)
+        def wrong_solver(drifts, diffusions):
+            margins, covariances, errors = steady_covariances(drifts, diffusions)
+            return margins, 1.02 * covariances, errors
 
         results = run_checks(solver=wrong_solver, n_random=3)
         by_name = {r.name: r for r in results}
@@ -264,19 +264,122 @@ class TestRunChecks:
         assert by_name["reference_states"].detail == "vacuum(2) steering_ab off by 1e-11"
 
     def test_crashing_solver_is_reported_not_raised(self):
-        def crashing_solver(a, d):
-            raise SolveFailure("synthetic failure")
+        def crashing_solver(drifts, diffusions):
+            n = len(drifts)
+            failure = SolveFailure("synthetic failure")
+            return np.full(n, np.nan), np.full((n, 6, 6), np.nan), [failure] * n
 
         results = run_checks(solver=crashing_solver, n_random=2)
         by_name = {r.name: r for r in results}
         assert not by_name["solver_identity"].passed
         assert "SolveFailure" in by_name["solver_identity"].detail
+        assert by_name["route_agreement"].detail == "SolveFailure: synthetic failure"
+
+    def test_non_finite_solver_row_fails_agreement(self):
+        # one NaN row among the seeded systems: a NaN difference must not
+        # drop out of the worst disagreement
+        def nan_row_solver(drifts, diffusions):
+            margins, covariances, errors = steady_covariances(drifts, diffusions)
+            if len(covariances) > 3:
+                covariances[3, 2, 2] = np.nan
+            return margins, covariances, errors
+
+        by_name = {r.name: r for r in run_checks(solver=nan_row_solver, n_random=5)}
+        assert by_name["route_agreement"].detail == (
+            "SolveFailure: solver gave system 3 a non-finite covariance"
+        )
+        assert [name for name, r in by_name.items() if not r.passed] == ["route_agreement"]
+
+    @pytest.mark.parametrize("n_random", [0, 1])
+    def test_few_seeded_systems_pass(self, n_random):
+        assert all(r.passed for r in run_checks(n_random=n_random))
+
+    @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"n_random": -1}])
+    def test_bad_seed_or_count_raises_before_any_check(self, kwargs):
+        calls = []
+
+        def counting_solver(drifts, diffusions):
+            calls.append(len(drifts))
+            return steady_covariances(drifts, diffusions)
+
+        with pytest.raises(ValueError, match="seed must be|n_random must be"):
+            run_checks(solver=counting_solver, **kwargs)
+        assert calls == []
+
+
+class TestStackedRoutes:
+    """The stacked draws and oracles are their one-system calls, system by system."""
+
+    @pytest.mark.parametrize("seed", [12345, 7, 999])
+    def test_equal_to_one_system_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [random_stable_system(rng) for _ in range(20)]
+        a, d = validation._random_stable_systems(np.random.default_rng(seed), 20)
+        assert np.array_equal(a, [p[0] for p in pairs])
+        assert np.array_equal(d, [p[1] for p in pairs])
+        oracle = validation._lyapunov_oracles(a, d)
+        ode = validation._integrate_covariances(a, d, np.zeros_like(a), t_end=100.0, dt=0.02)
+        for k, (a_k, d_k) in enumerate(pairs):
+            assert np.array_equal(oracle[k], lyapunov_oracle(a_k, d_k).data)
+            assert np.array_equal(ode[k], integrate_covariance(a_k, d_k, None, 100.0, 0.02).data)
+
+    @staticmethod
+    def _stack(*drifts):
+        a = np.array(drifts, dtype=float)
+        return a, np.broadcast_to(np.eye(6), a.shape).copy()
+
+    @staticmethod
+    def _raised(fn, *args, **kwargs):
+        with pytest.raises(Exception) as exc:
+            fn(*args, **kwargs)
+        return type(exc.value), str(exc.value)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_marginal_system_raises_its_own_error(self, k):
+        marginal = -np.eye(6)
+        marginal[0, 0] = 0.0
+        drifts = [-np.eye(6), -2.0 * np.eye(6), -3.0 * np.eye(6)]
+        drifts[k] = marginal
+        a, d = self._stack(*drifts)
+        assert self._raised(validation._lyapunov_oracles, a, d) == self._raised(
+            lyapunov_oracle, a[k], d[k]
+        )
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_system_raises_its_own_error(self):
+        # V = D / 0.5 overflows; its residual bound is infinite as well
+        a, d = self._stack(-np.eye(6), -0.25 * np.eye(6))
+        d[1] *= 1e308
+        got = self._raised(validation._lyapunov_oracles, a, d)
+        assert got == self._raised(lyapunov_oracle, a[1], d[1])
+        assert got == (NonPhysicalInput, "covariance matrix has non-finite entries")
+
+    def test_first_failing_system_wins(self):
+        # the later NaN drift makes LAPACK reject the whole stack, but the
+        # marginal system before it fails first, one system at a time
+        marginal = -np.eye(6)
+        marginal[0, 0] = 0.0
+        a, d = self._stack(-np.eye(6), marginal, np.full((6, 6), np.nan))
+        with pytest.raises(SingularSystem, match="marginal"):
+            validation._lyapunov_oracles(a, d)
+
+    def test_unstable_system_raises_its_own_overflow(self):
+        # both unstable drifts overflow, at different peaks: the first one's is raised
+        a, d = self._stack(-np.eye(6), -np.eye(6), 2.0 * np.eye(6), -np.eye(6), np.eye(6))
+        got = self._raised(
+            validation._integrate_covariances, a, d, np.zeros_like(a), t_end=20.0, dt=0.01
+        )
+        assert got == self._raised(integrate_covariance, a[2], d[2], None, 20.0, 0.01)
+        assert got[0] is StepOverflow
+        assert got != self._raised(integrate_covariance, a[4], d[4], None, 20.0, 0.01)
 
 
 def test_oracles_share_no_production_solver_code():
     # the oracle and the integrator certify the package solver, so their
-    # bodies may use no name taken from lgsteer.gaussian except the
-    # container they return (a module alias counts as every name)
+    # bodies, and every function of this module that they reach (the
+    # stacked bodies among them), may use no name taken from
+    # lgsteer.gaussian except the container they return (a module alias
+    # counts as every name); the seeded draws are held to the same rule
     import lgsteer.validation as validation
 
     tree = ast.parse(inspect.getsource(validation))
@@ -288,10 +391,22 @@ def test_oracles_share_no_production_solver_code():
             if node.module in ("gaussian", "lgsteer.gaussian") or alias.name == "gaussian":
                 from_gaussian.add(alias.asname or alias.name)
     assert "lyapunov_residual" in from_gaussian  # the scan sees the imports
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in (
-            "lyapunov_oracle",
-            "integrate_covariance",
-        ):
-            used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            assert used & from_gaussian <= {"CovarianceMatrix"}, node.name
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    todo = ["lyapunov_oracle", "integrate_covariance", "random_stable_system"]
+    scanned = set()
+    while todo:
+        name = todo.pop()
+        if name in scanned:
+            continue
+        scanned.add(name)
+        used = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
+        assert used & from_gaussian <= {"CovarianceMatrix"}, name
+        todo.extend(used & functions.keys())
+    # the scan reaches the stacked bodies that verify runs
+    assert {
+        "_lyapunov_oracles",
+        "_integrate_covariances",
+        "_random_stable_systems",
+        "_kron_sum",
+        "_first_failure",
+    } <= scanned
