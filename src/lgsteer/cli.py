@@ -109,6 +109,17 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as NumPy's generators take."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgsteer",
@@ -136,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(fn=cmd_preset_list)
 
     p_verify = sub.add_parser("verify", help="run the validation suite")
-    p_verify.add_argument("--seed", type=int, default=12345)
+    p_verify.add_argument("--seed", type=_seed, default=12345)
     p_verify.set_defaults(fn=cmd_verify)
     return parser
 

@@ -297,6 +297,19 @@ class TestVerify:
         assert main(["verify", "--seed", "777"]) == 0
         assert "all 8 checks passed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "must be a non-negative integer, got -1"),
+        ("seven", "invalid int value: 'seven'"),
+    ])
+    def test_bad_seed_is_a_usage_error(self, capsys, seed, message):
+        # a bad argument exits 2 at parse time; 1 would mean a failed check
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", seed])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --seed: {message}" in err
+
 
 class TestParser:
     def test_version_flag(self, capsys):
