@@ -1,16 +1,18 @@
-"""Time each layer of the sweep path for two source trees, in one process.
+"""Time each layer of the sweep and verify paths for two source trees, in one process.
 
     python3 tools/layer_split.py BEFORE_ROOT AFTER_ROOT [--rounds 25] [--json PATH]
 
 Each root is a checkout whose ``src/lgsteer`` is imported; the two are
 loaded side by side as separate copies of the package, and their rounds
 alternate (before first in even rounds, after first in odd ones), so
-both see the same machine.  Two workloads, built as the benchmark's
+both see the same machine.  Three workloads, built as the benchmark's
 workloads of the same names build theirs:
 
 - ``optimum_scans``: 8 ``optimum_detuning`` searches, each followed by
   a 51-point temperature or gain sweep at the optimum, written as JSON;
-- ``detuning_sweeps``: 30 sweeps of 81 detunings, written as CSV.
+- ``detuning_sweeps``: 30 sweeps of 81 detunings, written as CSV;
+- ``verify``: ``validation.run_checks`` for 8 seeds, the checks of
+  ``lgsteer verify --seed S``.
 
 After writing a sweep, each round takes ``len(result.rows)`` and reads
 every row's ``error``, as the benchmark does.
@@ -34,15 +36,32 @@ A layer's time in a round is the summed wall time of its functions:
   (or building row objects), the walk of the rows, and the searches'
   own bookkeeping.
 
+In ``verify`` each check is a layer of its own: the wall time of
+``validation._check`` for it.  Inside ``route_agreement`` four more are
+on their own lines, the routes of its seeded systems, whichever
+functions a tree calls for them (one-system calls in a loop, or one
+stacked call each):
+
+- ``draws``: ``random_stable_system`` or ``_random_stable_systems``;
+- ``solve``: the production solver, ``solve_lyapunov`` or
+  ``steady_covariances``;
+- ``oracle``: ``lyapunov_oracle`` or ``_lyapunov_oracles``;
+- ``rk4``: ``integrate_covariance`` or ``_integrate_covariances``.
+
+Calls of these functions from the other checks are not counted there.
+The ``assembly`` of ``verify`` is the rest of the round.
+
 It prints each layer's minimum and median over the timed rounds (after
 one warm-up round per tree and workload) and the after/before ratio of
-the medians, and exits 1 unless both trees write the same bytes.
+the medians, and exits 1 unless both trees write the same bytes (for
+``verify``: return equal lists of check names, outcomes and details).
 ``--json`` also writes the figures to a file.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import importlib
 import json
@@ -54,26 +73,47 @@ from pathlib import Path
 
 import numpy as np
 
-LAYERS = ("round", "build", "margins", "lyapunov", "inv", "measures", "eigvalsh",
-          "assembly", "serialize")
+SWEEP_LAYERS = ("round", "build", "margins", "lyapunov", "inv", "measures", "eigvalsh",
+                "assembly", "serialize")
+_CHECKS = ("solver_identity", "oracle_identity", "integrator_identity",
+           "integrator_overflow", "marginal_rejected", "route_agreement",
+           "reference_states", "steady_state_physical")
+# route_agreement's routes: layer, and the names a tree may call for it
+_ROUTES = (("draws", ("random_stable_system", "_random_stable_systems")),
+           ("solve", ("solve_lyapunov", "steady_covariances")),
+           ("oracle", ("lyapunov_oracle", "_lyapunov_oracles")),
+           ("rk4", ("integrate_covariance", "_integrate_covariances")))
+VERIFY_LAYERS = (("round",) + _CHECKS[:6] + tuple(layer for layer, _ in _ROUTES)
+                 + _CHECKS[6:] + ("assembly",))
+# the LAPACK calls timed on their own lines
+_LINALG = ("inv", "eigvalsh")
 # layers whose time is part of the layer above them, not of the round's rest
-_NESTED = ("inv", "eigvalsh")
-# the layers that, with the assembly, make up the round
+_NESTED = _LINALG + tuple(layer for layer, _ in _ROUTES)
+# the layers that, with the assembly, make up a sweep round
 _TOP = ("build", "margins", "lyapunov", "measures", "serialize")
+# the verify seeds, drawn as the benchmark draws its rounds' seeds
+_SEEDS = [int(s) for s in np.random.default_rng(0).integers(1, 2**31 - 1, 8)]
 # (name, omega_phi2 / omega_phi1, opa_gain / omega_phi1, opa_phase), as the benchmark's PUMPS
 _PUMPS = (("chi0", 0.0, 0.0), ("chi0p1_theta0", 0.1, 0.0),
           ("chi0p1_thetapi2", 0.1, 0.5 * math.pi), ("chi0p1_thetapi", 0.1, math.pi),
           ("chi0p1_theta3pi2", 0.1, 1.5 * math.pi))
 
 # the round's layer clocks; every timer adds to this
-_clock: dict[str, float] = {}
+_clock: collections.defaultdict[str, float] = collections.defaultdict(float)
+# the verify check running now, if any
+_running: list[str] = []
 
 
-def _timed(owner, name: str, layer: str) -> None:
-    """Rebind ``owner.name`` to a wrapper that adds its wall time to ``layer``."""
+def _timed(owner, name: str, layer: str, within: str | None = None) -> None:
+    """Rebind ``owner.name`` to a wrapper that adds its wall time to ``layer``.
+
+    With ``within``, only calls made while that verify check runs count.
+    """
     fn = getattr(owner, name)
 
     def timed(*args, **kwargs):
+        if within is not None and _running != [within]:
+            return fn(*args, **kwargs)
         t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
@@ -81,6 +121,22 @@ def _timed(owner, name: str, layer: str) -> None:
             _clock[layer] += time.perf_counter() - t0
 
     setattr(owner, name, timed)
+
+
+def _timed_checks(validation) -> None:
+    """Rebind ``validation._check`` so each check's wall time goes to the layer of its name."""
+    fn = validation._check
+
+    def timed(name, check):
+        _running.append(name)
+        t0 = time.perf_counter()
+        try:
+            return fn(name, check)
+        finally:
+            _clock[name] += time.perf_counter() - t0
+            _running.pop()
+
+    validation._check = timed
 
 
 def _load(root: Path) -> dict:
@@ -93,7 +149,7 @@ def _load(root: Path) -> dict:
     sys.path.insert(0, str(root / "src"))
     try:
         mods = {name: importlib.import_module(f"lgsteer.{name}")
-                for name in ("gaussian", "io", "measures", "sweep")}
+                for name in ("gaussian", "io", "measures", "sweep", "validation")}
         mods["lgsteer"] = sys.modules["lgsteer"]
     finally:
         sys.path.pop(0)
@@ -108,6 +164,11 @@ def _load(root: Path) -> dict:
         _timed(mods["sweep"], "_pairs", "measures")
     _timed(mods["io"], "serialize_json", "serialize")
     _timed(mods["io"], "serialize_csv", "serialize")
+    _timed_checks(mods["validation"])
+    for layer, names in _ROUTES:
+        for name in names:
+            if hasattr(mods["validation"], name):
+                _timed(mods["validation"], name, layer, within="route_agreement")
     return mods
 
 
@@ -148,20 +209,28 @@ def _detuning_sweeps(mods: dict):
                 yield _written(mods["io"].serialize_csv, lg.run_sweep(lg.SweepSpec(b, axis)))
 
 
-WORKLOADS = {"optimum_scans": _optimum_scans, "detuning_sweeps": _detuning_sweeps}
+def _verify(mods: dict):
+    for seed in _SEEDS:
+        results = mods["validation"].run_checks(seed=seed)
+        yield repr([(r.name, r.passed, r.detail) for r in results])
 
 
-def _round(workload, mods: dict) -> tuple[dict, str]:
+# name: (workload, its layers, the layers that with the assembly make up its round)
+WORKLOADS = {"optimum_scans": (_optimum_scans, SWEEP_LAYERS, _TOP),
+             "detuning_sweeps": (_detuning_sweeps, SWEEP_LAYERS, _TOP),
+             "verify": (_verify, VERIFY_LAYERS, _CHECKS)}
+
+
+def _round(workload, mods: dict, layers: tuple, top: tuple) -> tuple[dict, str]:
     """One round's layer times in ms, and the SHA-256 of everything it wrote."""
     _clock.clear()
-    _clock.update(dict.fromkeys(LAYERS, 0.0))
     digest = hashlib.sha256()
     t0 = time.perf_counter()
     for text in workload(mods):
         digest.update(text.encode("utf-8"))
     _clock["round"] = time.perf_counter() - t0
-    _clock["assembly"] = _clock["round"] - sum(_clock[layer] for layer in _TOP)
-    return {layer: 1e3 * s for layer, s in _clock.items()}, digest.hexdigest()
+    _clock["assembly"] = _clock["round"] - sum(_clock[layer] for layer in top)
+    return {layer: 1e3 * _clock[layer] for layer in layers}, digest.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -172,16 +241,16 @@ def main(argv=None) -> int:
     parser.add_argument("--json", type=Path)
     args = parser.parse_args(argv)
     trees = {"before": _load(args.before), "after": _load(args.after)}
-    for name in _NESTED:
+    for name in _LINALG:
         _timed(np.linalg, name, name)
     report, same = {}, True
-    for wl_name, workload in WORKLOADS.items():
-        times = {side: {layer: [] for layer in LAYERS} for side in trees}
+    for wl_name, (workload, layers, top) in WORKLOADS.items():
+        times = {side: {layer: [] for layer in layers} for side in trees}
         digests = {side: set() for side in trees}
         for k in range(args.rounds + 1):
             order = list(trees) if k % 2 == 0 else list(trees)[::-1]
             for side in order:
-                ms, digest = _round(workload, trees[side])
+                ms, digest = _round(workload, trees[side], layers, top)
                 digests[side].add(digest)
                 if k:
                     for layer, value in ms.items():
@@ -191,16 +260,16 @@ def main(argv=None) -> int:
             layer: {side: {"min_ms": round(min(times[side][layer]), 3),
                            "median_ms": round(statistics.median(times[side][layer]), 3)}
                     for side in trees}
-            for layer in LAYERS
+            for layer in layers
         }
         print(f"{wl_name} ({args.rounds} rounds a side, ms)")
-        print(f"  {'layer':<12}{'before min':>12}{'median':>10}{'after min':>12}{'median':>10}"
+        print(f"  {'layer':<24}{'before min':>12}{'median':>10}{'after min':>12}{'median':>10}"
               f"{'after/before':>14}")
         for layer, row in report[wl_name].items():
             label = ("  " if layer in _NESTED else "") + layer
             b, a = row["before"], row["after"]
             ratio = a["median_ms"] / b["median_ms"] if b["median_ms"] else math.nan
-            print(f"  {label:<12}{b['min_ms']:>12.2f}{b['median_ms']:>10.2f}"
+            print(f"  {label:<24}{b['min_ms']:>12.2f}{b['median_ms']:>10.2f}"
                   f"{a['min_ms']:>12.2f}{a['median_ms']:>10.2f}{ratio:>14.3f}")
     print("outputs: " + ("identical" if same else "DIFFER between the trees"))
     if args.json is not None:
