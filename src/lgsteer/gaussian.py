@@ -349,23 +349,35 @@ def _scale(a: np.ndarray) -> np.ndarray:
     return scale + (scale == 0.0)
 
 
+def _shared(a: np.ndarray) -> bool:
+    """Whether a stack of two or more drifts holds one drift, bit for bit, as a
+    temperature axis's does: its stages solve that drift once."""
+    if len(a) < 2:
+        return False
+    bits = np.ascontiguousarray(a).view(np.uint64)
+    return bool((bits == bits[:1]).all())
+
+
 def _margins(a: np.ndarray, d: np.ndarray) -> tuple:
     """Stage: margins and power-of-two scales, with the stacks they go on with.
 
     A margin is the largest real part of a drift's spectrum, in the units
     of the drift, from one batched ``eigvals`` of the drifts divided by
-    their :func:`_scale` s.  A margin in (-8 eps s, 0), s < 2 max|a|, is
+    their :func:`_scale` s, or of the first alone when they are one drift
+    (:func:`_shared`).  A margin in (-8 eps s, 0), s < 2 max|a|, is
     below what the eigensolver resolves: it reads 0.0, not stable
     (Lyapunov solves there failed up to 2.3 eps max|a|).  Raises
     :class:`EigenFailure` when ``eigvals`` does not converge.
     """
     scale = _scale(a)
+    solved = a[:1] if _shared(a) else a
     try:
-        lam = np.linalg.eigvals(a / scale[:, None, None])
+        lam = np.linalg.eigvals(solved / scale[: len(solved), None, None])
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"eigenvalue iteration did not converge: {exc}") from exc
     margin = lam.real.max(axis=-1)
     margin[(-_MARGIN_FLOOR * _EPS < margin) & (margin < 0.0)] = 0.0
+    # one drift's margin broadcasts over its rows
     return scale * margin, a, d, scale
 
 
@@ -385,14 +397,18 @@ def _lyapunov(a: np.ndarray, d: np.ndarray, scale: np.ndarray) -> tuple:
 
     Raises :class:`SolveFailure` unless every residual is within
     ``1e-8 max(1, max|D|, max|A| max|V|)`` and every solution is
-    positive semidefinite.
+    positive semidefinite.  A stack of one drift (:func:`_shared`) builds
+    and inverts one operator, and each row refines against its own D.
     """
     a_s = a / scale[:, None, None]
     d_s = d / scale[:, None, None]
+    shared = _shared(a)
     try:
-        inverse = np.linalg.inv(_operator(a_s))
+        inverse = np.linalg.inv(_operator(a_s[:1] if shared else a_s))
     except np.linalg.LinAlgError as exc:
         raise SolveFailure(f"singular Lyapunov operator: {exc}") from None
+    if shared:
+        inverse = np.broadcast_to(inverse, (len(a), 21, 21))
     # the unknowns and every correction fill V symmetrically through _SYM
     v = (inverse @ -d_s[:, _ROWS, _COLS, None])[:, _SYM, 0]
     limit = _FORWARD_FACTOR * _EPS

@@ -74,20 +74,25 @@ def log_negativity(cm: CovarianceMatrix, single: str | None = None) -> float:
     return float(_en(nus[:, 0], nus[:, -1])[0])
 
 
-def _pt_en(data: np.ndarray, labels: tuple[str, ...], splits: bool = False) -> np.ndarray:
-    """EN of each pair of a (K, 6, 6) stack of states, in ``combinations`` order, as (K, 3).
-
-    With ``splits``, of each ``mode | rest`` cut instead.  Each kind of cut
-    is one stacked spectrum, and :func:`_en` is elementwise, so a row's
-    values do not depend on the stack or on the other kind.
-    """
+def _cuts(labels: tuple[str, ...], splits: bool = False) -> tuple:
+    """Each pair of three modes, in ``combinations`` order, transposed on its second
+    mode; with ``splits``, each ``mode | rest`` cut instead."""
     if splits:
-        cuts, n = tuple((labels, focus) for focus in labels), 6
-    else:
-        cuts, n = tuple((pair, pair[1]) for pair in itertools.combinations(labels, 2)), 4
-    k = len(data)
-    nus = _spectra(_stack(data, labels, cuts).reshape(3 * k, n, n))
-    return _en(nus[:, 0].reshape(k, 3), nus[:, -1].reshape(k, 3))
+        return tuple((labels, focus) for focus in labels)
+    return tuple((pair, pair[1]) for pair in itertools.combinations(labels, 2))
+
+
+def _pt_en(data: np.ndarray, labels: tuple[str, ...], cuts: tuple) -> np.ndarray:
+    """EN of each of the ``cuts`` (see :func:`_cuts`) of a (K, 6, 6) stack of states, as
+    (K, cuts).
+
+    The cuts, all of one size, are one stacked spectrum, and
+    :func:`_en` is elementwise, so a row's values do not depend on the
+    stack or on the other cuts.
+    """
+    k, m, n = len(data), len(cuts), 2 * len(cuts[0][0])
+    nus = _spectra(_stack(data, labels, cuts).reshape(m * k, n, n))
+    return _en(nus[:, 0].reshape(k, m), nus[:, -1].reshape(k, m))
 
 
 # the two pairs, in combinations order, that hold each focus mode
@@ -122,7 +127,8 @@ def residual_contangle_min(cm: CovarianceMatrix) -> float:
         raise NonPhysicalInput(
             f"residual_contangle_min needs a three-mode state, got {cm.n_modes}"
         )
-    en = (_pt_en(cm.data[None], cm.mode_labels, splits) for splits in (False, True))
+    labels = cm.mode_labels
+    en = (_pt_en(cm.data[None], labels, _cuts(labels, splits)) for splits in (False, True))
     return float(_residual_min(*en)[0])
 
 
@@ -255,6 +261,8 @@ class CorrelationReport:
 _N_MEASURES = len(fields(CorrelationReport)) - 2
 _MIRRORS = (("mirror1", "mirror2"), None)
 _SINGLES = _singles(_MIRRORS[0])
+# mirror-mirror, mirror 1-cavity, mirror 2-cavity; then each mode | rest
+_PAIR_CUTS, _SPLIT_CUTS = _cuts(MODE_ORDER), _cuts(MODE_ORDER, splits=True)
 
 
 def _tagged(exc: LgsteerError, ratio: float) -> LgsteerError:
@@ -264,15 +272,16 @@ def _tagged(exc: LgsteerError, ratio: float) -> LgsteerError:
     return tagged
 
 
-def _pairs(v: np.ndarray) -> tuple:
-    """Stage: the EN (K, 3) and steering ζ (K, 2) of each pair of a (K, 6, 6) stack of states.
+def _pairs(v: np.ndarray, pairs: int = 3) -> tuple:
+    """Stage: the EN (K, pairs) of the first ``pairs`` pairs and the steering ζ (K, 2) of a
+    (K, 6, 6) stack of states.
 
     The pairs are mirror-mirror, mirror 1-cavity and mirror 2-cavity, and
     ζ is mirror 1 steering mirror 2, then the reverse.  The first half of
-    :func:`_reports`, and all that the optimum search reads.  A measure
-    that fails raises.
+    :func:`_reports`; the optimum search takes only the pairs it reads.
+    A measure that fails raises.
     """
-    en = _pt_en(v, MODE_ORDER)
+    en = _pt_en(v, MODE_ORDER, _PAIR_CUTS[:pairs])
     two_v = 2.0 * v
     return en, _zetas(np.linalg.det(_stack(two_v, MODE_ORDER, (_MIRRORS,))[:, 0]),
                       np.linalg.det(_stack(two_v, MODE_ORDER, _SINGLES)))
@@ -287,7 +296,7 @@ def _reports(v: np.ndarray) -> tuple:
     """
     pairs, zetas = _pairs(v)
     asym = steering_asymmetry(zetas[:, 0], zetas[:, 1])
-    r_min = _residual_min(pairs, _pt_en(v, MODE_ORDER, splits=True))
+    r_min = _residual_min(pairs, _pt_en(v, MODE_ORDER, _SPLIT_CUTS))
     values = np.concatenate((pairs, zetas, asym[:, None], r_min[:, None]), axis=1)
     return values, _class_codes(zetas)
 

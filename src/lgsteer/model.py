@@ -112,11 +112,44 @@ def check_field(name: str, value):
     need = rule_breach(value, FIELD_RULES[name])
     if need is not None:
         raise NonPositiveParameter(f"{name} must be {need}, got {value!r}")
-    if name == "opa_phase":
-        value = value % (2.0 * math.pi)
-        # x % (2 pi) rounds to 2 pi itself for tiny negative x
-        return 0.0 if value == 2.0 * math.pi else value
-    return value
+    return _wrapped(value) if name == "opa_phase" else value
+
+
+def _wrapped(phase):
+    """``phase``, a float or an array of them, in [0, 2*pi): Python's ``%`` on a
+    float and NumPy's on an array round alike."""
+    phase = phase % (2.0 * math.pi)
+    # x % (2 pi) rounds to 2 pi itself for tiny negative x
+    if isinstance(phase, np.ndarray):
+        phase[phase == 2.0 * math.pi] = 0.0
+        return phase
+    return 0.0 if phase == 2.0 * math.pi else phase
+
+
+def _obeys(values: np.ndarray, rule: str) -> np.ndarray:
+    """Where float ``values`` obey ``rule``: where :func:`rule_breach` finds nothing."""
+    ok = np.abs(values) <= sys.float_info.max
+    if rule == "pos":
+        ok &= values > 0.0
+    elif rule == "nonneg":
+        ok &= values >= 0.0
+    elif rule == "posint":
+        ok &= (values > 0.0) & (values == np.trunc(values))
+    return ok
+
+
+def _check_values(name: str, values: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Float ``values`` of field ``name`` checked as one array: the values as
+    :class:`SystemParams` stores them (bit for bit :func:`check_field`'s), and
+    ``{index: NonPositiveParameter}`` for those that break the rule.  Only the
+    bad values go through :func:`check_field`, which writes their messages."""
+    errors = {}
+    for k in np.flatnonzero(~_obeys(values, FIELD_RULES[name])).tolist():
+        try:
+            check_field(name, values[k].item())
+        except NonPositiveParameter as exc:
+            errors[k] = exc
+    return (_wrapped(values) if name == "opa_phase" else values), errors
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 Sweeps evaluate correlation reports over 1-D or 2-D parameter grids in
 blocks of at most 512 points, whose stable rows are solved and measured
 64 at a time, which bounds the working memory of any grid.  Each axis
-is converted to SI and checked once; a block's models are built as one
-(N, 6, 6) stack by :func:`lgsteer.model.build_model` and solved and
-measured into columns by :func:`lgsteer.measures._report_columns`,
-which the result keeps; its rows are built only when read.  Axis
+is converted to SI and checked once, as one array; a block's models
+are built as one (N, 6, 6) stack by :func:`lgsteer.model.build_model`
+and solved and measured into columns by
+:func:`lgsteer.measures._report_columns`, which the result keeps; its
+rows are built only when read.  Axis
 coordinates use the same display units as the configuration surface
 (frequencies as ratios to the left-mirror frequency, phases in radians,
 temperatures in kelvin, powers in watts); absolute SI values exist only
@@ -19,6 +20,7 @@ built by :func:`to_sweep_spec` as any run file is.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -32,12 +34,7 @@ import numpy as np
 from ._version import __version__
 from .config import Axis, RunConfig, RunSection, _check_axes, to_si, to_system_params
 from .constants import CLIGHT, HBAR, KBOLTZ
-from .errors import (
-    InvalidSpec,
-    NonPositiveParameter,
-    NoStableRegion,
-    UnknownPreset,
-)
+from .errors import InvalidSpec, NoStableRegion, UnknownPreset
 from .gaussian import _CHUNK_ROWS
 from .measures import (
     CorrelationReport,
@@ -47,7 +44,7 @@ from .measures import (
     _solve_models,
     _unentangled,
 )
-from .model import FIELD_RULES, SystemParams, build_model, check_field, with_updates
+from .model import FIELD_RULES, SystemParams, _check_values, build_model, with_updates
 
 _GRID_1D = 401
 _GRID_2D = 101
@@ -181,17 +178,15 @@ class SweepResult:
 
 
 def _column(base: SystemParams, which: int, axis: Axis) -> tuple:
-    """``(which, field, SI values as SystemParams stores them, each one's error or None)``."""
-    values, errors = [], []
-    for v in axis.values:
-        name, value = to_si(axis.name, v, base.omega_phi1)
-        try:
-            value, error = check_field(name, value), None
-        except NonPositiveParameter as exc:
-            error = exc
-        values.append(value)
-        errors.append(error)
-    return which, name, np.array(values), errors
+    """``(which, field, SI values as SystemParams stores them, {value index: its error})``.
+
+    The axis is converted and checked as one array (see
+    :func:`lgsteer.model._check_values`), bit for bit as ``to_si`` and
+    ``check_field`` convert and check each value.
+    """
+    with np.errstate(over="ignore"):  # a value that overflows in SI fails its check
+        name, values = to_si(axis.name, np.array(axis.values), base.omega_phi1)
+    return (which, name, *_check_values(name, values))
 
 
 def _evaluate_block(spec: SweepSpec, columns, rows: np.ndarray, table: _Columns,
@@ -233,8 +228,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     axes = enumerate((spec.axis1, spec.axis2))
     columns = [_column(spec.base, which, axis) for which, axis in axes if axis is not None]
     columns.sort(key=lambda column: list(FIELD_RULES).index(column[1]))
-    columns = [(which, name, values, {i: e for i, e in enumerate(errors) if e is not None})
-               for which, name, values, errors in columns]
     table, errors = _Columns.of(np.full(n, np.nan)), {}
     for start in range(0, n, _BLOCK_ROWS):
         rows = np.arange(start, min(n, start + _BLOCK_ROWS))
@@ -255,24 +248,29 @@ class OptimumDetuning(NamedTuple):
     flat: bool
 
 
-def _scores(base: SystemParams, ratios, measure: str) -> list[float]:
-    """Chosen measure at each detuning ratio, from one block through the solve of
-    :func:`run_sweep` and the pair half of its measures (:func:`lgsteer.measures._pairs`).
+def _scores(base: SystemParams, axis: Axis, measure: str) -> list[float]:
+    """Chosen measure at each value of a detuning axis, from one block through the solve
+    of :func:`run_sweep` and the pair half of its measures (:func:`lgsteer.measures._pairs`).
 
     -inf marks a row that is not stable, fails its detuning check, its
-    solve or its pair measures, or breaks the steering-entanglement
-    hierarchy.  No report is built, so the one-vs-two splits are not
-    computed; every other row scores what its report would hold.
+    solve or the pair measures read, or breaks the steering-entanglement
+    hierarchy.  Only the pairs read are computed: the mirror-mirror pair,
+    which the hierarchy guard reads, and for ENmc mirror 1-cavity too.  No
+    report is built, so neither mirror 2-cavity nor the one-vs-two splits
+    are computed; every other row scores what its report would hold.
     """
-    _, name, values, errors = _column(base, 0, Axis("detuning_ratio", ratios))
+    _, name, values, errors = _column(base, 0, axis)
     scores = np.full(len(values), -math.inf)
-    good = np.flatnonzero([error is None for error in errors])
+    good = np.delete(np.arange(len(values)), list(errors))
     if len(good):
         rows, _, v = _solve_models(build_model(base, {name: values[good]}))
         if len(v):
-            en, zetas = rows.run(_pairs, v, chunk=_CHUNK_ROWS)
+            # the pairs read, in _pairs' order: EN_mm, then EN_m1c for ENmc
+            read = 1 if measure == "ENmm" else 2
+            stage = functools.partial(_pairs, pairs=read)
+            en, zetas = rows.run(stage, v, chunk=_CHUNK_ROWS)
             kept = ~_unentangled(zetas.max(axis=1), en[:, 0])
-            scores[good[rows.live[kept]]] = en[kept, 0 if measure == "ENmm" else 1]
+            scores[good[rows.live[kept]]] = en[kept, read - 1]
     return scores.tolist()
 
 
@@ -293,7 +291,7 @@ def optimum_detuning(base: SystemParams, measure: str = "ENmm") -> OptimumDetuni
     if measure not in ("ENmm", "ENmc"):
         raise InvalidSpec(f"measure must be ENmm or ENmc, got {measure!r}")
     grid = _DETUNING.values
-    values = _scores(base, grid, measure)
+    values = _scores(base, _DETUNING, measure)
     stable_vals = [v for v in values if v != -math.inf]
     if not stable_vals:
         raise NoStableRegion("every grid point in [-2, 2] is unstable")
@@ -308,7 +306,7 @@ def optimum_detuning(base: SystemParams, measure: str = "ENmm") -> OptimumDetuni
         if 0 < k < len(grid) - 1:
             # the middle point is the grid winner again
             fine = np.delete(fine, _REFINE_POINTS // 2)
-        for x, v in zip(fine, _scores(base, fine, measure)):
+        for x, v in zip(fine, _scores(base, Axis("detuning_ratio", fine), measure)):
             if v > best_v:
                 best_x, best_v = float(x), v
     _, delta = to_si("detuning_ratio", best_x, base.omega_phi1)

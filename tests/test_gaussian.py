@@ -87,6 +87,18 @@ def blue_covariance() -> CovarianceMatrix:
     return solve_lyapunov(m.drift / W1, m.diffusion / W1)
 
 
+def _counted(monkeypatch, name: str) -> list[int]:
+    """The number of matrices each call of ``np.linalg.<name>`` gets, as a list that fills."""
+    calls, fn = [], getattr(np.linalg, name)
+
+    def counted(x):
+        calls.append(len(x))
+        return fn(x)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestCovarianceMatrix:
     def test_symmetrized_on_construction(self):
         raw = np.array([[1.0, 0.2], [0.0, 1.0]])
@@ -389,27 +401,55 @@ class TestSteadyCovariance:
     def test_bad_input_leaves_one_eigensolve(self, monkeypatch):
         # the input checks are a stage of their own: an asymmetric
         # diffusion re-runs them row by row, and the other 63 rows' margins
-        # still come from one stacked eigvals call
-        m = build_model(make_params(detuning=+W1))
-        bad = m.diffusion.copy()
+        # still come from one stacked eigvals call; the 64 drifts differ,
+        # so the stack is not one shared drift
+        block = build_model(make_params(), {"detuning": np.linspace(0.5, 1.5, 64) * W1})
+        drifts, diffusions = list(block.drift), list(block.diffusion)
+        bad = diffusions[17].copy()
         bad[0, 1] += 1e-3 * bad.max()
-        diffusions = [m.diffusion] * 64
         diffusions[17] = bad
-        calls = []
-        eigvals = np.linalg.eigvals
-
-        def counted(x):
-            calls.append(len(x))
-            return eigvals(x)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
-        margins, _, errors = steady_covariances([m.drift] * 64, diffusions)
+        calls = _counted(monkeypatch, "eigvals")
+        margins, _, errors = steady_covariances(drifts, diffusions)
         assert calls == [63]
         assert isinstance(errors[17], SolveFailure)
         assert str(errors[17]) == "diffusion matrix is not symmetric"
         assert math.isnan(margins[17]) and errors.count(None) == 63
-        alone, _ = steady_covariance(m.drift, m.diffusion)
-        assert (np.delete(margins, 17) == alone).all()
+        alone = [steady_covariance(a, d)[0] for a, d in zip(drifts, block.diffusion)]
+        assert (np.delete(margins, 17) == np.delete(alone, 17)).all()
+
+    @staticmethod
+    def _rows_alone(drifts, diffusions, margins, covariances) -> None:
+        for k, (a, d) in enumerate(zip(drifts, diffusions)):
+            margin, cm = steady_covariance(a, d)
+            assert margins[k] == margin and cm is not None
+            assert covariances[k].tobytes() == cm.data.tobytes(), k
+
+    def test_one_shared_drift_is_solved_once(self, monkeypatch):
+        # a temperature axis moves D only: its stack of one drift takes one
+        # eigvals and one operator inverse, and each row refines against
+        # its own D to what it gets alone, bit for bit
+        block = build_model(make_params(detuning=+W1),
+                            {"temperature": np.geomspace(1e-3, 1.0, 51)})
+        assert block.drift.shape == (51, 6, 6) and (block.drift == block.drift[0]).all()
+        assert len({d.tobytes() for d in block.diffusion}) == 51
+        calls = {name: _counted(monkeypatch, name) for name in ("eigvals", "inv")}
+        margins, covariances, errors = steady_covariances(block.drift, block.diffusion)
+        assert calls == {"eigvals": [1], "inv": [1]}
+        monkeypatch.undo()
+        assert errors == [None] * 51
+        self._rows_alone(block.drift, block.diffusion, margins, covariances)
+
+    def test_one_differing_drift_takes_the_stacked_path(self, monkeypatch):
+        m = build_model(make_params(detuning=+W1))
+        drifts = [m.drift] * 64
+        drifts[40] = build_model(make_params(detuning=+1.1 * W1)).drift
+        diffusions = [m.diffusion] * 64
+        calls = {name: _counted(monkeypatch, name) for name in ("eigvals", "inv")}
+        margins, covariances, errors = steady_covariances(drifts, diffusions)
+        assert calls == {"eigvals": [64], "inv": [64]}
+        monkeypatch.undo()
+        assert errors == [None] * 64
+        self._rows_alone(drifts, diffusions, margins, covariances)
 
     def test_drift_peak_above_2_to_1023_keeps_its_margin(self):
         # such a drift is scaled by 2**1023, the largest finite power of

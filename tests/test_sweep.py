@@ -38,8 +38,10 @@ from lgsteer import (
     to_system_params,
     with_updates,
 )
-from lgsteer.config import _SWEEPABLE
+from lgsteer.config import _SWEEPABLE, to_si
+from lgsteer.errors import NonPositiveParameter
 from lgsteer.gaussian import _scale
+from lgsteer.model import check_field
 from lgsteer.sweep import _PRESETS, _column
 
 from conftest import W1, make_params, params_at
@@ -71,7 +73,7 @@ class TestAxis:
             return to_system_params(parse_config(json.dumps(doc)))
 
         _, field, values, errors = _column(params({}), 0, Axis(name, (0.37,)))
-        assert errors == [None]
+        assert errors == {}
         assert values.tolist() == [getattr(params({name: 0.37}), field)]
 
     def test_empty(self):
@@ -87,6 +89,47 @@ class TestAxis:
             Axis("detuning_ratio", (0.0, 1.0, 0.5))
         with pytest.raises(InvalidSpec, match="monotone"):
             Axis("detuning_ratio", (0.0, 0.0, 1.0))
+
+
+class TestArrayAxis:
+    """An axis is converted and checked as one array, bit for bit as ``to_si``
+    and ``check_field`` convert and check each value, with the same errors."""
+
+    @staticmethod
+    def _per_value(base, axis):
+        out, errors = [], {}
+        for k, v in enumerate(axis.values):
+            name, value = to_si(axis.name, v, base.omega_phi1)
+            try:
+                out.append(check_field(name, value))
+            except NonPositiveParameter as exc:
+                out.append(None)
+                errors[k] = str(exc)
+        return name, out, errors
+
+    @pytest.mark.parametrize("name", _SWEEPABLE)
+    def test_array_conversion_is_the_per_value_conversion(self, name):
+        rng = np.random.default_rng(24)
+        magnitudes = 10.0 ** rng.uniform(-300, 305, 200)
+        special = [0.0, 1e-20, 2.0 * math.pi, 4.0 * math.pi, 1e300, 1.7e308]
+        values = np.concatenate([rng.uniform(-10.0, 10.0, 300), magnitudes, -magnitudes,
+                                 special, np.negative(special)])
+        base = make_params()
+        for axis in (Axis(name, np.unique(values)), Axis(name, (-0.0, 1.0))):
+            _, field, got, errors = _column(base, 0, axis)
+            want_field, want, want_errors = self._per_value(base, axis)
+            assert field == want_field
+            assert {k: str(exc) for k, exc in errors.items()} == want_errors
+            assert all(type(exc) is NonPositiveParameter for exc in errors.values())
+            assert not any("np." in message for message in want_errors.values())
+            good = [k for k in range(len(want)) if k not in errors]
+            assert got[good].tobytes() == np.array([want[k] for k in good]).tobytes()
+        # -0.0 is not positive, but it is non-negative
+        assert list(errors) == ([0] if name in ("laser_power_w", "omega_phi2_ratio") else [])
+        if name.endswith("_ratio"):
+            # the largest values overflow in SI: inf is not finite
+            _, _, _, errors = _column(base, 0, Axis(name, (1.0, 1e305)))
+            assert str(errors[1]).endswith("must be finite, got inf")
 
 
 class TestSweepSpec:
@@ -170,32 +213,34 @@ class TestRunSweep:
         assert good.report is not None
 
     def test_two_dimensional_point_is_validated_once(self, monkeypatch):
-        # each axis value is checked once, not once per grid point, and
-        # when both values of a 2-D point break their rules the row names
-        # the field that comes first in FIELD_RULES, whichever axis it is
-        # on, as SystemParams would
+        # each axis value is checked once, as one array per axis, not once
+        # per grid point; only the bad values go through check_field for
+        # their messages.  When both values of a 2-D point break their
+        # rules the row names the field that comes first in FIELD_RULES,
+        # whichever axis it is on, as SystemParams would
         spec = SweepSpec(
             make_params(),
             Axis("temperature_k", (-1.0, 0.0, 0.015)),
             Axis("laser_power_w", (0.0, 0.05)),
         )
-        checks = []
-        check_field = lgsteer.sweep.check_field
+        checks, messages = [], []
+        check_values, check_field = lgsteer.sweep._check_values, lgsteer.model.check_field
 
-        def counted(name, value):
-            checks.append((name, value))
+        def counted_values(name, values):
+            checks.append((name, values.tolist()))
+            return check_values(name, values)
+
+        def counted_field(name, value):
+            messages.append((name, value))
             return check_field(name, value)
 
-        monkeypatch.setattr(lgsteer.sweep, "check_field", counted)
+        monkeypatch.setattr(lgsteer.sweep, "_check_values", counted_values)
+        monkeypatch.setattr(lgsteer.model, "check_field", counted_field)
         rows = run_sweep(spec).rows
         assert len(rows) == 6
-        assert checks == [
-            ("temperature", -1.0),
-            ("temperature", 0.0),
-            ("temperature", 0.015),
-            ("laser_power", 0.0),
-            ("laser_power", 0.05),
-        ]
+        assert checks == [("temperature", [-1.0, 0.0, 0.015]), ("laser_power", [0.0, 0.05])]
+        assert messages == [("temperature", -1.0), ("laser_power", 0.0)]
+        assert all(type(value) is float for _, value in messages)
         assert [row.error for row in rows[:3]] == [
             "NonPositiveParameter: laser_power must be positive, got 0.0",
             "NonPositiveParameter: temperature must be non-negative, got -1.0",
@@ -227,7 +272,7 @@ class TestBlockBuild:
     @staticmethod
     def _check(base: SystemParams, *axes: Axis) -> None:
         columns = [_column(base, which, axis) for which, axis in enumerate(axes)]
-        assert all(e is None for column in columns for e in column[3])
+        assert not any(column[3] for column in columns)
         points = [(i, j) for i in range(len(axes[0].values))
                   for j in range(len(axes[-1].values) if len(axes) == 2 else 1)]
         index = np.array(points)
@@ -274,7 +319,7 @@ class TestBlockBuild:
 
     def test_tiny_negative_phase_is_phase_zero(self):
         _, _, values, errors = _column(make_params(), 0, Axis("opa_phase_rad", (-1e-20, 1.0)))
-        assert values.tolist() == [0.0, 1.0] and errors == [None, None]
+        assert values.tolist() == [0.0, 1.0] and errors == {}
 
 
 class TestBlocks:
@@ -284,33 +329,63 @@ class TestBlocks:
         # the block path validates the base once and each axis value once:
         # a sweep builds no SystemParams per point, so a 401-point sweep
         # makes as many checks as a 3-point one, and a 2-D grid checks
-        # each axis value, not each point
-        checks = {"post_init": 0, "rule": 0}
+        # each axis value, not each point, in one array per axis; a good
+        # value takes no per-value rule check
+        checks = {"post_init": 0, "values": 0, "rule": 0}
         post_init, rule_breach = SystemParams.__post_init__, lgsteer.model.rule_breach
+        check_values = lgsteer.sweep._check_values
 
         def counted_post_init(params):
             checks["post_init"] += 1
             post_init(params)
+
+        def counted_values(name, values):
+            checks["values"] += len(values)
+            return check_values(name, values)
 
         def counted_rule(value, rule):
             checks["rule"] += 1
             return rule_breach(value, rule)
 
         monkeypatch.setattr(SystemParams, "__post_init__", counted_post_init)
+        monkeypatch.setattr(lgsteer.sweep, "_check_values", counted_values)
         monkeypatch.setattr(lgsteer.model, "rule_breach", counted_rule)
         counts = []
         base = make_params()
         for n in (3, 401):
-            checks.update(post_init=0, rule=0)
+            checks.update(post_init=0, values=0, rule=0)
             rows = run_sweep(SweepSpec(base, Axis("detuning_ratio", np.linspace(-2, 2, n)))).rows
             assert len(rows) == n
+            assert checks["values"] == n
             counts.append(checks["post_init"])
         assert counts[0] == counts[1]
-        checks.update(post_init=0, rule=0)
+        checks.update(post_init=0, values=0, rule=0)
         gain = Axis("opa_gain_ratio", np.linspace(0.0, 0.1, 21))
         rows = run_sweep(SweepSpec(base, gain, Axis("detuning_ratio", np.linspace(0.5, 1.5, 21))))
         assert len(rows.rows) == 441
-        assert checks == {"post_init": counts[0], "rule": 42}
+        assert checks == {"post_init": counts[0], "values": 42, "rule": 0}
+
+    @pytest.mark.parametrize("base", [make_params(detuning=W1),
+                                      make_params(detuning=0.8 * W1, opa_gain=0.1 * W1,
+                                                  opa_phase=0.5 * math.pi)])
+    def test_temperature_sweep_solves_one_drift(self, monkeypatch, base):
+        # a temperature axis moves D only, so its block is one drift: one
+        # matrix through eigvals and one through inv, and every row is
+        # its own one-row full_report
+        axis = Axis("temperature_k", np.geomspace(1e-3, 1.0, 51))
+        calls = {"eigvals": [], "inv": []}
+        for name, seen in calls.items():
+            def counted(x, fn=getattr(np.linalg, name), seen=seen):
+                seen.append(len(x))
+                return fn(x)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        result = run_sweep(SweepSpec(base, axis))
+        assert calls == {"eigvals": [1], "inv": [1]}
+        monkeypatch.undo()
+        for row, t in zip(result.rows, axis.values):
+            alone = full_report(build_model(with_updates(base, temperature=t)))
+            assert alone.stable and repr(row.report) == repr(alone), t
 
     @staticmethod
     def _mixed_spec() -> SweepSpec:
@@ -684,7 +759,7 @@ class TestSearchScores:
         base = self.BASES[base]
         grid = lgsteer.sweep._DETUNING.values
         assert len(grid) == 401
-        scores = lgsteer.sweep._scores(base, grid, measure)
+        scores = lgsteer.sweep._scores(base, lgsteer.sweep._DETUNING, measure)
         rows = run_sweep(SweepSpec(base, lgsteer.sweep._DETUNING)).rows
         assert scores == self.from_reports(rows, measure)
         unstable = [k for k, row in enumerate(rows) if not row.report.stable]
@@ -693,12 +768,37 @@ class TestSearchScores:
         if base.opa_gain:
             assert grid[200] == 0.0 and rows[200].report.stability_margin == 0.0
 
+    @pytest.mark.parametrize("measure, pairs", [("ENmm", 1), ("ENmc", 2)])
+    @pytest.mark.parametrize("base", list(BASES))
+    def test_only_the_pairs_read_are_computed(self, monkeypatch, base, measure, pairs):
+        # ENmm reads the mirror-mirror pair (its score and the hierarchy
+        # guard), ENmc mirror 1-cavity too: one or two 4x4 spectra a
+        # stable row, and no mirror 2-cavity pair or 6x6 split
+        shapes, stable = [], []
+        spectra, solve = lgsteer.measures._spectra, lgsteer.sweep._solve_models
+
+        def counted_spectra(stack):
+            shapes.append(stack.shape)
+            return spectra(stack)
+
+        def counted_solve(models):
+            out = solve(models)
+            stable.append(len(out[2]))
+            return out
+
+        monkeypatch.setattr(lgsteer.measures, "_spectra", counted_spectra)
+        monkeypatch.setattr(lgsteer.sweep, "_solve_models", counted_solve)
+        lgsteer.sweep._scores(self.BASES[base], lgsteer.sweep._DETUNING, measure)
+        assert len(stable) == 1 and stable[0] > 100
+        assert {shape[1:] for shape in shapes} == {(4, 4)}
+        assert sum(shape[0] for shape in shapes) == pairs * stable[0]
+
     def test_a_hierarchy_breach_scores_minus_infinity(self, monkeypatch):
         # EN_mm is 0 at every stable detuning of this base, so forcing one
         # row's steering on breaks the hierarchy there and only there
         base = self.BASES["unpumped"]
         grid = lgsteer.sweep._DETUNING.values
-        clean = lgsteer.sweep._scores(base, grid, "ENmc")
+        clean = lgsteer.sweep._scores(base, lgsteer.sweep._DETUNING, "ENmc")
         k = grid.index(1.4)
         assert clean[k] > 0.05
         marked = build_model(with_updates(base, detuning=1.4 * W1))
@@ -712,7 +812,7 @@ class TestSearchScores:
             return out
 
         monkeypatch.setattr(lgsteer.measures, "_zetas", steering)
-        scores = lgsteer.sweep._scores(base, grid, "ENmc")
+        scores = lgsteer.sweep._scores(base, lgsteer.sweep._DETUNING, "ENmc")
         assert scores[k] == -math.inf
         assert scores[:k] + scores[k + 1 :] == clean[:k] + clean[k + 1 :]
         rows = run_sweep(SweepSpec(base, lgsteer.sweep._DETUNING)).rows
