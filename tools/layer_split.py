@@ -20,7 +20,8 @@ every row's ``error``, as the benchmark does.
 A layer's time in a round is the summed wall time of its functions:
 
 - ``build``: ``model.build_model`` as ``sweep`` calls it;
-- ``margins``: ``gaussian._inputs`` and ``gaussian._margins``;
+- ``margins``: ``gaussian._inputs`` and ``gaussian._margins``, with
+  ``np.linalg.eigvals`` inside them on its own line;
 - ``lyapunov``: ``gaussian._lyapunov``, with ``np.linalg.inv`` inside it
   on its own line;
 - ``measures``: ``measures._reports``, the report stage of a block's
@@ -53,9 +54,11 @@ The ``assembly`` of ``verify`` is the rest of the round.
 
 It prints each layer's minimum and median over the timed rounds (after
 one warm-up round per tree and workload) and the after/before ratio of
-the medians, and exits 1 unless both trees write the same bytes (for
-``verify``: return equal lists of check names, outcomes and details).
-``--json`` also writes the figures to a file.
+the medians, then the matrices a round passes to ``np.linalg.eigvals``,
+``inv`` and ``eigvalsh`` (a stack of N counts N), so the work a change
+removes shows beside the time.  It exits 1 unless both trees write the
+same bytes (for ``verify``: return equal lists of check names, outcomes
+and details).  ``--json`` also writes the figures to a file.
 """
 
 from __future__ import annotations
@@ -73,8 +76,8 @@ from pathlib import Path
 
 import numpy as np
 
-SWEEP_LAYERS = ("round", "build", "margins", "lyapunov", "inv", "measures", "eigvalsh",
-                "assembly", "serialize")
+SWEEP_LAYERS = ("round", "build", "margins", "eigvals", "lyapunov", "inv", "measures",
+                "eigvalsh", "assembly", "serialize")
 _CHECKS = ("solver_identity", "oracle_identity", "integrator_identity",
            "integrator_overflow", "marginal_rejected", "route_agreement",
            "reference_states", "steady_state_physical")
@@ -85,8 +88,8 @@ _ROUTES = (("draws", ("random_stable_system", "_random_stable_systems")),
            ("rk4", ("integrate_covariance", "_integrate_covariances")))
 VERIFY_LAYERS = (("round",) + _CHECKS[:6] + tuple(layer for layer, _ in _ROUTES)
                  + _CHECKS[6:] + ("assembly",))
-# the LAPACK calls timed on their own lines
-_LINALG = ("inv", "eigvalsh")
+# the LAPACK calls timed on their own lines, whose matrices are counted too
+_LINALG = ("eigvals", "inv", "eigvalsh")
 # layers whose time is part of the layer above them, not of the round's rest
 _NESTED = _LINALG + tuple(layer for layer, _ in _ROUTES)
 # the layers that, with the assembly, make up a sweep round
@@ -100,20 +103,27 @@ _PUMPS = (("chi0", 0.0, 0.0), ("chi0p1_theta0", 0.1, 0.0),
 
 # the round's layer clocks; every timer adds to this
 _clock: collections.defaultdict[str, float] = collections.defaultdict(float)
+# the round's matrices per LAPACK call of _LINALG
+_matrices: collections.Counter[str] = collections.Counter()
 # the verify check running now, if any
 _running: list[str] = []
 
 
-def _timed(owner, name: str, layer: str, within: str | None = None) -> None:
+def _timed(owner, name: str, layer: str, within: str | None = None,
+           counted: bool = False) -> None:
     """Rebind ``owner.name`` to a wrapper that adds its wall time to ``layer``.
 
     With ``within``, only calls made while that verify check runs count.
+    With ``counted``, the matrices of each call's first argument, a
+    matrix or a stack of them, add to ``layer``'s count.
     """
     fn = getattr(owner, name)
 
     def timed(*args, **kwargs):
         if within is not None and _running != [within]:
             return fn(*args, **kwargs)
+        if counted:
+            _matrices[layer] += math.prod(np.shape(args[0])[:-2])
         t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
@@ -221,16 +231,19 @@ WORKLOADS = {"optimum_scans": (_optimum_scans, SWEEP_LAYERS, _TOP),
              "verify": (_verify, VERIFY_LAYERS, _CHECKS)}
 
 
-def _round(workload, mods: dict, layers: tuple, top: tuple) -> tuple[dict, str]:
-    """One round's layer times in ms, and the SHA-256 of everything it wrote."""
+def _round(workload, mods: dict, layers: tuple, top: tuple) -> tuple[dict, dict, str]:
+    """One round's layer times in ms, its matrices per LAPACK call, and the SHA-256 of
+    everything it wrote."""
     _clock.clear()
+    _matrices.clear()
     digest = hashlib.sha256()
     t0 = time.perf_counter()
     for text in workload(mods):
         digest.update(text.encode("utf-8"))
     _clock["round"] = time.perf_counter() - t0
     _clock["assembly"] = _clock["round"] - sum(_clock[layer] for layer in top)
-    return {layer: 1e3 * _clock[layer] for layer in layers}, digest.hexdigest()
+    times = {layer: 1e3 * _clock[layer] for layer in layers}
+    return times, {name: _matrices[name] for name in _LINALG}, digest.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -242,16 +255,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     trees = {"before": _load(args.before), "after": _load(args.after)}
     for name in _LINALG:
-        _timed(np.linalg, name, name)
+        _timed(np.linalg, name, name, counted=True)
     report, same = {}, True
     for wl_name, (workload, layers, top) in WORKLOADS.items():
         times = {side: {layer: [] for layer in layers} for side in trees}
         digests = {side: set() for side in trees}
+        # each side's matrices per round, one entry per distinct count
+        matrices = {side: {name: set() for name in _LINALG} for side in trees}
         for k in range(args.rounds + 1):
             order = list(trees) if k % 2 == 0 else list(trees)[::-1]
             for side in order:
-                ms, digest = _round(workload, trees[side], layers, top)
+                ms, counts, digest = _round(workload, trees[side], layers, top)
                 digests[side].add(digest)
+                for name, n in counts.items():
+                    matrices[side][name].add(n)
                 if k:
                     for layer, value in ms.items():
                         times[side][layer].append(value)
@@ -271,6 +288,13 @@ def main(argv=None) -> int:
             ratio = a["median_ms"] / b["median_ms"] if b["median_ms"] else math.nan
             print(f"  {label:<24}{b['min_ms']:>12.2f}{b['median_ms']:>10.2f}"
                   f"{a['min_ms']:>12.2f}{a['median_ms']:>10.2f}{ratio:>14.3f}")
+        # a count that moved between rounds is shown as its range
+        counts = {side: {name: "-".join(map(str, sorted({min(n), max(n)})))
+                         for name, n in matrices[side].items()} for side in trees}
+        report[wl_name]["matrices_per_round"] = counts
+        print(f"  {'matrices per round':<24}{'before':>12}{'after':>12}")
+        for name in _LINALG:
+            print(f"  {name:<24}{counts['before'][name]:>12}{counts['after'][name]:>12}")
     print("outputs: " + ("identical" if same else "DIFFER between the trees"))
     if args.json is not None:
         args.json.write_text(json.dumps({"rounds": args.rounds, "identical": same,
