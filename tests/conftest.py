@@ -9,6 +9,7 @@ difference between eigensolver implementations.
 
 import math
 
+import numpy as np
 import pytest
 
 from lgsteer import SystemParams, with_updates
@@ -86,6 +87,18 @@ def params_at(base: SystemParams, coords) -> SystemParams:
     """``base`` with every ``(axis name, value)`` of a grid point set, in SI:
     one grid point's parameters, for checks that rebuild a row alone."""
     return with_updates(base, **dict(to_si(n, v, base.omega_phi1) for n, v in coords))
+
+
+def counted_linalg(monkeypatch, name: str) -> list[int]:
+    """The number of matrices each call of ``np.linalg.<name>`` gets, as a list that fills."""
+    calls, fn = [], getattr(np.linalg, name)
+
+    def counted(x):
+        calls.append(len(x))
+        return fn(x)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ from lgsteer import (
     symplectic_form,
 )
 
-from conftest import REF_NUS_BLUE, REF_V_BLUE, W1, make_params
+from conftest import REF_NUS_BLUE, REF_V_BLUE, W1, counted_linalg, make_params
 
 
 def tmsv(r: float) -> CovarianceMatrix:
@@ -85,18 +85,6 @@ def two_mode_symplectic() -> np.ndarray:
 def blue_covariance() -> CovarianceMatrix:
     m = build_model(make_params(detuning=+W1))
     return solve_lyapunov(m.drift / W1, m.diffusion / W1)
-
-
-def _counted(monkeypatch, name: str) -> list[int]:
-    """The number of matrices each call of ``np.linalg.<name>`` gets, as a list that fills."""
-    calls, fn = [], getattr(np.linalg, name)
-
-    def counted(x):
-        calls.append(len(x))
-        return fn(x)
-
-    monkeypatch.setattr(np.linalg, name, counted)
-    return calls
 
 
 class TestCovarianceMatrix:
@@ -408,7 +396,7 @@ class TestSteadyCovariance:
         bad = diffusions[17].copy()
         bad[0, 1] += 1e-3 * bad.max()
         diffusions[17] = bad
-        calls = _counted(monkeypatch, "eigvals")
+        calls = counted_linalg(monkeypatch, "eigvals")
         margins, _, errors = steady_covariances(drifts, diffusions)
         assert calls == [63]
         assert isinstance(errors[17], SolveFailure)
@@ -432,7 +420,7 @@ class TestSteadyCovariance:
                             {"temperature": np.geomspace(1e-3, 1.0, 51)})
         assert block.drift.shape == (51, 6, 6) and (block.drift == block.drift[0]).all()
         assert len({d.tobytes() for d in block.diffusion}) == 51
-        calls = {name: _counted(monkeypatch, name) for name in ("eigvals", "inv")}
+        calls = {name: counted_linalg(monkeypatch, name) for name in ("eigvals", "inv")}
         margins, covariances, errors = steady_covariances(block.drift, block.diffusion)
         assert calls == {"eigvals": [1], "inv": [1]}
         monkeypatch.undo()
@@ -444,7 +432,7 @@ class TestSteadyCovariance:
         drifts = [m.drift] * 64
         drifts[40] = build_model(make_params(detuning=+1.1 * W1)).drift
         diffusions = [m.diffusion] * 64
-        calls = {name: _counted(monkeypatch, name) for name in ("eigvals", "inv")}
+        calls = {name: counted_linalg(monkeypatch, name) for name in ("eigvals", "inv")}
         margins, covariances, errors = steady_covariances(drifts, diffusions)
         assert calls == {"eigvals": [64], "inv": [64]}
         monkeypatch.undo()

@@ -44,7 +44,7 @@ from lgsteer.gaussian import _scale
 from lgsteer.model import check_field
 from lgsteer.sweep import _PRESETS, _column
 
-from conftest import W1, make_params, params_at
+from conftest import W1, counted_linalg, make_params, params_at
 
 
 def small_delta_spec(values=(0.8, 1.0, 1.2)) -> SweepSpec:
@@ -373,13 +373,7 @@ class TestBlocks:
         # matrix through eigvals and one through inv, and every row is
         # its own one-row full_report
         axis = Axis("temperature_k", np.geomspace(1e-3, 1.0, 51))
-        calls = {"eigvals": [], "inv": []}
-        for name, seen in calls.items():
-            def counted(x, fn=getattr(np.linalg, name), seen=seen):
-                seen.append(len(x))
-                return fn(x)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = {name: counted_linalg(monkeypatch, name) for name in ("eigvals", "inv")}
         result = run_sweep(SweepSpec(base, axis))
         assert calls == {"eigvals": [1], "inv": [1]}
         monkeypatch.undo()
