@@ -3,11 +3,14 @@
 Three routes to the steady-state covariance exist in this package: the
 refined solve of :func:`lgsteer.gaussian.solve_lyapunov`, the plain
 Kronecker solve here, and direct time integration of the covariance
-ODE.  The oracle solves the same vectorized system as the package
-solver but shares no code with it (no scaling, no refinement, its own
-LAPACK call); the integrator is the independent algorithm, a time
-stepper whose steps are taken as one ``np.linalg.matrix_power`` with no
-linear solve, so three-way agreement is meaningful evidence.  Both
+ODE.  The oracle solves the full n^2-unknown Kronecker system, which
+the package solver reduces to the n(n+1)/2 entries of a symmetric V,
+and shares no code with it (no scaling, no refinement, its own LAPACK
+call); the integrator is the independent algorithm, a time stepper on
+those n(n+1)/2 entries (21 for three modes) built from its own
+duplication tables, whose steps are taken as one
+``np.linalg.matrix_power`` with no linear solve, so three-way
+agreement is meaningful evidence.  Both
 routes, and the seeded random systems, are array functions over
 (N, n, n) stacks, of which the public functions are the one-system
 cases.  :func:`run_checks` bundles the cross-checks plus analytic
@@ -154,38 +157,60 @@ def lyapunov_oracle(a: np.ndarray, d: np.ndarray) -> CovarianceMatrix:
     return CovarianceMatrix(_lyapunov_oracles(a[None], d[None])[0], _generic_labels(n // 2))
 
 
+@functools.cache
+def _duplication(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The duplication matrix P of order ``n`` and the rows E selects.
+
+    A symmetric V's row-major ``vec V`` is ``P u``, with u its
+    n(n+1)/2 upper-triangle entries row by row, and ``u = E vec V`` is
+    ``vec V[rows]``.  Both arrays are read-only.
+    """
+    upper = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=int)
+    pair[upper] = pair[upper[::-1]] = np.arange(len(upper[0]))
+    dup = np.eye(len(upper[0]))[pair.ravel()]
+    rows = upper[0] * n + upper[1]
+    dup.flags.writeable = rows.flags.writeable = False
+    return dup, rows
+
+
 @_first_failure
 def _integrate_covariances(
     a: np.ndarray, d: np.ndarray, v: np.ndarray, *, t_end: float, dt: float
 ) -> np.ndarray:
-    """:func:`integrate_covariance` over (N, n, n) stacks, from the start covariances ``v``."""
+    """:func:`integrate_covariance` over (N, n, n) stacks, from the start covariances ``v``.
+
+    Only the upper triangles of ``v`` and ``d`` are read.
+    """
     count, n = len(a), a.shape[-1]
     n_steps = max(1, int(round(t_end / dt)))
-    m = n * n
+    dup, rows = _duplication(n)
+    m = len(rows)
     eye = np.eye(m)
-    hl = dt * _kron_sum(a)
-    # Horner form: M = I + hL q, c = h q vec D
+    # L maps symmetric matrices to symmetric ones (L P = P L_r), so the
+    # upper triangle follows the same ODE with L_r = E L P
+    hl = dt * (_kron_sum(a)[:, rows] @ dup)
+    # Horner form: M = I + hL_r q, c = h q E vec D
     q = eye + 0.5 * hl @ (eye + hl @ (eye + 0.25 * hl) / 3.0)
     step = np.zeros((count, m + 1, m + 1))
     step[:, :m, :m] = eye + hl @ q
-    step[:, :m, m] = dt * (q @ d.reshape(count, m, 1))[..., 0]
+    step[:, :m, m] = dt * (q @ d.reshape(count, n * n, 1)[:, rows])[..., 0]
     step[:, m, m] = 1.0
-    start = np.concatenate((v.reshape(count, m), np.ones((count, 1))), axis=1)
+    start = np.concatenate((v.reshape(count, n * n)[:, rows], np.ones((count, 1))), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         state = (np.linalg.matrix_power(step, n_steps) @ start[..., None])[..., 0]
     peak = np.abs(state).max(axis=1)
     over = ~np.isfinite(peak)
     big = np.flatnonzero(~over & (peak > _OVERFLOW))
     if big.size:
-        # M's eigenvalues are R(h(lam_i + lam_j)), RK4's stability function on L's
+        # M's eigenvalues are R(h(lam_i + lam_j)), i <= j, RK4's stability function on L's
         over[big] = np.abs(np.linalg.eigvals(step[big, :m, :m])).max(axis=-1) > 1.0
     if over.any():
         raise StepOverflow(
             f"propagator entry reached {peak[np.argmax(over)]:g}: "
             "unstable drift or dt too large"
         )
-    v = state[:, :m].reshape(count, n, n)
-    return 0.5 * (v + v.swapaxes(1, 2))
+    return (state[:, :m] @ dup.T).reshape(count, n, n)
 
 
 def integrate_covariance(
@@ -199,24 +224,37 @@ def integrate_covariance(
 
     ``v0 = None`` starts from zero covariance.  The equation is linear
     in vec V, ``d vec V/dt = L vec V + vec D`` with
-    ``L = I (x) A + A (x) I``, so one RK4 step is exactly the affine map
-    ``vec V -> M vec V + c`` with ``M = I + hL + (hL)^2/2 + (hL)^3/6 +
-    (hL)^4/24`` and ``c = h (I + hL/2 + (hL)^2/6 + (hL)^3/24) vec D``.
-    All ``round(t_end / dt)`` steps are the power of the augmented
-    matrix ``[[M, c], [0, 1]]``, taken by ``np.linalg.matrix_power``,
-    which squares repeatedly: the same discrete scheme as stepping, in
-    about ``2 log2(n)`` products.  The result is re-symmetrized.  For
-    stable drift and ``t_end >= 50/|margin|`` it matches the Lyapunov
-    solution to 1e-6 in max entry.
+    ``L = I (x) A + A (x) I``.  L maps symmetric matrices to symmetric
+    ones, ``L P = P L_r`` with P the duplication matrix
+    (``vec V = P u``, u the n(n+1)/2 upper-triangle entries of V) and
+    ``L_r = E L P``, E the selection of the upper-triangle rows; so the
+    scheme steps u alone, ``du/dt = L_r u + E vec D``.  One RK4 step is
+    exactly the affine map ``u -> M u + c`` with ``M = I + hL_r +
+    (hL_r)^2/2 + (hL_r)^3/6 + (hL_r)^4/24`` and ``c = h (I + hL_r/2 +
+    (hL_r)^2/6 + (hL_r)^3/24) E vec D``: in exact arithmetic the RK4
+    step of all of vec V, restricted to its distinct entries.  All
+    ``round(t_end / dt)`` steps are the power of the augmented matrix
+    ``[[M, c], [0, 1]]`` (22x22 for three modes), taken by
+    ``np.linalg.matrix_power``, which squares repeatedly: the same
+    discrete scheme as stepping, in about ``2 log2(steps)`` products.
+    The result is ``P u``, symmetric by construction.  For stable drift
+    and ``t_end >= 50/|margin|`` it matches the Lyapunov solution to
+    1e-6 in max entry.
 
+    Raises :class:`SolveFailure` unless ``t_end`` and ``dt`` are
+    positive and ``dt`` and the step count ``t_end / dt`` are finite.
     Raises :class:`StepOverflow` when an entry of the result is not
     finite, or exceeds 1e12 while the step map is unstable (spectral
-    radius of M above 1): the signature of an unstable drift or an
-    unstable step size.
+    radius of M, whose eigenvalues are ``R(h(lam_i + lam_j))`` for
+    i <= j, above 1): the signature of an unstable drift or an unstable
+    step size.
     """
     a, d, n = _square_pair(a, d)
-    if dt <= 0.0 or t_end <= 0.0:
+    if not (dt > 0.0 and t_end > 0.0):
         raise SolveFailure(f"need positive t_end and dt, got {t_end} and {dt}")
+    with np.errstate(over="ignore"):
+        if not (math.isfinite(dt) and math.isfinite(t_end / dt)):
+            raise SolveFailure(f"need finite dt and t_end / dt, got {t_end} and {dt}")
     if v0 is None:
         v = np.zeros((n, n))
     else:

@@ -116,6 +116,52 @@ class TestIntegrateCovariance:
         with pytest.raises(SolveFailure, match="positive"):
             integrate_covariance(-np.eye(6), np.eye(6), None, 0.0, 0.1)
 
+    @pytest.mark.parametrize(
+        "t_end, dt",
+        [
+            pytest.param(math.nan, 0.01, id="nan-t_end"),
+            pytest.param(10.0, math.nan, id="nan-dt"),
+            pytest.param(math.inf, 0.01, id="inf-t_end"),
+            pytest.param(10.0, math.inf, id="inf-dt"),
+            pytest.param(1e300, 1e-10, id="ratio-overflows"),
+            pytest.param(np.float64(1e300), np.float64(1e-10), id="numpy-ratio-overflows"),
+        ],
+    )
+    def test_rejects_non_finite_step_count(self, t_end, dt):
+        with pytest.raises(SolveFailure, match="positive|finite"):
+            integrate_covariance(-np.eye(6), np.eye(6), None, t_end, dt)
+
+    @staticmethod
+    def _full_power(a, d, v, n_steps, dt):
+        # the RK4 step map on all n^2 entries of vec V, as it was before
+        # the scheme stepped only the upper triangle
+        n = len(a)
+        m = n * n
+        eye = np.eye(m)
+        hl = dt * (np.kron(np.eye(n), a) + np.kron(a, np.eye(n)))
+        q = eye + 0.5 * hl @ (eye + hl @ (eye + 0.25 * hl) / 3.0)
+        step = np.zeros((m + 1, m + 1))
+        step[:m, :m] = eye + hl @ q
+        step[:m, m] = dt * q @ d.reshape(m)
+        step[m, m] = 1.0
+        state = np.linalg.matrix_power(step, n_steps) @ np.append(v.reshape(m), 1.0)
+        got = state[:m].reshape(n, n)
+        return 0.5 * (got + got.T)
+
+    @pytest.mark.parametrize("seed", [2, 31, 404])
+    @pytest.mark.parametrize("n_steps", [1, 5, 64, 999, 5000])
+    def test_reduced_map_is_the_full_map(self, seed, n_steps):
+        # stepping the 21 distinct entries is the 36-entry scheme, from a
+        # non-zero symmetric start and after any number of steps
+        rng = np.random.default_rng(seed)
+        a, d = random_stable_system(rng)
+        b = rng.uniform(-1.0, 1.0, size=(6, 6))
+        v0 = b @ b.T
+        dt = 0.02
+        got = integrate_covariance(a, d, v0, n_steps * dt, dt).data
+        want = self._full_power(a, d, v0, n_steps, dt)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     @staticmethod
     def _stepped(a, d, n_steps, dt):
         # reference RK4 loop, one step at a time, as the propagator replaced
@@ -410,3 +456,28 @@ def test_oracles_share_no_production_solver_code():
         "_kron_sum",
         "_first_failure",
     } <= scanned
+    # the RK4 route builds its own symmetric-covariance tables: it reaches
+    # no private table or helper of lgsteer.gaussian, by name, as an
+    # attribute, or as a module global of validation bound to one
+    from lgsteer import gaussian
+
+    private = {
+        k: v for k, v in vars(gaussian).items() if k.startswith("_") and not k.startswith("__")
+    }
+    assert {"_SYM", "_ROWS", "_COLS", "_TERMS", "_operator"} <= private.keys()
+    todo, route, names = ["integrate_covariance"], set(), set()
+    while todo:
+        name = todo.pop()
+        if name in route:
+            continue
+        route.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        todo.extend(names & functions.keys())
+    assert {"_integrate_covariances", "_duplication", "_kron_sum"} <= route
+    assert not names & private.keys()
+    tables = {id(v) for v in private.values() if not isinstance(v, (int, float))}
+    assert not {id(vars(validation)[k]) for k in names & vars(validation).keys()} & tables
