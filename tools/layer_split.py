@@ -53,8 +53,8 @@ Calls of these functions from the other checks are not counted there.
 The ``assembly`` of ``verify`` is the rest of the round.
 
 It prints each layer's minimum and median over the timed rounds (after
-one warm-up round per tree and workload) and the after/before ratio of
-the medians, then the matrices a round passes to ``np.linalg.eigvals``,
+one warm-up round per tree and workload) and the after/before ratios of
+the minima and of the medians, then the matrices a round passes to ``np.linalg.eigvals``,
 ``inv`` and ``eigvalsh`` (a stack of N counts N), so the work a change
 removes shows beside the time.  It exits 1 unless both trees write the
 same bytes (for ``verify``: return equal lists of check names, outcomes
@@ -281,13 +281,13 @@ def main(argv=None) -> int:
         }
         print(f"{wl_name} ({args.rounds} rounds a side, ms)")
         print(f"  {'layer':<24}{'before min':>12}{'median':>10}{'after min':>12}{'median':>10}"
-              f"{'after/before':>14}")
+              f"{'after/before min':>18}{'median':>10}")
         for layer, row in report[wl_name].items():
             label = ("  " if layer in _NESTED else "") + layer
             b, a = row["before"], row["after"]
-            ratio = a["median_ms"] / b["median_ms"] if b["median_ms"] else math.nan
+            ratios = [a[key] / b[key] if b[key] else math.nan for key in ("min_ms", "median_ms")]
             print(f"  {label:<24}{b['min_ms']:>12.2f}{b['median_ms']:>10.2f}"
-                  f"{a['min_ms']:>12.2f}{a['median_ms']:>10.2f}{ratio:>14.3f}")
+                  f"{a['min_ms']:>12.2f}{a['median_ms']:>10.2f}{ratios[0]:>18.3f}{ratios[1]:>10.3f}")
         # a count that moved between rounds is shown as its range
         counts = {side: {name: "-".join(map(str, sorted({min(n), max(n)})))
                          for name, n in matrices[side].items()} for side in trees}
