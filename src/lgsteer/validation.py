@@ -9,14 +9,14 @@ and shares no code with it (no scaling, no refinement, its own LAPACK
 call); the integrator is the independent algorithm, a time stepper on
 those n(n+1)/2 entries (21 for three modes) built from its own
 duplication tables, whose steps are taken as one
-``np.linalg.matrix_power`` with no linear solve, so three-way
-agreement is meaningful evidence.  Both
-routes, and the seeded random systems, are array functions over
-(N, n, n) stacks, of which the public functions are the one-system
-cases.  :func:`run_checks` bundles the cross-checks plus analytic
-reference states for the CLI ``verify`` command, putting all its seeded
-systems through each route in one call; the solver under test is
-injectable so a corrupted solver is detectably red.
+``np.linalg.matrix_power`` with no linear solve, so three-way agreement
+is meaningful evidence.  Both routes, and the seeded random systems,
+are array functions over (N, n, n) stacks, of which the public
+functions are the one-system cases.  :func:`run_checks` bundles the
+cross-checks plus analytic reference states for the CLI ``verify``
+command, putting all its seeded systems through each route in one
+call; the solver under test is injectable so a corrupted solver is
+detectably red.
 """
 
 from __future__ import annotations

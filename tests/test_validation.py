@@ -133,8 +133,8 @@ class TestIntegrateCovariance:
 
     @staticmethod
     def _full_power(a, d, v, n_steps, dt):
-        # the RK4 step map on all n^2 entries of vec V, as it was before
-        # the scheme stepped only the upper triangle
+        # reference: the RK4 step-map power on all n^2 entries of vec V,
+        # the scheme that stepping the upper triangle restricts
         n = len(a)
         m = n * n
         eye = np.eye(m)
