@@ -252,9 +252,8 @@ def integrate_covariance(
     a, d, n = _square_pair(a, d)
     if not (dt > 0.0 and t_end > 0.0):
         raise SolveFailure(f"need positive t_end and dt, got {t_end} and {dt}")
-    with np.errstate(over="ignore"):
-        if not (math.isfinite(dt) and math.isfinite(t_end / dt)):
-            raise SolveFailure(f"need finite dt and t_end / dt, got {t_end} and {dt}")
+    if not (math.isfinite(dt) and math.isfinite(float(t_end) / float(dt))):
+        raise SolveFailure(f"need finite dt and t_end / dt, got {t_end} and {dt}")
     if v0 is None:
         v = np.zeros((n, n))
     else:

@@ -54,9 +54,10 @@ The ``assembly`` of ``verify`` is the rest of the round.
 
 It prints each layer's minimum and median over the timed rounds (after
 one warm-up round per tree and workload) and the after/before ratios of
-the minima and of the medians, then the matrices a round passes to ``np.linalg.eigvals``,
-``inv`` and ``eigvalsh`` (a stack of N counts N), so the work a change
-removes shows beside the time.  It exits 1 unless both trees write the
+the minima and of the medians (on a loaded machine the minima are the
+figures to compare), then the matrices a round passes to
+``np.linalg.eigvals``, ``inv`` and ``eigvalsh`` (a stack of N counts N),
+so the work a change removes shows beside the time.  It exits 1 unless both trees write the
 same bytes (for ``verify``: return equal lists of check names, outcomes
 and details).  ``--json`` also writes the figures to a file.
 """
