@@ -66,31 +66,6 @@ def _square_pair(a, d) -> tuple[np.ndarray, np.ndarray, int]:
     return a, d, n
 
 
-def _first_failure(body):
-    """A stacked oracle that raises the one-system error of its first failing system.
-
-    ``body`` takes (N, n, n) stacks as its positional arguments and checks
-    each stage on the whole stack, so the system whose error it raises
-    need not be the first that fails.  When it raises, the decorated
-    function runs the systems one at a time, in stack order, and the
-    first to fail raises what the one-system call raises for it.
-    """
-
-    @functools.wraps(body)
-    def stacked(*stacks, **kwargs):
-        try:
-            return body(*stacks, **kwargs)
-        except (np.linalg.LinAlgError, LgsteerError) as exc:
-            if len(stacks[0]) == 1:
-                raise
-            error = exc
-        for k in range(len(stacks[0])):
-            body(*(x[k : k + 1] for x in stacks), **kwargs)
-        raise error
-
-    return stacked
-
-
 def _kron_sum(a: np.ndarray) -> np.ndarray:
     """``kron(I, A) + kron(A, I)`` of each matrix of an (N, n, n) stack.
 
@@ -104,9 +79,11 @@ def _kron_sum(a: np.ndarray) -> np.ndarray:
     return (left + right).reshape(count, n * n, n * n)
 
 
-@_first_failure
 def _lyapunov_oracles(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """:func:`lyapunov_oracle` over (N, n, n) stacks: the (N, n, n) covariances."""
+    """:func:`lyapunov_oracle` over (N, n, n) stacks: the (N, n, n) covariances.
+
+    Each check covers the whole stack, and a failed one quotes its first failing system.
+    """
     count, n = len(a), a.shape[-1]
     lam = np.linalg.eigvals(a)
     scale = np.maximum(1.0, np.abs(lam).max(axis=-1))
@@ -174,13 +151,12 @@ def _duplication(n: int) -> tuple[np.ndarray, np.ndarray]:
     return dup, rows
 
 
-@_first_failure
 def _integrate_covariances(
     a: np.ndarray, d: np.ndarray, v: np.ndarray, *, t_end: float, dt: float
 ) -> np.ndarray:
     """:func:`integrate_covariance` over (N, n, n) stacks, from the start covariances ``v``.
 
-    Only the upper triangles of ``v`` and ``d`` are read.
+    Only the upper triangles of ``v`` and ``d`` are read.  An overflow quotes its first system.
     """
     count, n = len(a), a.shape[-1]
     n_steps = max(1, int(round(t_end / dt)))

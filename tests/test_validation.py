@@ -401,13 +401,16 @@ class TestStackedRoutes:
         assert got == (NonPhysicalInput, "covariance matrix has non-finite entries")
 
     def test_first_failing_system_wins(self):
-        # the later NaN drift makes LAPACK reject the whole stack, but the
-        # marginal system before it fails first, one system at a time
+        # a check runs on the whole stack: the later NaN drift makes LAPACK
+        # reject the whole stack's eigvals, so the marginal system before it
+        # is never checked, and the stack raises what the NaN drift raises alone
         marginal = -np.eye(6)
         marginal[0, 0] = 0.0
         a, d = self._stack(-np.eye(6), marginal, np.full((6, 6), np.nan))
-        with pytest.raises(SingularSystem, match="marginal"):
-            validation._lyapunov_oracles(a, d)
+        got = self._raised(validation._lyapunov_oracles, a, d)
+        assert got == self._raised(lyapunov_oracle, a[2], d[2])
+        assert got[0] is np.linalg.LinAlgError
+        assert self._raised(lyapunov_oracle, a[1], d[1])[0] is SingularSystem
 
     def test_unstable_system_raises_its_own_overflow(self):
         # both unstable drifts overflow, at different peaks: the first one's is raised
@@ -454,7 +457,6 @@ def test_oracles_share_no_production_solver_code():
         "_integrate_covariances",
         "_random_stable_systems",
         "_kron_sum",
-        "_first_failure",
     } <= scanned
     # the RK4 route builds its own symmetric-covariance tables: it reaches
     # no private table or helper of lgsteer.gaussian, by name, as an
