@@ -89,7 +89,7 @@ class SweepRow:
     index, ``coords`` its ``(axis name, value)`` pairs, ``report`` its
     :class:`CorrelationReport`, built each time it is read (None on an
     error row), and ``error`` the error row's ``"<class>: <message>"``
-    (None elsewhere).  Rows compare, hash and print by those four.
+    (None elsewhere).  A row prints by those four and compares by identity.
     """
 
     __slots__ = ("_result", "_k")
@@ -118,20 +118,9 @@ class SweepRow:
     def error(self) -> str | None:
         return self._result.errors.get(self._k)
 
-    def _fields(self) -> tuple:
-        return self.index, self.coords, self.report, self.error
-
-    def __eq__(self, other):
-        if type(other) is not SweepRow:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
     def __repr__(self) -> str:
-        index, coords, report, error = self._fields()
-        return f"SweepRow(index={index!r}, coords={coords!r}, report={report!r}, error={error!r})"
+        return (f"SweepRow(index={self.index!r}, coords={self.coords!r}, "
+                f"report={self.report!r}, error={self.error!r})")
 
 
 class _RowView(Sequence):
