@@ -239,5 +239,6 @@ def format_report_table(report: CorrelationReport, omega_phi1: float) -> str:
 
 
 def report_to_json(report: CorrelationReport, omega_phi1: float) -> str:
-    """JSON document for a single-point report (same field names)."""
-    return json.dumps(_point_values(report, omega_phi1), indent=2) + "\n"
+    """JSON document for a single-point report: ``indent=2``'s bytes, from the C encoder."""
+    flat = json.dumps(_point_values(report, omega_phi1), separators=(",\n  ", ": "))
+    return f"{{\n  {flat[1:-1]}\n}}\n"

@@ -303,3 +303,23 @@ class TestSingleReportOutput:
         assert doc2["stable"] is False
         assert doc2["EN_mm"] is None
         assert doc2["steering_class"] is None
+
+    @pytest.mark.parametrize(
+        "updates, stable, at_threshold",
+        [
+            ({"detuning": +W1}, True, False),
+            ({"detuning": -W1}, False, False),
+            # kappa = 2 chi at Delta = 0 is the OPA threshold: not stable, margin 0
+            ({"detuning": 0.0, "kappa_override": 0.2 * W1, "opa_gain": 0.1 * W1,
+              "opa_phase": 0.0}, False, True),
+        ],
+        ids=["stable", "not_stable", "opa_threshold"],
+    )
+    def test_report_json_bytes_are_those_of_indent_2(self, updates, stable, at_threshold):
+        # the flat object goes through the C encoder, which indent=2 would turn off
+        report = full_report(build_model(make_params(**updates)))
+        values = lgsteer.io._point_values(report, W1)
+        assert (values["stable"], values["stability_margin_ratio"] == 0.0) == (
+            stable, at_threshold
+        )
+        assert report_to_json(report, W1) == json.dumps(values, indent=2) + "\n"
