@@ -324,3 +324,34 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestRepeatedCalls:
+    def test_second_round_repeats_the_first(self, tmp_path, capsys):
+        # one process runs every command twice in a row: nothing a call
+        # leaves behind (a cached parser, say) may change a later call's
+        # output, exit code or written file
+        point = {"system": {"detuning_ratio": 1.0}, "run": {"mode": "point"}}
+        point = write_config(tmp_path, point, "point.json")
+        out = tmp_path / "scan.csv"
+        calls = [["point", "--format", fmt, "--config", point] for fmt in ("table", "json", "csv")]
+        calls += [
+            ["sweep", "--config", write_config(tmp_path, SMALL_SWEEP), "--out", str(out)],
+            ["verify"],
+            ["point", "--format", "xml"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        first = [run(argv) for argv in calls]
+        assert [call[0] for call in first] == [0, 0, 0, 0, 0, 2]
+        assert "invalid choice: 'xml'" in first[-1][2]
+        written = out.read_bytes()
+        out.unlink()
+        assert [run(argv) for argv in calls] == first
+        assert out.read_bytes() == written
