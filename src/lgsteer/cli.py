@@ -30,7 +30,7 @@ from .io import (
 from .measures import full_report
 from .model import build_model
 from .sweep import PRESET_NAMES, preset_variants, run_sweep, to_sweep_spec
-from .validation import run_checks
+from .validation import _DEFAULT_SEED, run_checks
 
 
 def _read_config(path: str | None):
@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(fn=cmd_preset_list)
 
     p_verify = sub.add_parser("verify", help="run the validation suite")
-    p_verify.add_argument("--seed", type=_seed, default=12345)
+    p_verify.add_argument("--seed", type=_seed, default=_DEFAULT_SEED)
     p_verify.set_defaults(fn=cmd_verify)
     return parser
 

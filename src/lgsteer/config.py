@@ -256,7 +256,7 @@ def parse_config(text: str) -> RunConfig:
     path = output_raw.get("path")
     if path is not None and not isinstance(path, str):
         raise BadUnit(f"output.path must be a string, got {path!r}")
-    fmt = output_raw.get("format", "csv")
+    fmt = output_raw.get("format", OutputSection.format)
     if fmt not in _FORMATS:
         raise BadUnit(f"output.format must be one of {_FORMATS}, got {fmt!r}")
     return RunConfig(system, run, OutputSection(path, fmt))

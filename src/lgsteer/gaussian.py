@@ -33,19 +33,6 @@ from .errors import (
     UnstableSystem,
 )
 
-__all__ = [
-    "CovarianceMatrix",
-    "symplectic_form",
-    "reduce",
-    "partial_transpose",
-    "symplectic_eigenvalues",
-    "min_pt_symplectic",
-    "steady_covariance",
-    "steady_covariances",
-    "solve_lyapunov",
-    "lyapunov_residual",
-]
-
 MODE_ORDER = ("mirror1", "mirror2", "cavity")
 
 _EPS = float(np.finfo(float).eps)

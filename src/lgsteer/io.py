@@ -18,7 +18,9 @@ import json
 
 import numpy as np
 
+from ._version import __version__
 from .config import _FORMATS, _axis_doc, system_to_display
+from .constants import CLIGHT, HBAR, KBOLTZ
 from .errors import BadUnit
 from .measures import _CLASSES, CorrelationReport, SteeringClass
 from .sweep import SweepResult
@@ -78,9 +80,7 @@ def _report_values(report: CorrelationReport, omega_phi1: float) -> dict:
     }
 
 
-def _report_cells(report: CorrelationReport | None, omega_phi1: float) -> list[str]:
-    if report is None:
-        return ["error"] + [""] * (len(MEASURE_COLUMNS) - 1)
+def _report_cells(report: CorrelationReport, omega_phi1: float) -> list[str]:
     return [_fmt(v) for v in _report_values(report, omega_phi1).values()]
 
 
@@ -151,16 +151,16 @@ def _row_docs(result: SweepResult) -> list[dict]:
 def serialize_json(result: SweepResult) -> str:
     """JSON mirror: same field names as the CSV plus spec and metadata.
 
-    The run timestamp is deliberately not serialized so identical runs
-    produce identical bytes.  The bytes are those of ``json.dumps(doc,
-    indent=2)``; the rows go through the C encoder, which ``indent``
-    would turn off.
+    The metadata is the package version and the physical constants, and
+    no timestamp, so identical runs produce identical bytes.  The bytes
+    are those of ``json.dumps(doc, indent=2)``; the rows go through the C
+    encoder, which ``indent`` would turn off.
     """
     spec = result.spec
     doc = {
         "metadata": {
-            "version": result.metadata.get("version"),
-            "constants": result.metadata.get("constants"),
+            "version": __version__,
+            "constants": {"hbar": HBAR, "kboltz": KBOLTZ, "clight": CLIGHT},
         },
         "spec": {
             "system": system_to_display(spec.base),

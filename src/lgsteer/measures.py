@@ -26,6 +26,7 @@ import numpy as np
 from .errors import LgsteerError, NonPhysicalInput, NonPositiveDeterminant, UnknownMode
 from .gaussian import (
     _CHUNK_ROWS,
+    _EPS,
     MODE_ORDER,
     CovarianceMatrix,
     _pt_stack,
@@ -41,8 +42,6 @@ _CLASS_TOL = 1e-12
 _MONOGAMY_TOL = 1e-6
 # ζ > 0 must come with EN > 0 at this resolution
 _HIERARCHY_TOL = 1e-10
-# a symplectic spectrum is accurate to this times its largest value
-_EPS = float(np.finfo(float).eps)
 
 
 def _en(nu: np.ndarray, nu_max: np.ndarray) -> np.ndarray:

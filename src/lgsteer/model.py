@@ -35,20 +35,6 @@ from .constants import CLIGHT, HBAR, KBOLTZ
 from .errors import NonPositiveParameter
 from .gaussian import symplectic_form
 
-__all__ = [
-    "SystemParams",
-    "DerivedParams",
-    "SteadyState",
-    "LinearModel",
-    "derive",
-    "steady_state",
-    "hamiltonian",
-    "build_drift",
-    "build_diffusion",
-    "build_model",
-    "thermal_occupation",
-]
-
 # SystemParams field -> rule: "pos" > 0, "nonneg" >= 0, "any" finite,
 # "posint" an integer >= 1.  ``kappa_override`` may also be None.  The
 # run-file checks in :mod:`lgsteer.config` read the same table.

@@ -25,15 +25,12 @@ import itertools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from ._version import __version__
 from .config import Axis, RunConfig, RunSection, _check_axes, to_si, to_system_params
-from .constants import CLIGHT, HBAR, KBOLTZ
 from .errors import InvalidSpec, NoStableRegion, UnknownPreset
 from .gaussian import _CHUNK_ROWS
 from .measures import (
@@ -148,7 +145,7 @@ class _RowView(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """All rows of a sweep in grid order plus run metadata.
+    """All rows of a sweep in grid order.
 
     The rows are held as columns: ``columns`` has each row's report values
     as arrays and ``errors`` each error row's message, both by row number
@@ -158,7 +155,6 @@ class SweepResult:
     spec: SweepSpec
     columns: _Columns
     errors: dict[int, str]
-    metadata: dict = field(default_factory=dict)
 
     @property
     def rows(self) -> Sequence[SweepRow]:
@@ -221,12 +217,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for start in range(0, n, _BLOCK_ROWS):
         rows = np.arange(start, min(n, start + _BLOCK_ROWS))
         _evaluate_block(spec, columns, rows, table, errors)
-    metadata = {
-        "created_at": datetime.now(timezone.utc).isoformat(),
-        "version": __version__,
-        "constants": {"hbar": HBAR, "kboltz": KBOLTZ, "clight": CLIGHT},
-    }
-    return SweepResult(spec, table, errors, metadata)
+    return SweepResult(spec, table, errors)
 
 
 class OptimumDetuning(NamedTuple):

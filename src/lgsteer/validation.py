@@ -48,8 +48,9 @@ from .model import build_model, with_updates
 _OVERFLOW = 1e12
 # Kronecker-sum conditioning threshold for declaring marginal stability
 _MARGINAL_TOL = 1e-12
-
+# verify's default seed, and the seeded systems its route agreement takes
 _DEFAULT_SEED = 12345
+_N_RANDOM = 20
 
 
 def _generic_labels(n_modes: int) -> tuple[str, ...]:
@@ -64,6 +65,10 @@ def _square_pair(a, d) -> tuple[np.ndarray, np.ndarray, int]:
     if a.shape != (n, n) or d.shape != (n, n):
         raise SolveFailure(f"expected square matrices, got {a.shape} and {d.shape}")
     return a, d, n
+
+
+def _system(failed: np.ndarray) -> str:
+    return f"system {np.argmax(failed)}: " if len(failed) > 1 else ""
 
 
 def _kron_sum(a: np.ndarray) -> np.ndarray:
@@ -82,15 +87,15 @@ def _kron_sum(a: np.ndarray) -> np.ndarray:
 def _lyapunov_oracles(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """:func:`lyapunov_oracle` over (N, n, n) stacks: the (N, n, n) covariances.
 
-    Each check covers the whole stack, and a failed one quotes its first failing system.
+    Each check covers the stack; a failure quotes its first failing system, ``system k: `` if N > 1.
     """
     count, n = len(a), a.shape[-1]
     lam = np.linalg.eigvals(a)
     scale = np.maximum(1.0, np.abs(lam).max(axis=-1))
-    sums = lam[:, :, None] + lam[:, None, :]
-    if (np.abs(sums).min(axis=(1, 2)) <= _MARGINAL_TOL * scale).any():
+    marginal = np.abs(lam[:, :, None] + lam[:, None, :]).min(axis=(1, 2)) <= _MARGINAL_TOL * scale
+    if marginal.any():
         raise SingularSystem(
-            "eigenvalue pair sums to zero: marginally stable drift"
+            f"{_system(marginal)}eigenvalue pair sums to zero: marginally stable drift"
         )
     # vec(D) stacks D's columns, which are the rows of D^T
     rhs = -d.swapaxes(1, 2).reshape(count, n * n, 1)
@@ -106,14 +111,15 @@ def _lyapunov_oracles(a: np.ndarray, d: np.ndarray) -> np.ndarray:
         np.maximum(1.0, np.abs(d).max(axis=(1, 2))),
         np.abs(a).max(axis=(1, 2)) * np.abs(v).max(axis=(1, 2)),
     )
-    over = np.flatnonzero(resid > bound)
-    if over.size:
-        k = over[0]
-        raise SolveFailure(f"oracle residual {resid[k]} exceeds bound {bound[k]}")
+    over = resid > bound
+    if over.any():
+        k = np.argmax(over)
+        raise SolveFailure(f"{_system(over)}oracle residual {resid[k]} exceeds bound {bound[k]}")
     # an overflowed V has an infinite residual bound too, so the check
     # above passes it; this is the error the returned container raises
-    if not np.isfinite(v).all():
-        raise NonPhysicalInput("covariance matrix has non-finite entries")
+    bad = ~np.isfinite(v).all(axis=(1, 2))
+    if bad.any():
+        raise NonPhysicalInput(f"{_system(bad)}covariance matrix has non-finite entries")
     return v
 
 
@@ -156,7 +162,8 @@ def _integrate_covariances(
 ) -> np.ndarray:
     """:func:`integrate_covariance` over (N, n, n) stacks, from the start covariances ``v``.
 
-    Only the upper triangles of ``v`` and ``d`` are read.  An overflow quotes its first system.
+    Only the upper triangles of ``v`` and ``d`` are read.  An overflow quotes its first
+    system, ``system k: `` if N > 1.
     """
     count, n = len(a), a.shape[-1]
     n_steps = max(1, int(round(t_end / dt)))
@@ -183,7 +190,7 @@ def _integrate_covariances(
         over[big] = np.abs(np.linalg.eigvals(step[big, :m, :m])).max(axis=-1) > 1.0
     if over.any():
         raise StepOverflow(
-            f"propagator entry reached {peak[np.argmax(over)]:g}: "
+            f"{_system(over)}propagator entry reached {peak[np.argmax(over)]:g}: "
             "unstable drift or dt too large"
         )
     return (state[:, :m] @ dup.T).reshape(count, n, n)
@@ -351,7 +358,7 @@ def _check(name: str, fn) -> CheckResult:
     return CheckResult(name, True, "ok")
 
 
-def run_checks(solver=None, seed: int = _DEFAULT_SEED, n_random: int = 20):
+def run_checks(solver=None, seed: int = _DEFAULT_SEED):
     """Run the verification suite; returns a list of :class:`CheckResult`.
 
     ``solver`` is the Lyapunov solver under test, with the stacked
@@ -360,19 +367,17 @@ def run_checks(solver=None, seed: int = _DEFAULT_SEED, n_random: int = 20):
     returns ``(margins, covariances, errors)``.  A check that uses it
     fails with the first row's error, or when a row's covariance is not
     finite; injecting a wrong solver makes the identity and agreement
-    checks fail by name.  ``seed`` fixes the random-matrix stream so
-    failures reproduce; ``n_random`` sets how many seeded systems the
-    three-route agreement covers, all in one call of each route.  A
-    negative ``seed`` or ``n_random`` raises :class:`ValueError` before
-    any check runs.
+    checks fail by name.  ``seed`` fixes the stream of the random systems
+    that the three-route agreement puts through one call of each route,
+    so failures reproduce; an oracle's or the integrator's error there
+    names the first failing system (``system k: ``).  A negative ``seed``
+    raises :class:`ValueError` before any check runs.
     """
     solver = steady_covariances if solver is None else solver
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from exc
-    if n_random < 0:
-        raise ValueError(f"n_random must be >= 0, got {n_random}")
     eye6 = np.eye(6)
 
     def solved(a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -416,7 +421,7 @@ def run_checks(solver=None, seed: int = _DEFAULT_SEED, n_random: int = 20):
         return "marginally stable drift was not rejected"
 
     def route_agreement():
-        a, d_mat = _random_stable_systems(rng, n_random)
+        a, d_mat = _random_stable_systems(rng, _N_RANDOM)
         v_solver = solved(a, d_mat)
         v_oracle = _lyapunov_oracles(a, d_mat)
         v_ode = _integrate_covariances(a, d_mat, np.zeros_like(a), t_end=100.0, dt=0.02)

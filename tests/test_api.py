@@ -101,6 +101,51 @@ def test_every_name_the_benchmark_uses_resolves():
     assert missing == []
 
 
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def test_every_name_the_layer_split_tool_wraps_resolves():
+    # tools/layer_split.py times stages by rebinding them, with no fallback:
+    # a stage renamed in the package must fail here, not only in the tool
+    for path in Path(lgsteer.__file__).parent.glob("*.py"):
+        importlib.import_module(f"lgsteer.{path.stem}")
+    tree = ast.parse((TOOLS / "layer_split.py").read_text(encoding="utf-8"))
+    (routes,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_ROUTES"
+    ]
+    names = {f"lgsteer.validation.{name}" for _, name in routes}
+
+    def module(owner):
+        # the tool's module handles: mods["<module>"], its validation argument, lg
+        if isinstance(owner, ast.Subscript) and ast.unparse(owner.value) == "mods":
+            return f"lgsteer.{ast.literal_eval(owner.slice)}"
+        return {"validation": "lgsteer.validation", "lg": "lgsteer"}.get(ast.unparse(owner))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_timed":
+            owner, name = node.args[:2]
+            if module(owner) and isinstance(name, ast.Constant):
+                names.add(f"{module(owner)}.{name.value}")
+        elif isinstance(node, ast.Attribute) and module(node.value):
+            names.add(f"{module(node.value)}.{node.attr}")
+    assert {
+        "lgsteer.sweep._pairs",
+        "lgsteer.validation._check",
+        "lgsteer.validation._lyapunov_oracles",
+        "lgsteer.validation.run_checks",
+        "lgsteer.io.serialize_csv",
+    } <= names
+    missing = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []
+
+
 def test_no_module_but_the_package_root_imports_eigen():
     # the reference QR in ``eigen`` is off the production path: only the
     # package root re-exports it, so deleting it touches no other module

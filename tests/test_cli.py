@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from lgsteer import MEASURE_COLUMNS, PRESET_NAMES, parse_result_csv, serialize_config
+import lgsteer.cli
+from lgsteer import (
+    MEASURE_COLUMNS,
+    PRESET_NAMES,
+    parse_result_csv,
+    run_checks,
+    serialize_config,
+    steady_covariances,
+)
 from lgsteer.cli import main
 from lgsteer.sweep import _PRESETS
 
@@ -66,6 +74,13 @@ class TestPoint:
         assert lines[0] == ",".join(MEASURE_COLUMNS)
         assert lines[1].startswith("true,")
 
+    def test_csv_output_of_a_point_that_is_not_stable(self, capsys):
+        # the default point is not stable: every measure cell is empty
+        assert main(["point", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (
+            ",".join(MEASURE_COLUMNS) + "\nfalse,,,,,,,,,0.094185717685525\n"
+        )
+
     def test_point_at_the_stability_boundary_exits_zero(self, tmp_path, capsys):
         # the margin here is below what the eigensolver resolves: it reads
         # 0.0, not stable, instead of failing the Lyapunov solve
@@ -116,6 +131,53 @@ class TestPoint:
         assert main(["point", "--config", cfg]) == 2
         assert capsys.readouterr().err == "error: both axes sweep 'detuning_ratio'\n"
 
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            pytest.param(
+                {"system": [1], "run": {"mode": "point"}},
+                "'system' must be an object",
+                id="system_not_an_object",
+            ),
+            pytest.param(
+                {"run": {"mode": "sweep", "axis1": 5}},
+                "run.axis1 must be an object, got 5",
+                id="axis_not_an_object",
+            ),
+            pytest.param(
+                {"run": {"mode": "sweep", "axis1": {"name": 3, "values": [1.0]}}},
+                "run.axis1.name must be a string, got 3",
+                id="axis_name_not_a_string",
+            ),
+            pytest.param(
+                {"run": {"mode": "sweep", "axis1": {"name": "detuning_ratio", "values": []}}},
+                "run.axis1.values must be a non-empty list",
+                id="empty_values",
+            ),
+            pytest.param(
+                {"run": {"mode": "sweep", "axis1": {"name": "detuning_ratio", "start": 0.0}}},
+                "run.axis1 needs 'values' or start/stop/points",
+                id="axis_without_a_range",
+            ),
+            pytest.param(
+                {"run": {"mode": "sweep", "axis1": {
+                    "name": "detuning_ratio", "start": 0.1, "stop": 1.0, "points": 3,
+                    "spacing": "cubic",
+                }}},
+                "run.axis1.spacing must be 'linear' or 'log', got 'cubic'",
+                id="unknown_spacing",
+            ),
+            pytest.param(
+                {"run": {"mode": "point"}, "output": {"path": 3}},
+                "output.path must be a string, got 3",
+                id="output_path_not_a_string",
+            ),
+        ],
+    )
+    def test_bad_run_file_exits_two_with_its_message(self, tmp_path, capsys, doc, message):
+        assert main(["point", "--config", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "text",
@@ -190,6 +252,17 @@ class TestSweep:
         assert main(argv + [str(preset), "--preset", "fig6a"]) == 0
         assert main(argv + [str(run_file), "--config", str(cfg)]) == 0
         assert preset.read_bytes() == run_file.read_bytes()
+
+    def test_preset_variants_get_suffixed_paths(self, tmp_path, capsys):
+        # each variant of a preset goes to --out with its suffix before the extension
+        out = tmp_path / "f.csv"
+        assert main(["sweep", "--preset", "fig4", "--out", str(out)]) == 0
+        paths = [tmp_path / "f_chi0.csv", tmp_path / "f_chi0p1_theta3pi2.csv"]
+        assert capsys.readouterr().out == "".join(
+            f"wrote {path}: 401 rows, 401 stable\n" for path in paths
+        )
+        assert sorted(tmp_path.iterdir()) == paths
+        assert not out.exists()
 
     def test_needs_exactly_one_source(self, tmp_path, capsys):
         assert main(["sweep"]) == 2
@@ -292,6 +365,25 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("PASS") == 8
         assert "all 8 checks passed" in out
+
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        # a solver 2 % off fails the checks that use it, and verify says how many
+        def wrong_solver(drifts, diffusions):
+            margins, covariances, errors = steady_covariances(drifts, diffusions)
+            return margins, 1.02 * covariances, errors
+
+        def checks(seed):
+            return run_checks(solver=wrong_solver, seed=seed)
+
+        monkeypatch.setattr(lgsteer.cli, "run_checks", checks)
+        assert main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines if line.startswith("FAIL")] == [
+            ["FAIL", "solver_identity"],
+            ["FAIL", "route_agreement"],
+            ["FAIL", "steady_state_physical"],
+        ]
+        assert lines[-1] == "3 of 8 checks failed"
 
     def test_verify_seed_flag(self, capsys):
         assert main(["verify", "--seed", "777"]) == 0

@@ -8,10 +8,14 @@ import pathlib
 import numpy as np
 import pytest
 
+import lgsteer
 import lgsteer.io
 from lgsteer import (
     Axis,
     BadUnit,
+    CLIGHT,
+    HBAR,
+    KBOLTZ,
     MEASURE_COLUMNS,
     SweepSpec,
     build_model,
@@ -209,8 +213,8 @@ class TestSerializeJson:
         spec = result.spec
         doc = {
             "metadata": {
-                "version": result.metadata["version"],
-                "constants": result.metadata["constants"],
+                "version": lgsteer.__version__,
+                "constants": {"hbar": HBAR, "kboltz": KBOLTZ, "clight": CLIGHT},
             },
             "spec": {
                 "system": system_to_display(spec.base),
@@ -224,7 +228,7 @@ class TestSerializeJson:
         assert all(loaded[k]["error"] == message for k, message in marked.items())
 
     def test_identical_runs_identical_bytes(self):
-        # the volatile timestamp stays out of the serialized form
+        # no timestamp or other volatile value enters the serialized form
         a = serialize_json(boundary_sweep())
         b = serialize_json(boundary_sweep())
         assert a == b

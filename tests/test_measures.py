@@ -17,6 +17,7 @@ from lgsteer import (
     NonPositiveDeterminant,
     SolveFailure,
     SteeringClass,
+    UnknownMode,
     build_diffusion,
     build_drift,
     build_model,
@@ -296,6 +297,10 @@ class TestSteering:
         cm = CovarianceMatrix(np.diag([1.5, 1.5, 0.5, 0.5]), ("alpha", "beta"))
         assert steering(cm, "alpha") == 0.0
         assert steering(cm, "beta") == 0.0
+
+    def test_unknown_mode(self):
+        with pytest.raises(UnknownMode, match="'nope' not in"):
+            steering(tmsv(0.5), "nope")
 
     def test_one_way_regime(self):
         # thermal noise on beta breaks the symmetry: the noisy beta can

@@ -5,7 +5,6 @@ import gc
 import json
 import math
 import tracemalloc
-from datetime import datetime
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from lgsteer import (
     SweepSpec,
     SystemParams,
     UnknownPreset,
-    __version__,
     build_model,
     full_report,
     optimum_detuning,
@@ -257,13 +255,6 @@ class TestRunSweep:
         at_zero = rows[40]
         assert at_zero.coords == (("detuning_ratio", 0.0),)
         assert at_zero.report.stable and at_zero.report.r_min == 0.0
-
-    def test_metadata(self):
-        result = run_sweep(small_delta_spec((1.0,)))
-        meta = result.metadata
-        assert meta["version"] == __version__
-        assert set(meta["constants"]) == {"hbar", "kboltz", "clight"}
-        datetime.fromisoformat(meta["created_at"])  # parseable timestamp
 
 
 class TestBlockBuild:

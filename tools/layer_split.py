@@ -25,32 +25,27 @@ A layer's time in a round is the summed wall time of its functions:
 - ``lyapunov``: ``gaussian._lyapunov``, with ``np.linalg.inv`` inside it
   on its own line;
 - ``measures``: ``measures._reports``, the report stage of a block's
-  stable rows (the stage that returns the measures as columns, or in
-  trees before columns the one that builds a report per row), and
-  ``measures._pairs`` where the optimum search calls it from ``sweep``
-  (timed there, so its calls from ``_reports`` are not counted twice; a
-  tree without it has none), with ``np.linalg.eigvalsh`` inside them on
-  its own line;
-- ``serialize``: ``io.serialize_json`` or ``io.serialize_csv``, which in
-  a columnar tree format whole columns;
-- ``assembly``: the rest of the round: gathering the stage's columns
-  (or building row objects), the walk of the rows, and the searches'
-  own bookkeeping.
+  stable rows, and ``measures._pairs`` where the optimum search calls it
+  from ``sweep`` (timed there, so its calls from ``_reports`` are not
+  counted twice), with ``np.linalg.eigvalsh`` inside them on its own
+  line;
+- ``serialize``: ``io.serialize_json`` or ``io.serialize_csv``;
+- ``assembly``: the rest of the round: gathering the stage's columns,
+  the walk of the rows, and the searches' own bookkeeping.
 
 In ``verify`` each check is a layer of its own: the wall time of
 ``validation._check`` for it.  Inside ``route_agreement`` four more are
-on their own lines, the routes of its seeded systems, whichever
-functions a tree calls for them (one-system calls in a loop, or one
-stacked call each):
+on their own lines, the stacked routes of its seeded systems:
 
-- ``draws``: ``random_stable_system`` or ``_random_stable_systems``;
-- ``solve``: the production solver, ``solve_lyapunov`` or
-  ``steady_covariances``;
-- ``oracle``: ``lyapunov_oracle`` or ``_lyapunov_oracles``;
-- ``rk4``: ``integrate_covariance`` or ``_integrate_covariances``.
+- ``draws``: ``_random_stable_systems``;
+- ``solve``: the production solver, ``steady_covariances``;
+- ``oracle``: ``_lyapunov_oracles``;
+- ``rk4``: ``_integrate_covariances``.
 
 Calls of these functions from the other checks are not counted there.
-The ``assembly`` of ``verify`` is the rest of the round.
+The ``assembly`` of ``verify`` is the rest of the round.  Every function
+named here must exist in both trees: a renamed stage stops the tool with
+an ``AttributeError`` instead of reading 0 ms.
 
 It prints each layer's minimum and median over the timed rounds (after
 one warm-up round per tree and workload) and the after/before ratios of
@@ -82,11 +77,9 @@ SWEEP_LAYERS = ("round", "build", "margins", "eigvals", "lyapunov", "inv", "meas
 _CHECKS = ("solver_identity", "oracle_identity", "integrator_identity",
            "integrator_overflow", "marginal_rejected", "route_agreement",
            "reference_states", "steady_state_physical")
-# route_agreement's routes: layer, and the names a tree may call for it
-_ROUTES = (("draws", ("random_stable_system", "_random_stable_systems")),
-           ("solve", ("solve_lyapunov", "steady_covariances")),
-           ("oracle", ("lyapunov_oracle", "_lyapunov_oracles")),
-           ("rk4", ("integrate_covariance", "_integrate_covariances")))
+# route_agreement's routes: layer, and the validation function it times
+_ROUTES = (("draws", "_random_stable_systems"), ("solve", "steady_covariances"),
+           ("oracle", "_lyapunov_oracles"), ("rk4", "_integrate_covariances"))
 VERIFY_LAYERS = (("round",) + _CHECKS[:6] + tuple(layer for layer, _ in _ROUTES)
                  + _CHECKS[6:] + ("assembly",))
 # the LAPACK calls timed on their own lines, whose matrices are counted too
@@ -171,15 +164,12 @@ def _load(root: Path) -> dict:
     _timed(mods["gaussian"], "_margins", "margins")
     _timed(mods["gaussian"], "_lyapunov", "lyapunov")
     _timed(mods["measures"], "_reports", "measures")
-    if hasattr(mods["sweep"], "_pairs"):
-        _timed(mods["sweep"], "_pairs", "measures")
+    _timed(mods["sweep"], "_pairs", "measures")
     _timed(mods["io"], "serialize_json", "serialize")
     _timed(mods["io"], "serialize_csv", "serialize")
     _timed_checks(mods["validation"])
-    for layer, names in _ROUTES:
-        for name in names:
-            if hasattr(mods["validation"], name):
-                _timed(mods["validation"], name, layer, within="route_agreement")
+    for layer, name in _ROUTES:
+        _timed(mods["validation"], name, layer, within="route_agreement")
     return mods
 
 
