@@ -166,8 +166,6 @@ class RunConfig:
 
 def _parse_axis(which: str, raw, limit: int = _MAX_GRID_POINTS) -> Axis:
     """A run file's axis of at most ``limit`` points; each value obeys its key's rule."""
-    if not isinstance(raw, dict):
-        raise BadUnit(f"{which} must be an object, got {raw!r}")
     _section(raw, _AXIS_KEYS, which)
     if "name" not in raw:
         raise MissingRequired(f"{which} needs a 'name'")

@@ -22,7 +22,7 @@ from ._version import __version__
 from .config import _FORMATS, _axis_doc, system_to_display
 from .constants import CLIGHT, HBAR, KBOLTZ
 from .errors import BadUnit
-from .measures import _CLASSES, CorrelationReport, SteeringClass
+from .measures import _CLASS_AT, _CLASSES, _MEASURE_FIELDS, CorrelationReport, SteeringClass
 from .sweep import SweepResult
 
 MEASURE_COLUMNS = (
@@ -64,20 +64,12 @@ def _fmt(value) -> str:
 
 
 def _report_values(report: CorrelationReport, omega_phi1: float) -> dict:
-    """A report's values keyed by ``MEASURE_COLUMNS``, in that order."""
-    steering_class = report.steering_class
-    return {
-        "stable": report.stable,
-        "EN_mm": report.en_mm,
-        "EN_m1c": report.en_m1c,
-        "EN_m2c": report.en_m2c,
-        "zeta_m1_m2": report.zeta_m1_m2,
-        "zeta_m2_m1": report.zeta_m2_m1,
-        "zeta_M": report.zeta_asym,
-        "steering_class": None if steering_class is None else steering_class.value,
-        "R_min": report.r_min,
-        "stability_margin_ratio": report.stability_margin / omega_phi1,
-    }
+    """A report's values keyed by ``MEASURE_COLUMNS``: stable, its measures, margin ratio."""
+    measures = [getattr(report, name) for name in _MEASURE_FIELDS]
+    if report.stable:
+        measures[_CLASS_AT] = measures[_CLASS_AT].value
+    margin = report.stability_margin / omega_phi1
+    return dict(zip(MEASURE_COLUMNS, (report.stable, *measures, margin)))
 
 
 def _report_cells(report: CorrelationReport, omega_phi1: float) -> list[str]:
@@ -100,9 +92,9 @@ def _stable_columns(result: SweepResult, numbers) -> tuple[list[int], list[list]
     """
     table = result.columns
     stable = np.flatnonzero(table.stable)
-    floats = [numbers(column) for column in table.values[stable].T.tolist()]
-    classes = [_CLASS_VALUES[code] for code in table.classes[stable].tolist()]
-    return stable.tolist(), [*floats[:6], classes, floats[6]]
+    columns = [numbers(column) for column in table.values[stable].T.tolist()]
+    columns.insert(_CLASS_AT, [_CLASS_VALUES[code] for code in table.classes[stable].tolist()])
+    return stable.tolist(), columns
 
 
 def _not_stable(result: SweepResult):

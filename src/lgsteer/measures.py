@@ -239,12 +239,9 @@ class CorrelationReport:
     r_min: float | None = None
 
     def __post_init__(self) -> None:
-        missing = (
-            self.en_mm, self.en_m1c, self.en_m2c, self.zeta_m1_m2, self.zeta_m2_m1,
-            self.zeta_asym, self.steering_class, self.r_min,
-        ).count(None)
+        missing = [getattr(self, name) for name in _MEASURE_FIELDS].count(None)
         if not self.stable:
-            if missing < _N_MEASURES:
+            if missing < len(_MEASURE_FIELDS):
                 raise NonPhysicalInput("unstable report must not carry measure values")
             return
         if missing:
@@ -256,8 +253,11 @@ class CorrelationReport:
             raise _hierarchy_error(zeta, self.en_mm)
 
 
-# every field after the stability margin is a measure
-_N_MEASURES = len(fields(CorrelationReport)) - 2
+# every field after the stability margin is a measure: the one statement of their row order
+_MEASURE_FIELDS = tuple(f.name for f in fields(CorrelationReport))[2:]
+_CLASS_AT = _MEASURE_FIELDS.index("steering_class")
+# every measure but the class is a float: the columns of ``_Columns.values``
+_FLOATS = _MEASURE_FIELDS[:_CLASS_AT] + _MEASURE_FIELDS[_CLASS_AT + 1 :]
 _MIRRORS = (("mirror1", "mirror2"), None)
 _SINGLES = _singles(_MIRRORS[0])
 # mirror-mirror, mirror 1-cavity, mirror 2-cavity; then each mode | rest
@@ -290,8 +290,9 @@ def _reports(v: np.ndarray) -> tuple:
     """Stage of :func:`_report_columns`: the measures of a (K, 6, 6) stack of stable states.
 
     :func:`_pairs`, then the one-vs-two splits, R_min and the classes, each
-    measure for all rows at once.  Returns the rows' ``_Columns.values``
-    (K, 7) and class codes (K,).  A measure that fails raises.
+    measure for all rows at once.  Returns the rows' ``_Columns.values``,
+    one column per name in ``_FLOATS``, and class codes (K,).  A measure
+    that fails raises.
     """
     pairs, zetas = _pairs(v)
     asym = steering_asymmetry(zetas[:, 0], zetas[:, 1])
@@ -303,8 +304,8 @@ def _reports(v: np.ndarray) -> tuple:
 class _Columns(NamedTuple):
     """The reports of N rows as arrays, one entry per row.
 
-    ``values`` holds each stable row's EN_mm, EN_m1c, EN_m2c, ζ_m1_m2,
-    ζ_m2_m1, ζ_M and R_min, and ``classes`` its steering-class code (an
+    ``values`` holds each stable row's float measures, one column per
+    name in ``_FLOATS``, and ``classes`` its steering-class code (an
     index into ``_CLASSES``); both are filler on the other rows.  The
     margin is NaN where a row failed before its margin was taken.  A row
     with an error is not stable; the errors are kept beside the columns.
@@ -319,8 +320,7 @@ class _Columns(NamedTuple):
     def of(cls, margin: np.ndarray) -> _Columns:
         """Columns with the margins ``margin`` and no stable row."""
         n = len(margin)
-        # every measure but the class is a float
-        values = np.full((n, _N_MEASURES - 1), np.nan)
+        values = np.full((n, len(_FLOATS)), np.nan)
         return cls(np.zeros(n, dtype=bool), margin, values, np.zeros(n, dtype=np.int8))
 
     def report(self, k: int) -> CorrelationReport:
@@ -328,8 +328,9 @@ class _Columns(NamedTuple):
         margin = float(self.margin[k])
         if not self.stable[k]:
             return CorrelationReport(False, margin)
-        *measures, asym, r_min = self.values[k].tolist()
-        return CorrelationReport(True, margin, *measures, asym, _CLASSES[self.classes[k]], r_min)
+        measures = self.values[k].tolist()
+        measures.insert(_CLASS_AT, _CLASSES[self.classes[k]])
+        return CorrelationReport(True, margin, *measures)
 
 
 def _solve_models(models: LinearModel) -> tuple:
@@ -364,9 +365,10 @@ def _report_columns(models: LinearModel) -> tuple:
         measures, codes = rows.run(_reports, v, chunk=_CHUNK_ROWS)
         live = rows.live
         table.stable[live], table.values[live], table.classes[live] = True, measures, codes
-        zeta = np.maximum(measures[:, 3], measures[:, 4])
-        for k in np.flatnonzero(_unentangled(zeta, measures[:, 0])).tolist():
-            errors[int(live[k])] = _hierarchy_error(zeta[k].item(), measures[k, 0].item())
+        column = dict(zip(_FLOATS, measures.T))
+        zeta, en_mm = np.maximum(column["zeta_m1_m2"], column["zeta_m2_m1"]), column["en_mm"]
+        for k in np.flatnonzero(_unentangled(zeta, en_mm)).tolist():
+            errors[int(live[k])] = _hierarchy_error(zeta[k].item(), en_mm[k].item())
     failed = [k for k, exc in enumerate(rows.errors) if exc is not None]
     if failed:
         derived = models.derived

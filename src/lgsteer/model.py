@@ -35,9 +35,8 @@ from .constants import CLIGHT, HBAR, KBOLTZ
 from .errors import NonPositiveParameter
 from .gaussian import symplectic_form
 
-# SystemParams field -> rule: "pos" > 0, "nonneg" >= 0, "any" finite,
-# "posint" an integer >= 1.  ``kappa_override`` may also be None.  The
-# run-file checks in :mod:`lgsteer.config` read the same table.
+# SystemParams field -> its rule in ``_RULES`` (``kappa_override`` may also
+# be None); the run-file checks in :mod:`lgsteer.config` read it too
 FIELD_RULES = {
     "cavity_length": "pos",
     "mirror_mass": "pos",
@@ -56,6 +55,14 @@ FIELD_RULES = {
     "kappa_override": "pos",
 }
 _REAL_TYPES = (int, float, np.integer, np.floating)
+# rule -> (what a value must be, where a finite value obeys it); each test
+# takes a float or a float array.  Every rule wants a finite number too.
+_RULES = {
+    "pos": ("positive", lambda x: x > 0.0),
+    "nonneg": ("non-negative", lambda x: x >= 0.0),
+    "posint": ("a positive integer", lambda x: (x > 0.0) & (x == np.trunc(x))),
+    "any": (None, lambda x: True),
+}
 
 # H as data: (row, column, term) per nonzero entry, terms as in hamiltonian(),
 # gathered into the index of each entry's term (7, the last term, is 0)
@@ -81,13 +88,8 @@ def rule_breach(value, rule: str) -> str | None:
     # false for NaN, infinities and ints beyond the double range
     if not abs(value) <= sys.float_info.max:
         return "finite"
-    if rule == "pos" and value <= 0:
-        return "positive"
-    if rule == "nonneg" and value < 0:
-        return "non-negative"
-    if rule == "posint" and (value <= 0 or value != int(value)):
-        return "a positive integer"
-    return None
+    need, obeys = _RULES[rule]
+    return None if obeys(float(value)) else need
 
 
 def check_field(name: str, value):
@@ -114,14 +116,7 @@ def _wrapped(phase):
 
 def _obeys(values: np.ndarray, rule: str) -> np.ndarray:
     """Where float ``values`` obey ``rule``: where :func:`rule_breach` finds nothing."""
-    ok = np.abs(values) <= sys.float_info.max
-    if rule == "pos":
-        ok &= values > 0.0
-    elif rule == "nonneg":
-        ok &= values >= 0.0
-    elif rule == "posint":
-        ok &= (values > 0.0) & (values == np.trunc(values))
-    return ok
+    return (np.abs(values) <= sys.float_info.max) & _RULES[rule][1](values)
 
 
 def _check_values(name: str, values: np.ndarray) -> tuple[np.ndarray, dict]:

@@ -365,8 +365,9 @@ def run_checks(solver=None, seed: int = _DEFAULT_SEED):
     signature of :func:`lgsteer.gaussian.steady_covariances` (the
     default): ``solver(drifts, diffusions)`` takes (N, 6, 6) stacks and
     returns ``(margins, covariances, errors)``.  A check that uses it
-    fails with the first row's error, or when a row's covariance is not
-    finite; injecting a wrong solver makes the identity and agreement
+    fails with the first failing row's error (``system k: `` before its
+    message in a stack of more than one), or when a row's covariance is
+    not finite; injecting a wrong solver makes the identity and agreement
     checks fail by name.  ``seed`` fixes the stream of the random systems
     that the three-route agreement puts through one call of each route,
     so failures reproduce; an oracle's or the integrator's error there
@@ -385,7 +386,9 @@ def run_checks(solver=None, seed: int = _DEFAULT_SEED):
         covariances = np.asarray(covariances, dtype=float)
         for k, error in enumerate(errors):
             if error is not None:
-                raise error
+                if len(errors) == 1:
+                    raise error
+                raise type(error)(f"system {k}: {error}") from error
             if not np.isfinite(covariances[k]).all():
                 raise SolveFailure(f"solver gave system {k} a non-finite covariance")
         return covariances

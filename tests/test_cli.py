@@ -142,7 +142,7 @@ class TestPoint:
             ),
             pytest.param(
                 {"run": {"mode": "sweep", "axis1": 5}},
-                "run.axis1 must be an object, got 5",
+                "run.axis1 must be an object",
                 id="axis_not_an_object",
             ),
             pytest.param(

@@ -29,8 +29,10 @@ from lgsteer import (
     write_result,
 )
 from lgsteer.config import _axis_doc, system_to_display
+from lgsteer.gaussian import _Rows
 
 from conftest import W1, make_params
+from test_measures import _with_vacuum_cavity, noisy_tmsv, tmsv
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -163,6 +165,31 @@ class TestRoundTrip:
         lines[1] = ",".join(cells)
         with pytest.raises(BadUnit, match="stable"):
             parse_result_csv("\n".join(lines))
+
+
+class TestSteeringClassCells:
+    def test_each_class_through_both_writers(self, monkeypatch):
+        # the synthetic states of test_measures' report stage, one class each:
+        # two-way, beta to alpha, its mirror swap alpha to beta, and no-way
+        noisy, swap = noisy_tmsv(0.5, 0.3).data, [2, 3, 0, 1]
+        mirrors = (tmsv(0.5).data, noisy, noisy[np.ix_(swap, swap)], 0.5 * np.eye(4))
+        v = np.stack([_with_vacuum_cavity(m) for m in mirrors])
+        solved = (_Rows(len(v)), np.full(len(v), -0.25), v)
+        monkeypatch.setattr(lgsteer.measures, "_solve_models", lambda models: solved)
+        axis = Axis("detuning_ratio", (0.5, 1.0, 1.5, 2.0))
+        result = run_sweep(SweepSpec(make_params(detuning=+W1), axis))
+        w1 = result.spec.base.omega_phi1
+        want = [lgsteer.io._report_values(row.report, w1) for row in result.rows]
+        assert [values["steering_class"] for values in want] == [
+            "two_way", "one_way_beta_to_alpha", "one_way_alpha_to_beta", "no_way"
+        ]
+        text = serialize_csv(result)
+        _, parsed = parse_result_csv(text)
+        docs = json.loads(serialize_json(result))["rows"]
+        lines = text.splitlines()[1:]
+        for line, back, doc, x, values in zip(lines, parsed, docs, axis.values, want):
+            assert line.split(",") == [repr(x)] + [lgsteer.io._fmt(c) for c in values.values()]
+            assert back == doc == {"detuning_ratio": x, **values}
 
 
 class TestSerializeJson:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from lgsteer import (
     thermal_occupation,
     with_updates,
 )
+from lgsteer.model import FIELD_RULES, _obeys, rule_breach
 
 from conftest import (
     REF_ABS_A0_BLUE,
@@ -561,6 +563,21 @@ class TestSystemParamsValidation:
         assert q.opa_gain == 0.05 * W1
         assert p.detuning == -W1  # original untouched
         assert q.cavity_length == p.cavity_length
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("rule", sorted(set(FIELD_RULES.values())))
+    def test_array_check_agrees_with_the_scalar_one(self, rule):
+        # the one-array axis check and the one-value check read one table
+        rng = np.random.default_rng(28)
+        big = sys.float_info.max
+        special = [0.0, -0.0, math.nan, math.inf, -math.inf, big, -big, 1e300, 0.5, -2.5]
+        whole = rng.integers(-4, 5, 40).astype(float)
+        values = np.concatenate([special, whole, whole + rng.uniform(0.01, 0.99, 40)])
+        rng.shuffle(values)
+        obeys = _obeys(values, rule)
+        assert obeys.tolist() == [rule_breach(x, rule) is None for x in values.tolist()]
+        assert obeys.any() and not obeys.all()
 
 
 class TestBuildModel:

@@ -317,9 +317,23 @@ class TestRunChecks:
 
         results = run_checks(solver=crashing_solver)
         by_name = {r.name: r for r in results}
-        assert not by_name["solver_identity"].passed
-        assert "SolveFailure" in by_name["solver_identity"].detail
-        assert by_name["route_agreement"].detail == "SolveFailure: synthetic failure"
+        # a one-system call keeps the row's message; a stack names the row
+        assert by_name["solver_identity"].detail == "SolveFailure: synthetic failure"
+        assert by_name["route_agreement"].detail == "SolveFailure: system 0: synthetic failure"
+
+    def test_a_later_failing_row_is_named_with_its_class(self):
+        # the production solve's errors per row; only row 3 of a stack fails
+        def row3_solver(drifts, diffusions):
+            margins, covariances, errors = steady_covariances(drifts, diffusions)
+            if len(errors) > 3:
+                errors[3] = NonPhysicalInput("synthetic failure")
+            return margins, covariances, errors
+
+        by_name = {r.name: r for r in run_checks(solver=row3_solver)}
+        assert by_name["route_agreement"].detail == (
+            "NonPhysicalInput: system 3: synthetic failure"
+        )
+        assert [name for name, r in by_name.items() if not r.passed] == ["route_agreement"]
 
     def test_non_finite_solver_row_fails_agreement(self):
         # one NaN row among the seeded systems: a NaN difference must not

@@ -2,14 +2,15 @@
 
 Covers the CSV and the JSON of every preset variant, the default
 ``point`` output as a table, CSV and JSON, the exit code and stdout of
-``verify`` and ``verify --seed 7``, ``sweep --config`` runs over
-a listed, a linear 2-D, a log-spaced and a mirror-frequency grid in
-both formats, a run file that sets every ``system`` key away from its
-default through ``sweep --config`` in both formats and through
-``point --config --format json``, the exit code and stderr of
-``sweep --config`` for four bad axes, two ``sweep --preset`` runs (their stdout and the names and
-bytes of the files they write), and library sweeps whose error rows
-each come from one bad axis value.  Run it in two checkouts and diff
+``verify`` and ``verify --seed 7``, ``sweep --config`` runs in both
+formats over a listed, a linear 2-D, a log-spaced and a
+mirror-frequency grid and an 81-point detuning grid whose stable rows
+steer one way or not at all, a run file that sets every ``system`` key
+away from its default through ``sweep --config`` in both formats and
+through ``point --config`` in all three, the exit code and stderr of
+``sweep --config`` for four bad axes, two ``sweep --preset`` runs
+(their stdout and the names and bytes of the files they write), and
+library sweeps whose error rows each come from one bad axis value.  Run it in two checkouts and diff
 what it prints to show that a change leaves every output byte-identical:
 
     python3 tools/output_digest.py > after.txt
@@ -82,6 +83,13 @@ _CONFIG_SWEEPS = {
         {"detuning_ratio": 1.0},
         {"name": "omega_phi2_ratio",
          "values": [0.5, 0.75, 0.9, 0.99, 1.0, 1.01, 1.1, 1.25, 1.5]},
+        None,
+    ),
+    # 51 one_way_alpha_to_beta rows and 30 no_way rows
+    "steering": (
+        {"omega_phi2_ratio": 1.5, "kappa_override_ratio": 0.05, "quality_factor": 10.0,
+         "temperature_k": 0.0, "opa_gain_ratio": 0.1, "opa_phase_rad": 1.5707963267948966},
+        {"name": "detuning_ratio", "start": 0.8, "stop": 1.6, "points": 81},
         None,
     ),
     "all_keys": (
@@ -176,8 +184,9 @@ def digests():
                 text = result.read_text(encoding="utf-8") if result.exists() else ""
                 yield _line(f"config_{name}.{fmt}", f"{log}\n{text}")
             if name == "all_keys":
-                argv = ["point", "--config", config, "--format", "json"]
-                yield _line("config_all_keys_point.json", _cli(argv, tmp))
+                for fmt in ("table", "csv", "json"):
+                    argv = ["point", "--config", config, "--format", fmt]
+                    yield _line(f"config_all_keys_point.{fmt}", _cli(argv, tmp))
         for name, axis in _BAD_AXES.items():
             config = _run_file(tmp, name, {}, axis, None)
             log = _cli(["sweep", "--config", config], tmp)
