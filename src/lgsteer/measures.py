@@ -208,13 +208,15 @@ def classify(zeta_ab: float, zeta_ba: float) -> SteeringClass:
     return _CLASSES[_class_codes(np.array([[zeta_ab, zeta_ba]]))[0]]
 
 
-def _unentangled(zeta, en_mm):
-    """Whether steering ``zeta`` comes without entanglement ``en_mm``; floats or arrays."""
-    return (zeta > _HIERARCHY_TOL) & (en_mm <= _HIERARCHY_TOL)
-
-
-def _hierarchy_error(zeta: float, en_mm: float) -> NonPhysicalInput:
-    return NonPhysicalInput(f"steering {zeta} without entanglement {en_mm}: hierarchy violated")
+def _check_hierarchy(zeta_ab, zeta_ba, en_mm) -> None:
+    """Raise :class:`NonPhysicalInput` for the first row whose steering comes without
+    entanglement: the larger ζ above 1e-10 with EN_mm at most 1e-10; floats or arrays."""
+    zeta = np.maximum(zeta_ab, zeta_ba)
+    breach = (zeta > _HIERARCHY_TOL) & (en_mm <= _HIERARCHY_TOL)
+    if breach.any():
+        k = np.argmax(breach)
+        zeta, en_mm = np.ravel(zeta)[k], np.ravel(en_mm)[k]
+        raise NonPhysicalInput(f"steering {zeta} without entanglement {en_mm}: hierarchy violated")
 
 
 @dataclass(frozen=True)
@@ -248,9 +250,7 @@ class CorrelationReport:
             raise NonPhysicalInput("stable report is missing measure values")
         if abs(self.zeta_asym - steering_asymmetry(self.zeta_m1_m2, self.zeta_m2_m1)) > 0.0:
             raise NonPhysicalInput("steering asymmetry does not match ζ values")
-        zeta = max(self.zeta_m1_m2, self.zeta_m2_m1)
-        if _unentangled(zeta, self.en_mm):
-            raise _hierarchy_error(zeta, self.en_mm)
+        _check_hierarchy(self.zeta_m1_m2, self.zeta_m2_m1, self.en_mm)
 
 
 # every field after the stability margin is a measure: the one statement of their row order
@@ -278,12 +278,15 @@ def _pairs(v: np.ndarray, pairs: int = 3) -> tuple:
     The pairs are mirror-mirror, mirror 1-cavity and mirror 2-cavity, and
     ζ is mirror 1 steering mirror 2, then the reverse.  The first half of
     :func:`_reports`; the optimum search takes only the pairs it reads.
-    A measure that fails raises.
+    A measure that fails raises, and so does a row that breaks the
+    steering-entanglement hierarchy (see :func:`_check_hierarchy`).
     """
     en = _pt_en(v, MODE_ORDER, _PAIR_CUTS[:pairs])
     two_v = 2.0 * v
-    return en, _zetas(np.linalg.det(_stack(two_v, MODE_ORDER, (_MIRRORS,))[:, 0]),
-                      np.linalg.det(_stack(two_v, MODE_ORDER, _SINGLES)))
+    zetas = _zetas(np.linalg.det(_stack(two_v, MODE_ORDER, (_MIRRORS,))[:, 0]),
+                   np.linalg.det(_stack(two_v, MODE_ORDER, _SINGLES)))
+    _check_hierarchy(zetas[:, 0], zetas[:, 1], en[:, 0])
+    return en, zetas
 
 
 def _reports(v: np.ndarray) -> tuple:
@@ -354,30 +357,22 @@ def _report_columns(models: LinearModel) -> tuple:
     The measures go on with the rows of the batched solve
     (:func:`_solve_models`), so one error list covers both, and are
     computed for 64 stable rows at once (see :func:`_reports`), which
-    bounds their working arrays.  A solve or measure error is tagged with
-    its row's detuning; a row that breaks the steering-entanglement
-    hierarchy gets that error, untagged.
+    bounds their working arrays.  Each error, from the solve or the
+    measures (a steering-entanglement hierarchy breach among them), is
+    tagged with its row's detuning.
     """
     rows, margins, v = _solve_models(models)
     table = _Columns.of(margins)
-    errors: dict = {}
     if len(v):
         measures, codes = rows.run(_reports, v, chunk=_CHUNK_ROWS)
         live = rows.live
         table.stable[live], table.values[live], table.classes[live] = True, measures, codes
-        column = dict(zip(_FLOATS, measures.T))
-        zeta, en_mm = np.maximum(column["zeta_m1_m2"], column["zeta_m2_m1"]), column["en_mm"]
-        for k in np.flatnonzero(_unentangled(zeta, en_mm)).tolist():
-            errors[int(live[k])] = _hierarchy_error(zeta[k].item(), en_mm[k].item())
     failed = [k for k, exc in enumerate(rows.errors) if exc is not None]
-    if failed:
-        derived = models.derived
-        ratio = derived.value("detuning") / derived.value("omega_phi1")
-        ratio = np.broadcast_to(ratio, len(margins))
-        errors.update((k, _tagged(rows.errors[k], float(ratio[k]))) for k in failed)
-    if errors:
-        table.stable[list(errors)] = False
-    return table, errors
+    if not failed:
+        return table, {}
+    derived = models.derived
+    ratio = np.broadcast_to(derived.value("detuning") / derived.value("omega_phi1"), len(margins))
+    return table, {k: _tagged(rows.errors[k], float(ratio[k])) for k in failed}
 
 
 def full_reports(models: LinearModel) -> list:
@@ -401,9 +396,9 @@ def full_report(model: LinearModel) -> CorrelationReport:
     Solves the steady state once and evaluates the mirror-mirror and
     mirror-cavity entanglement, the three-way residual contangle, and
     the two steering directions with their classification, as the
-    one-row case of :func:`full_reports`.  Solver and measure errors are
-    raised tagged with the detuning of the failing point; a report that
-    breaks the steering-entanglement hierarchy raises untagged.
+    one-row case of :func:`full_reports`.  Solver and measure errors, a
+    breach of the steering-entanglement hierarchy among them, are raised
+    tagged with the detuning of the failing point.
 
     At the OPA threshold the mean field diverges and there is no working
     point to linearize about.  The cavity block there has determinant

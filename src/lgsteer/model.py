@@ -85,6 +85,7 @@ def rule_breach(value, rule: str) -> str | None:
     """What ``value`` must be to obey ``rule``, or None when it does."""
     if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
         return "a number"
+    value = float(value) if isinstance(value, np.floating) else value  # float32 cannot hold max
     # false for NaN, infinities and ints beyond the double range
     if not abs(value) <= sys.float_info.max:
         return "finite"
@@ -93,13 +94,14 @@ def rule_breach(value, rule: str) -> str | None:
 
 
 def check_field(name: str, value):
-    """``value`` as :class:`SystemParams` stores field ``name`` (phases in
-    [0, 2*pi)); raises :class:`NonPositiveParameter` if it breaks the rule."""
+    """``value`` as :class:`SystemParams` stores field ``name`` (a NumPy float as a
+    float, phases in [0, 2*pi)); raises :class:`NonPositiveParameter` if it breaks it."""
     if value is None and name == "kappa_override":
         return value
     need = rule_breach(value, FIELD_RULES[name])
     if need is not None:
         raise NonPositiveParameter(f"{name} must be {need}, got {value!r}")
+    value = float(value) if isinstance(value, np.floating) else value
     return _wrapped(value) if name == "opa_phase" else value
 
 

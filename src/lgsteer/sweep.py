@@ -39,7 +39,6 @@ from .measures import (
     _pairs,
     _report_columns,
     _solve_models,
-    _unentangled,
 )
 from .model import FIELD_RULES, SystemParams, _check_values, build_model, with_updates
 
@@ -232,12 +231,13 @@ def _scores(base: SystemParams, axis: Axis, measure: str) -> list[float]:
     """Chosen measure at each value of a detuning axis, from one block through the solve
     of :func:`run_sweep` and the pair half of its measures (:func:`lgsteer.measures._pairs`).
 
-    -inf marks a row that is not stable, fails its detuning check, its
-    solve or the pair measures read, or breaks the steering-entanglement
-    hierarchy.  Only the pairs read are computed: the mirror-mirror pair,
-    which the hierarchy guard reads, and for ENmc mirror 1-cavity too.  No
-    report is built, so neither mirror 2-cavity nor the one-vs-two splits
-    are computed; every other row scores what its report would hold.
+    -inf marks a row that is not stable or fails its detuning check, its
+    solve or the pair stage, which also fails a row that breaks the
+    steering-entanglement hierarchy.  Only the pairs read are computed:
+    the mirror-mirror pair, which the hierarchy guard reads, and for ENmc
+    mirror 1-cavity too.  No report is built, so neither mirror 2-cavity
+    nor the one-vs-two splits are computed; every other row scores what
+    its report would hold.
     """
     _, name, values, errors = _column(base, 0, axis)
     scores = np.full(len(values), -math.inf)
@@ -248,9 +248,8 @@ def _scores(base: SystemParams, axis: Axis, measure: str) -> list[float]:
             # the pairs read, in _pairs' order: EN_mm, then EN_m1c for ENmc
             read = 1 if measure == "ENmm" else 2
             stage = functools.partial(_pairs, pairs=read)
-            en, zetas = rows.run(stage, v, chunk=_CHUNK_ROWS)
-            kept = ~_unentangled(zetas.max(axis=1), en[:, 0])
-            scores[good[rows.live[kept]]] = en[kept, read - 1]
+            en, _ = rows.run(stage, v, chunk=_CHUNK_ROWS)
+            scores[good[rows.live]] = en[:, read - 1]
     return scores.tolist()
 
 

@@ -164,3 +164,24 @@ def test_no_module_but_the_package_root_imports_eigen():
             if any(m.split(".")[-1] == "eigen" for m in modules):
                 importers.append(path.name)
     assert importers == []
+
+
+def test_no_module_but_measures_names_the_hierarchy_rule():
+    # steering without entanglement fails its row in the pair stage of
+    # ``measures``, the one statement of the rule; a sweep, a search or a
+    # report reaches it only through that stage or ``CorrelationReport``
+    rule = {"_HIERARCHY_TOL", "_check_hierarchy"}
+    namers, readers = [], []
+    for path in sorted(Path(lgsteer.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "measures.py":
+            readers = [
+                node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                and any(getattr(n, "id", None) == "_HIERARCHY_TOL" for n in ast.walk(node))
+            ]
+            continue
+        for node in ast.walk(tree):
+            if {getattr(node, key, None) for key in ("id", "attr", "name")} & rule:
+                namers.append(path.name)
+    assert namers == []
+    assert readers == ["_check_hierarchy"]

@@ -43,7 +43,7 @@ from lgsteer import (
     with_updates,
 )
 from lgsteer.gaussian import _Rows, _scale
-from lgsteer.measures import _en, _reports
+from lgsteer.measures import _HIERARCHY_TOL, _en, _pairs, _reports
 
 from conftest import (
     REF_EN_CAV_SPLIT_PUMPED,
@@ -533,11 +533,12 @@ class TestReportStage:
         self.monkeypatch = monkeypatch
 
     def stage(self, *mirrors) -> list:
-        # full_reports of a block whose solve gives these stable states
+        # full_reports of a block, at detuning_ratio 0, 1, 2, ..., whose
+        # solve gives these stable states
         v = np.stack([_with_vacuum_cavity(m) for m in mirrors])
         solved = (_Rows(len(v)), np.full(len(v), -0.25), v)
         self.monkeypatch.setattr(lgsteer.measures, "_solve_models", lambda models: solved)
-        return full_reports(None)
+        return full_reports(build_model(make_params(), {"detuning": W1 * np.arange(len(v))}))
 
     def test_tmsv_beside_a_vacuum_cavity(self):
         rs = (0.25, 0.5, 1.0)
@@ -570,10 +571,10 @@ class TestReportStage:
     def test_a_hierarchy_breach_stays_on_its_row(self):
         clean = [tmsv(0.5).data, noisy_tmsv(0.5, 0.3).data]
         reports = self.stage(clean[0], _UNENTANGLED_STEERING, clean[1])
-        # untagged: the stage knows no detuning
         assert type(reports[1]) is NonPhysicalInput
         message = re.fullmatch(
-            r"steering (\S+) without entanglement 0.0: hierarchy violated", str(reports[1])
+            r"at detuning_ratio=1: steering (\S+) without entanglement 0.0: hierarchy violated",
+            str(reports[1]),
         )
         zeta = math.log(1.5)
         assert float(message.group(1)) == pytest.approx(zeta, rel=1e-12)
@@ -582,6 +583,41 @@ class TestReportStage:
     def test_no_rows(self):
         values, codes = _reports(np.zeros((0, 6, 6)))
         assert values.shape == (0, 7) and codes.shape == (0,)
+
+
+class TestHierarchyRule:
+    def test_reports_and_the_pair_stage_flag_the_same_rows(self, monkeypatch):
+        # a 64-row stack through _pairs, whose EN_mm and zetas are replaced
+        # by a seeded grid, fails exactly the rows whose CorrelationReport
+        # raises, with the same messages
+        tol = _HIERARCHY_TOL
+        special = [0.0, -0.0, math.nan, tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0), 0.3]
+        rng = np.random.default_rng(29)
+        grid = [(z, e) for z in special for e in special]
+        grid += list(zip(rng.uniform(0.0, 2.0 * tol, 15), rng.uniform(0.0, 2.0 * tol, 15)))
+        steerer = rng.integers(0, 2, len(grid))
+        zetas = np.zeros((len(grid), 2))
+        zetas[np.arange(len(grid)), steerer] = [z for z, _ in grid]
+        en_mm = np.array([e for _, e in grid])
+        # row k's state carries k as mirror 1's variance, and det(2 V_m1) = 4k
+        v = np.zeros((len(grid), 6, 6))
+        v[:, 0, 0], v[:, 1, 1] = np.arange(len(grid)), 1.0
+        monkeypatch.setattr(lgsteer.measures, "_pt_en", lambda v, labels, cuts: np.repeat(
+            en_mm[v[:, 0, 0].astype(int), None], len(cuts), axis=1))
+        monkeypatch.setattr(lgsteer.measures, "_zetas", lambda pair_dets, single_dets: zetas[
+            np.rint(single_dets[:, 0] / 4.0).astype(int)])
+        rows = _Rows(len(grid))
+        rows.run(_pairs, v)
+        staged = {k: str(exc) for k, exc in enumerate(rows.errors) if exc is not None}
+        reported = {}
+        for k, ((z1, z2), en) in enumerate(zip(zetas.tolist(), en_mm.tolist())):
+            try:
+                CorrelationReport(True, -0.25, en, 0.0, 0.0, z1, z2, abs(z1 - z2),
+                                  SteeringClass.NO_WAY, 0.0)
+            except NonPhysicalInput as exc:
+                reported[k] = str(exc)
+        assert len(grid) == 64 and staged == reported
+        assert 0 < len(staged) < len(grid) and set(rows.live.tolist()).isdisjoint(staged)
 
 
 def _degenerate_zero_temperature_sweep():

@@ -3,6 +3,7 @@
 import cmath
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -578,6 +579,28 @@ class TestRuleTable:
         obeys = _obeys(values, rule)
         assert obeys.tolist() == [rule_breach(x, rule) is None for x in values.tolist()]
         assert obeys.any() and not obeys.all()
+
+    @pytest.mark.parametrize("kind", [np.float16, np.float32, np.longdouble])
+    def test_a_numpy_float_is_stored_as_its_double(self, kind):
+        # checked without a cast to the NumPy type, which float16 and float32
+        # overflow, and stored as a float: the model computes in double
+        value = kind(0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = with_updates(table_defaults(), temperature=value)
+            q = with_updates(table_defaults(), temperature=float(value))
+            m, n = build_model(p), build_model(q)
+        assert type(p.temperature) is float and p == q
+        assert m.derived == n.derived and m.steady == n.steady
+        assert np.array_equal(m.drift, n.drift) and np.array_equal(m.diffusion, n.diffusion)
+
+    @pytest.mark.parametrize("value", [np.longdouble("1e400"), 10**400, np.float32("inf")])
+    def test_a_value_beyond_the_double_range_is_not_finite(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rule_breach(value, "nonneg") == "finite"
+            with pytest.raises(NonPositiveParameter, match="temperature must be finite"):
+                with_updates(table_defaults(), temperature=value)
 
 
 class TestBuildModel:

@@ -443,15 +443,15 @@ class TestBlocks:
              "converge: forced"),
             ("inv", "SolveFailure: at detuning_ratio=1: singular Lyapunov operator: forced"),
             ("residual", "SolveFailure: at detuning_ratio=1: Lyapunov residual "),
-            ("report", "NonPhysicalInput: steering 0.3 without entanglement 0.0: hierarchy"),
+            ("report", "NonPhysicalInput: at detuning_ratio=1: steering 0.3 without "
+             "entanglement 0.0: hierarchy"),
         ],
     )
     def test_forced_stage_failure_stays_on_its_row(self, monkeypatch, stage, prefix):
         # one stable row of a 21-row block fails a stage that LAPACK or a
         # guard rejects for the whole stack: the stacked eigvals, the
         # stacked inv of the 21x21 Lyapunov operators, the Lyapunov
-        # residual bound, or the report's own steering-entanglement check
-        # (whose error stays untagged)
+        # residual bound, or the pair stage's steering-entanglement check
         spec = SweepSpec(make_params(), Axis("detuning_ratio", [k / 10 for k in range(-9, 12)]))
         clean = [repr(row) for row in run_sweep(spec).rows]
         marked = build_model(make_params(detuning=+W1))
