@@ -29,7 +29,6 @@ from .errors import (
     UnknownKey,
     UnknownMode,
     UnknownPreset,
-    UnstableSystem,
 )
 from .eigen import eigenvalues, hessenberg, real_schur
 from .model import (
@@ -53,7 +52,6 @@ from .gaussian import (
     min_pt_symplectic,
     partial_transpose,
     reduce,
-    solve_lyapunov,
     steady_covariance,
     steady_covariances,
     symplectic_eigenvalues,

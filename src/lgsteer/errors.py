@@ -49,10 +49,6 @@ class EigenFailure(LgsteerError):
     """
 
 
-class UnstableSystem(LgsteerError):
-    """Drift matrix has a non-negative stability margin; no steady state."""
-
-
 class SolveFailure(LgsteerError):
     """Linear solve broke down (singular or non-finite intermediate)."""
 

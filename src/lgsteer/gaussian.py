@@ -30,7 +30,6 @@ from .errors import (
     NonPhysicalInput,
     SolveFailure,
     UnknownMode,
-    UnstableSystem,
 )
 
 MODE_ORDER = ("mirror1", "mirror2", "cavity")
@@ -504,21 +503,6 @@ def steady_covariance(a: np.ndarray, d: np.ndarray):
     if rows.errors[0] is not None:
         raise rows.errors[0]
     return float(margins[0]), (CovarianceMatrix(v[0], MODE_ORDER) if len(v) else None)
-
-
-def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> CovarianceMatrix:
-    """Steady-state covariance from A V + V A^T = -D (see :func:`steady_covariance`).
-
-    Requires a strictly stable drift; raises :class:`UnstableSystem`
-    otherwise (callers sweeping a grid should mask the point instead of
-    treating this as fatal).
-    """
-    margin, cm = steady_covariance(a, d)
-    if cm is None:
-        raise UnstableSystem(
-            f"stability margin {margin} >= 0: no steady state"
-        )
-    return cm
 
 
 def lyapunov_residual(a: np.ndarray, d: np.ndarray, v):

@@ -94,14 +94,15 @@ def rule_breach(value, rule: str) -> str | None:
 
 
 def check_field(name: str, value):
-    """``value`` as :class:`SystemParams` stores field ``name`` (a NumPy float as a
-    float, phases in [0, 2*pi)); raises :class:`NonPositiveParameter` if it breaks it."""
+    """``value`` as :class:`SystemParams` stores field ``name`` (a NumPy int or float as
+    Python's, phases in [0, 2*pi)); raises :class:`NonPositiveParameter` if it breaks it."""
     if value is None and name == "kappa_override":
         return value
     need = rule_breach(value, FIELD_RULES[name])
     if need is not None:
         raise NonPositiveParameter(f"{name} must be {need}, got {value!r}")
-    value = float(value) if isinstance(value, np.floating) else value
+    if isinstance(value, np.generic):
+        value = float(value) if isinstance(value, np.floating) else int(value)
     return _wrapped(value) if name == "opa_phase" else value
 
 

@@ -1,7 +1,7 @@
 """Independent oracles that certify the core solver pipeline.
 
 Three routes to the steady-state covariance exist in this package: the
-refined solve of :func:`lgsteer.gaussian.solve_lyapunov`, the plain
+refined solve of :func:`lgsteer.gaussian.steady_covariances`, the plain
 Kronecker solve here, and direct time integration of the covariance
 ODE.  The oracle solves the full n^2-unknown Kronecker system, which
 the package solver reduces to the n(n+1)/2 entries of a symmetric V,

@@ -17,14 +17,14 @@ MODE_ORDER MissingRequired NoStableRegion NonPhysicalInput
 NonPositiveDeterminant NonPositiveParameter OptimumDetuning OutputSection
 PRESET_NAMES ReferenceState RunConfig RunSection SingularSystem SolveFailure
 SteadyState SteeringClass StepOverflow SweepResult SweepRow SweepSpec
-SystemParams UnknownKey UnknownMode UnknownPreset UnstableSystem __version__
+SystemParams UnknownKey UnknownMode UnknownPreset __version__
 build_diffusion build_drift build_model classify derive eigenvalues
 format_report_table full_report full_reports hamiltonian hessenberg
 integrate_covariance log_negativity lyapunov_oracle lyapunov_residual
 min_pt_symplectic optimum_detuning parse_config parse_result_csv
 partial_transpose preset_variants random_stable_system real_schur reduce
 reference renyi2_entropy report_to_json residual_contangle_min run_checks
-run_sweep serialize_config serialize_csv serialize_json solve_lyapunov
+run_sweep serialize_config serialize_csv serialize_json
 steady_covariance steady_covariances steady_state steering steering_asymmetry
 symplectic_eigenvalues symplectic_form system_to_display table_defaults
 thermal_occupation to_sweep_spec to_system_params with_updates write_result

@@ -213,7 +213,7 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", out]) == 0
         stdout = capsys.readouterr().out
         assert f"wrote {out}: 3 rows, 2 stable" in stdout
-        axis_names, rows = parse_result_csv(open(out).read())
+        axis_names, rows = parse_result_csv((tmp_path / "scan.csv").read_text())
         assert axis_names == ["detuning_ratio"]
         assert [r["stable"] for r in rows] == [False, True, True]
 
@@ -240,7 +240,7 @@ class TestSweep:
         b = str(tmp_path / "b.csv")
         assert main(["sweep", "--config", cfg, "--out", a]) == 0
         assert main(["sweep", "--config", cfg, "--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_preset_writes_what_its_run_file_writes(self, tmp_path, capsys, fmt):

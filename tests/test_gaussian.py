@@ -15,7 +15,6 @@ from lgsteer import (
     NonPositiveDeterminant,
     SolveFailure,
     UnknownMode,
-    UnstableSystem,
     build_model,
     full_report,
     lyapunov_oracle,
@@ -24,7 +23,6 @@ from lgsteer import (
     partial_transpose,
     random_stable_system,
     reduce,
-    solve_lyapunov,
     steady_covariance,
     steady_covariances,
     symplectic_eigenvalues,
@@ -84,7 +82,7 @@ def two_mode_symplectic() -> np.ndarray:
 
 def blue_covariance() -> CovarianceMatrix:
     m = build_model(make_params(detuning=+W1))
-    return solve_lyapunov(m.drift / W1, m.diffusion / W1)
+    return steady_covariance(m.drift / W1, m.diffusion / W1)[1]
 
 
 class TestCovarianceMatrix:
@@ -472,7 +470,7 @@ class TestSteadyCovariance:
     def test_blue_point_residual_and_physicality(self):
         m = build_model(make_params(detuning=+W1))
         a, d = m.drift / W1, m.diffusion / W1
-        cm = solve_lyapunov(a, d)
+        cm = steady_covariance(a, d)[1]
         assert lyapunov_residual(a, d, cm) < 1e-10
         cm.check_physical()
 
@@ -480,8 +478,11 @@ class TestSteadyCovariance:
         m = build_model(
             make_params(detuning=+W1, opa_gain=0.1 * W1, opa_phase=math.pi / 2)
         )
-        cm = solve_lyapunov(m.drift / W1, m.diffusion / W1)
+        cm = steady_covariance(m.drift / W1, m.diffusion / W1)[1]
         cm.check_physical()
+
+    def test_labels_follow_mode_order(self):
+        assert blue_covariance().mode_labels == MODE_ORDER
 
 
 class TestSymmetricUnknowns:
@@ -581,16 +582,6 @@ class TestNearMarginalPoint:
 
     def test_no_spurious_residual_contangle(self):
         assert full_report(self.model()).r_min == 0
-
-
-class TestSolveLyapunov:
-    def test_raises_on_unstable(self):
-        m = build_model(make_params(detuning=-W1))
-        with pytest.raises(UnstableSystem, match="margin"):
-            solve_lyapunov(m.drift / W1, m.diffusion / W1)
-
-    def test_labels_follow_mode_order(self):
-        assert blue_covariance().mode_labels == MODE_ORDER
 
 
 class TestLyapunovResidual:

@@ -32,7 +32,6 @@ from lgsteer import (
     reduce,
     residual_contangle_min,
     renyi2_entropy,
-    solve_lyapunov,
     steady_covariance,
     steady_state,
     steering,
@@ -180,7 +179,7 @@ class TestOneVsTwo:
         m = build_model(
             make_params(detuning=+W1, opa_gain=0.1 * W1, opa_phase=math.pi / 2)
         )
-        cm = solve_lyapunov(m.drift / W1, m.diffusion / W1)
+        cm = steady_covariance(m.drift / W1, m.diffusion / W1)[1]
         assert log_negativity(cm, "cavity") == pytest.approx(
             REF_EN_CAV_SPLIT_PUMPED, rel=1e-8
         )
@@ -213,7 +212,7 @@ class TestResidualContangle:
 
     def test_blue_point_regression(self):
         m = blue_model()
-        cm = solve_lyapunov(m.drift / W1, m.diffusion / W1)
+        cm = steady_covariance(m.drift / W1, m.diffusion / W1)[1]
         r_min = residual_contangle_min(cm)
         assert r_min == pytest.approx(REF_RMIN_BLUE, rel=1e-7)
         assert r_min >= 0.0
@@ -224,7 +223,7 @@ class TestResidualContangle:
         # (proven for the Gaussian contangle, not for EN^2), and the
         # signed residual is reported instead of raising
         m = build_model(make_params(omega_phi2=W1, temperature=0.0, detuning=1.9 * W1))
-        cm = solve_lyapunov(m.drift, m.diffusion)
+        cm = steady_covariance(m.drift, m.diffusion)[1]
         r_min = residual_contangle_min(cm)
         # the cavity split is the one that fails
         e_cut = log_negativity(cm, "cavity") ** 2
@@ -464,7 +463,7 @@ class TestFullReport:
         # identical mirrors: swapping them while flipping the field sign
         # maps the steady state onto itself
         m = build_model(make_params(detuning=+1.4 * W1, omega_phi2=W1))
-        cm = solve_lyapunov(m.drift / W1, m.diffusion / W1)
+        cm = steady_covariance(m.drift / W1, m.diffusion / W1)[1]
         s = np.zeros((6, 6))
         s[0, 2] = s[1, 3] = s[2, 0] = s[3, 1] = 1.0
         s[4, 4] = s[5, 5] = -1.0

@@ -13,7 +13,9 @@ from lgsteer import (
     CLIGHT,
     HBAR,
     KBOLTZ,
+    Axis,
     NonPositiveParameter,
+    SweepSpec,
     build_diffusion,
     build_drift,
     build_model,
@@ -21,6 +23,8 @@ from lgsteer import (
     full_report,
     hamiltonian,
     lyapunov_oracle,
+    run_sweep,
+    serialize_json,
     symplectic_form,
     table_defaults,
     steady_covariances,
@@ -593,6 +597,16 @@ class TestRuleTable:
         assert type(p.temperature) is float and p == q
         assert m.derived == n.derived and m.steady == n.steady
         assert np.array_equal(m.drift, n.drift) and np.array_equal(m.diffusion, n.diffusion)
+
+    def test_a_numpy_integer_is_stored_as_an_int(self):
+        # a NumPy integer left in a base would reach the JSON encoder, which
+        # cannot write it
+        p = with_updates(table_defaults(), oam_number=np.int64(50))
+        q = with_updates(table_defaults(), oam_number=50)
+        assert type(p.oam_number) is int and p == q
+        axis = Axis("detuning_ratio", (0.5, 1.0))
+        sweeps = [serialize_json(run_sweep(SweepSpec(base, axis))) for base in (p, q)]
+        assert sweeps[0] == sweeps[1]
 
     @pytest.mark.parametrize("value", [np.longdouble("1e400"), 10**400, np.float32("inf")])
     def test_a_value_beyond_the_double_range_is_not_finite(self, value):

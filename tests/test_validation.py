@@ -21,7 +21,7 @@ from lgsteer import (
     reference,
     renyi2_entropy,
     run_checks,
-    solve_lyapunov,
+    steady_covariance,
     steady_covariances,
     steering,
     validation,
@@ -203,7 +203,7 @@ class TestIntegrateCovariance:
         m = build_model(make_params(detuning=+W1))
         a, d = m.drift / W1, m.diffusion / W1
         ode = integrate_covariance(a, d, None, 400.0, 0.02)
-        direct = solve_lyapunov(a, d)
+        direct = steady_covariance(a, d)[1]
         assert np.max(np.abs(ode.data - direct.data)) < 1e-6
 
 
