@@ -50,8 +50,6 @@ from .gaussian import (
     CovarianceMatrix,
     lyapunov_residual,
     min_pt_symplectic,
-    partial_transpose,
-    reduce,
     steady_covariance,
     steady_covariances,
     symplectic_eigenvalues,
@@ -60,7 +58,6 @@ from .gaussian import (
 from .measures import (
     CorrelationReport,
     SteeringClass,
-    classify,
     full_report,
     full_reports,
     log_negativity,
@@ -74,7 +71,6 @@ from .validation import (
     ReferenceState,
     integrate_covariance,
     lyapunov_oracle,
-    random_stable_system,
     reference,
     run_checks,
 )

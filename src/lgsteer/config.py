@@ -29,14 +29,13 @@ import numpy as np
 from .errors import BadUnit, InvalidSpec, MissingRequired, UnknownKey, UnknownMode
 from .model import FIELD_RULES, SystemParams, rule_breach
 
-# scale -> SI value of one display unit, given omega_phi1; "si" and "int"
-# values are SI already
+# scale -> SI value of one display unit, given omega_phi1; "si" values are
+# SI already
 _UNITS = {"ratio": lambda omega_phi1: omega_phi1, "hz": lambda _: 2.0 * math.pi}
 # run-file key -> (SystemParams field, scale, default, unit), in the key
 # order of the JSON ``spec`` block.  Scales: "ratio" and "hz" as in
-# ``_UNITS``, "int" an integer, "si" as-is.  A None default marks an
-# optional key.  Each key obeys its field's rule in
-# :data:`lgsteer.model.FIELD_RULES`.
+# ``_UNITS``, "si" as-is.  A None default marks an optional key.  Each key
+# obeys its field's rule in :data:`lgsteer.model.FIELD_RULES`.
 _RATIO = "units of omega_phi1"
 _SYSTEM_KEYS: dict = {
     "cavity_length_m": ("cavity_length", "si", 1e-3, "meters"),
@@ -48,7 +47,7 @@ _SYSTEM_KEYS: dict = {
     "laser_wavelength_m": ("laser_wavelength", "si", 810e-9, "meters"),
     "quality_factor": ("quality_factor", "si", 2e7, "dimensionless"),
     "finesse": ("finesse", "si", 5e3, "dimensionless"),
-    "oam_number": ("oam_number", "int", 100, "dimensionless integer"),
+    "oam_number": ("oam_number", "si", 100, "dimensionless integer"),
     "temperature_k": ("temperature", "si", 15e-3, "kelvin"),
     "opa_gain_ratio": ("opa_gain", "ratio", 0.0, _RATIO),
     "opa_phase_rad": ("opa_phase", "si", 0.0, "radians"),
@@ -285,7 +284,7 @@ def to_si(key: str, value, omega_phi1: float) -> tuple[str, float]:
     name, scale = _SYSTEM_KEYS[key][:2]
     if scale in _UNITS:
         value = value * _UNITS[scale](omega_phi1)
-    return name, int(value) if scale == "int" else value
+    return name, value
 
 
 def to_system_params(config: RunConfig) -> SystemParams:

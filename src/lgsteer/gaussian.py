@@ -173,25 +173,6 @@ def _stack(data: np.ndarray, labels: tuple[str, ...], cuts: tuple) -> np.ndarray
     return data[..., rows, cols] * signs
 
 
-def reduce(cm: CovarianceMatrix, modes) -> CovarianceMatrix:
-    """Principal submatrix for the given mode subset, original ordering."""
-    modes = tuple(modes)
-    keep_labels = tuple(lb for lb in cm.mode_labels if lb in modes)
-    return CovarianceMatrix(
-        _stack(cm.data, cm.mode_labels, ((modes, None),))[0], keep_labels
-    )
-
-
-def partial_transpose(cm: CovarianceMatrix, mode: str) -> CovarianceMatrix:
-    """Flip the sign of ``mode``'s momentum quadrature: V -> P V P.
-
-    An involution; the determinant is preserved (P has det -1 but enters
-    twice).
-    """
-    cut = ((cm.mode_labels, mode),)
-    return CovarianceMatrix(_stack(cm.data, cm.mode_labels, cut)[0], cm.mode_labels)
-
-
 def _spectra(stack: np.ndarray) -> np.ndarray:
     """Ascending symplectic eigenvalues of each matrix in a (k, 2n, 2n) stack.
 

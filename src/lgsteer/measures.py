@@ -200,14 +200,6 @@ def _class_codes(zetas: np.ndarray) -> np.ndarray:
     return (steers[:, 0] + 2 * steers[:, 1]).astype(np.int8)
 
 
-def classify(zeta_ab: float, zeta_ba: float) -> SteeringClass:
-    """Classify steering directionality from the two ζ values (see :func:`_class_codes`).
-
-    ``zeta_ab`` is α steering β.
-    """
-    return _CLASSES[_class_codes(np.array([[zeta_ab, zeta_ba]]))[0]]
-
-
 def _check_hierarchy(zeta_ab, zeta_ba, en_mm) -> None:
     """Raise :class:`NonPhysicalInput` for the first row whose steering comes without
     entanglement: the larger ζ above 1e-10 with EN_mm at most 1e-10; floats or arrays."""

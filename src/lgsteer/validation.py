@@ -317,26 +317,19 @@ def reference(name: str, value: float) -> ReferenceState:
 
 
 def _random_stable_systems(rng: np.random.Generator, count: int, n: int = 6):
-    """:func:`random_stable_system` ``count`` times: (count, n, n) stacks of A and D.
+    """``count`` seeded random (A, D) pairs with stability margin exactly -0.5,
+    as (count, n, n) stacks.
 
-    Each system's M and B are drawn in turn, as ``count`` one-system
-    calls draw them, so the stacks are those calls' pairs.
+    A is M uniform on [-1, 1) shifted left by ``max Re eig M + 0.5``; D is
+    ``B B^T`` for uniform B, hence symmetric positive semidefinite.  Each
+    system's M and B are drawn in turn, so ``count`` one-system calls on
+    one generator give the rows of one ``count``-system call.
     """
     draws = rng.uniform(-1.0, 1.0, size=(count, 2, n, n))
     m, b = draws[:, 0], draws[:, 1]
     shift = np.linalg.eigvals(m).real.max(axis=-1) + 0.5
     a = m - shift[:, None, None] * np.eye(n)
     return a, b @ b.swapaxes(1, 2)
-
-
-def random_stable_system(rng: np.random.Generator, n: int = 6):
-    """Seeded random (A, D) pair with stability margin exactly -0.5.
-
-    A is uniform on [-1, 1) shifted left by ``max Re eig + 0.5``; D is
-    ``B B^T`` for uniform B, hence symmetric positive semidefinite.
-    """
-    a, d = _random_stable_systems(rng, 1, n)
-    return a[0], d[0]
 
 
 @dataclass(frozen=True)

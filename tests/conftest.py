@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from lgsteer import SystemParams, with_updates
+from lgsteer import CovarianceMatrix, SystemParams, with_updates
 from lgsteer.config import to_si
 
 W1 = 2.0 * math.pi * 1e7
@@ -87,6 +87,21 @@ def params_at(base: SystemParams, coords) -> SystemParams:
     """``base`` with every ``(axis name, value)`` of a grid point set, in SI:
     one grid point's parameters, for checks that rebuild a row alone."""
     return with_updates(base, **dict(to_si(n, v, base.omega_phi1) for n, v in coords))
+
+
+def block(cm: CovarianceMatrix, modes) -> CovarianceMatrix:
+    """The state of ``modes`` alone: their rows and columns of ``cm.data``."""
+    idx = [2 * cm.mode_labels.index(m) + k for m in modes for k in (0, 1)]
+    return CovarianceMatrix(cm.data[np.ix_(idx, idx)], tuple(modes))
+
+
+def transposed(cm: CovarianceMatrix, mode: str) -> CovarianceMatrix:
+    """``cm`` partially transposed on ``mode``: P V P, with P the identity but for -1 at
+    that mode's momentum."""
+    p = np.eye(2 * cm.n_modes)
+    k = 2 * cm.mode_labels.index(mode) + 1
+    p[k, k] = -1.0
+    return CovarianceMatrix(p @ cm.data @ p, cm.mode_labels)
 
 
 def counted_linalg(monkeypatch, name: str) -> list[int]:

@@ -30,13 +30,13 @@ from lgsteer import (
     lyapunov_oracle,
     lyapunov_residual,
     preset_variants,
-    random_stable_system,
     run_sweep,
     serialize_csv,
     steady_covariance,
     steering,
     symplectic_eigenvalues,
 )
+from lgsteer.validation import _random_stable_systems
 from conftest import params_at
 
 TWO_PI = 2.0 * math.pi
@@ -119,8 +119,7 @@ def test_ac01_lyapunov_correctness(capsys):
             worst_ratio, worst_at = ratio, value
     rng = np.random.default_rng(12345)
     worst_dev = 0.0
-    for _ in range(200):
-        a, d = random_stable_system(rng)
+    for a, d in zip(*_random_stable_systems(rng, 200)):
         v_direct = steady_covariance(a, d)[1].data
         v_oracle = lyapunov_oracle(a, d).data
         v_ode = integrate_covariance(a, d, None, t_end=100.0, dt=0.02).data

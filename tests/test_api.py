@@ -18,13 +18,13 @@ NonPositiveDeterminant NonPositiveParameter OptimumDetuning OutputSection
 PRESET_NAMES ReferenceState RunConfig RunSection SingularSystem SolveFailure
 SteadyState SteeringClass StepOverflow SweepResult SweepRow SweepSpec
 SystemParams UnknownKey UnknownMode UnknownPreset __version__
-build_diffusion build_drift build_model classify derive eigenvalues
+build_diffusion build_drift build_model derive eigenvalues
 format_report_table full_report full_reports hamiltonian hessenberg
 integrate_covariance log_negativity lyapunov_oracle lyapunov_residual
 min_pt_symplectic optimum_detuning parse_config parse_result_csv
-partial_transpose preset_variants random_stable_system real_schur reduce
-reference renyi2_entropy report_to_json residual_contangle_min run_checks
-run_sweep serialize_config serialize_csv serialize_json
+preset_variants real_schur reference renyi2_entropy report_to_json
+residual_contangle_min run_checks run_sweep serialize_config serialize_csv
+serialize_json
 steady_covariance steady_covariances steady_state steering steering_asymmetry
 symplectic_eigenvalues symplectic_form system_to_display table_defaults
 thermal_occupation to_sweep_spec to_system_params with_updates write_result
@@ -143,6 +143,27 @@ def test_every_name_the_layer_split_tool_wraps_resolves():
             _resolve(name)
         except AttributeError:
             missing.append(name)
+    assert missing == []
+
+
+def test_every_name_the_output_digest_imports_resolves():
+    # tools/output_digest.py imports its names with no fallback: a public
+    # name removed from the package must fail here, not only in the digest
+    tree = ast.parse((TOOLS / "output_digest.py").read_text(encoding="utf-8"))
+    names = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "lgsteer"
+        for alias in node.names
+    }
+    # the scan sees all three import lines
+    wanted = {("lgsteer", "run_sweep"), ("lgsteer.cli", "main"), ("lgsteer.io", "serialize_csv")}
+    assert wanted <= names
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(names)
+        if not hasattr(importlib.import_module(module), name)
+    ]
     assert missing == []
 
 

@@ -20,16 +20,22 @@ from lgsteer import (
     lyapunov_oracle,
     lyapunov_residual,
     min_pt_symplectic,
-    partial_transpose,
-    random_stable_system,
-    reduce,
     steady_covariance,
     steady_covariances,
     symplectic_eigenvalues,
     symplectic_form,
 )
+from lgsteer.validation import _random_stable_systems
 
-from conftest import REF_NUS_BLUE, REF_V_BLUE, W1, counted_linalg, make_params
+from conftest import (
+    REF_NUS_BLUE,
+    REF_V_BLUE,
+    W1,
+    block,
+    counted_linalg,
+    make_params,
+    transposed,
+)
 
 
 def tmsv(r: float) -> CovarianceMatrix:
@@ -126,63 +132,6 @@ class TestSymplecticForm:
             assert np.array_equal(omega.T, -omega)
 
 
-class TestReduce:
-    def test_picks_principal_submatrix(self):
-        v = np.arange(36, dtype=float).reshape(6, 6)
-        v = v + v.T
-        cm = CovarianceMatrix(v, MODE_ORDER)
-        sub = reduce(cm, ["mirror1", "cavity"])
-        assert sub.mode_labels == ("mirror1", "cavity")
-        idx = [0, 1, 4, 5]
-        assert np.array_equal(sub.data, cm.data[np.ix_(idx, idx)])
-
-    def test_request_order_does_not_matter(self):
-        cm = blue_covariance()
-        a = reduce(cm, ["cavity", "mirror1"])
-        b = reduce(cm, ["mirror1", "cavity"])
-        assert a.mode_labels == b.mode_labels == ("mirror1", "cavity")
-        assert np.array_equal(a.data, b.data)
-
-    def test_single_mode_reduction(self):
-        cm = blue_covariance()
-        solo = reduce(cm, ["mirror2"])
-        assert solo.mode_labels == ("mirror2",)
-        assert np.array_equal(solo.data, cm.data[2:4, 2:4])
-
-    def test_unknown_mode(self):
-        cm = blue_covariance()
-        with pytest.raises(UnknownMode):
-            reduce(cm, ["mirror3"])
-        with pytest.raises(UnknownMode):
-            reduce(cm, [])
-
-
-class TestPartialTranspose:
-    def test_flips_momentum_row_and_column(self):
-        cm = tmsv(0.5)
-        pt = partial_transpose(cm, "beta")
-        expect = cm.data.copy()
-        expect[3, :] *= -1.0
-        expect[:, 3] *= -1.0
-        assert np.array_equal(pt.data, expect)
-
-    def test_involution(self):
-        cm = blue_covariance()
-        back = partial_transpose(partial_transpose(cm, "mirror1"), "mirror1")
-        assert np.allclose(back.data, cm.data, rtol=0, atol=0)
-
-    def test_preserves_determinant(self):
-        cm = blue_covariance()
-        pt = partial_transpose(cm, "cavity")
-        assert np.linalg.det(pt.data) == pytest.approx(
-            np.linalg.det(cm.data), rel=1e-12
-        )
-
-    def test_unknown_mode(self):
-        with pytest.raises(UnknownMode):
-            partial_transpose(tmsv(0.1), "gamma")
-
-
 class TestSymplecticEigenvalues:
     def test_vacuum(self):
         for n in (1, 2, 3):
@@ -210,7 +159,7 @@ class TestSymplecticEigenvalues:
         s = two_mode_symplectic()
         omega = symplectic_form(2)
         assert np.allclose(s.T @ omega @ s, omega, atol=1e-12)
-        for cm in (tmsv(0.6), reduce(blue_covariance(), ["mirror1", "mirror2"])):
+        for cm in (tmsv(0.6), block(blue_covariance(), ["mirror1", "mirror2"])):
             moved = CovarianceMatrix(s @ cm.data @ s.T, cm.mode_labels)
             assert symplectic_eigenvalues(moved) == pytest.approx(
                 symplectic_eigenvalues(cm), rel=1e-8
@@ -238,13 +187,17 @@ class TestMinPtSymplectic:
         cases = [
             tmsv(0.3),
             tmsv(0.9),
-            reduce(blue, ["mirror1", "mirror2"]),
-            reduce(blue, ["mirror1", "cavity"]),
-            reduce(blue, ["mirror2", "cavity"]),
+            block(blue, ["mirror1", "mirror2"]),
+            block(blue, ["mirror1", "cavity"]),
+            block(blue, ["mirror2", "cavity"]),
         ]
         for cm in cases:
-            via_eig = symplectic_eigenvalues(partial_transpose(cm, cm.mode_labels[1]))[0]
+            via_eig = symplectic_eigenvalues(transposed(cm, cm.mode_labels[1]))[0]
             assert min_pt_symplectic(cm) == pytest.approx(via_eig, rel=1e-7)
+
+    def test_unknown_mode(self):
+        with pytest.raises(UnknownMode):
+            min_pt_symplectic(tmsv(0.1), "gamma")
 
     def test_rejects_wrong_mode_count(self):
         with pytest.raises(NonPhysicalInput, match="two-mode"):
@@ -321,8 +274,7 @@ class TestSteadyCovariance:
 
     def test_agrees_with_oracle_on_random_systems(self):
         rng = np.random.default_rng(7)
-        for _ in range(10):
-            a, d = random_stable_system(rng)
+        for a, d in zip(*_random_stable_systems(rng, 10)):
             _, cm = steady_covariance(a, d)
             assert cm is not None
             assert np.max(np.abs(cm.data - lyapunov_oracle(a, d).data)) < 1e-7
@@ -501,14 +453,14 @@ class TestSymmetricUnknowns:
 
     def test_operator_is_the_restricted_kronecker_sum(self):
         rng = np.random.default_rng(16)
-        drifts = np.array([random_stable_system(rng)[0] for _ in range(5)])
+        drifts = _random_stable_systems(rng, 5)[0]
         ops = lgsteer.gaussian._operator(drifts)
         assert ops.shape == (5, 21, 21)
         for a, op in zip(drifts, ops):
             assert np.array_equal(op, self.restricted(a))
 
     def test_eigenvalues_are_the_pair_sums(self):
-        a, _ = random_stable_system(np.random.default_rng(21))
+        a = _random_stable_systems(np.random.default_rng(21), 1)[0][0]
         lam = np.linalg.eigvals(a)
         rows, cols = np.triu_indices(6)
         want = lam[rows] + lam[cols]
@@ -522,11 +474,11 @@ class TestSymmetricUnknowns:
         # forward error is about eps cond_2(I (x) A + A (x) I) max|V|; the
         # solution is exactly symmetric with no symmetrizing step
         rng = np.random.default_rng(2026)
-        systems = [random_stable_system(rng) for _ in range(40)]
-        _, covariances, errors = steady_covariances(*zip(*systems))
+        drifts, diffusions = _random_stable_systems(rng, 40)
+        _, covariances, errors = steady_covariances(drifts, diffusions)
         assert errors == [None] * 40
         eps = np.finfo(float).eps
-        for (a, d), v in zip(systems, covariances):
+        for a, d, v in zip(drifts, diffusions, covariances):
             assert np.array_equal(v, v.T)
             cond = np.linalg.cond(np.kron(np.eye(6), a) + np.kron(a, np.eye(6)))
             err = np.abs(v - lyapunov_oracle(a, d).data).max()
@@ -570,13 +522,13 @@ class TestNearMarginalPoint:
         return cm
 
     def test_pair_partial_transpose(self):
-        nu = min_pt_symplectic(reduce(self.covariance(), ["mirror1", "cavity"]))
+        nu = min_pt_symplectic(block(self.covariance(), ["mirror1", "cavity"]))
         assert nu == pytest.approx(self.NU_PT_M1_CAVITY, rel=1e-8)
 
     def test_one_vs_two_spectra(self):
         cm = self.covariance()
-        nu_m1 = symplectic_eigenvalues(partial_transpose(cm, "mirror1"))[0]
-        nu_cav = symplectic_eigenvalues(partial_transpose(cm, "cavity"))[0]
+        nu_m1 = symplectic_eigenvalues(transposed(cm, "mirror1"))[0]
+        nu_cav = symplectic_eigenvalues(transposed(cm, "cavity"))[0]
         assert nu_m1 == pytest.approx(self.NU_MIRROR1_REST, rel=1e-8)
         assert nu_cav == pytest.approx(self.NU_CAVITY_REST, abs=1e-8)
 

@@ -21,7 +21,6 @@ from lgsteer import (
     build_diffusion,
     build_drift,
     build_model,
-    classify,
     derive,
     full_report,
     full_reports,
@@ -29,7 +28,6 @@ from lgsteer import (
     lyapunov_oracle,
     min_pt_symplectic,
     preset_variants,
-    reduce,
     residual_contangle_min,
     renyi2_entropy,
     steady_covariance,
@@ -42,7 +40,7 @@ from lgsteer import (
     with_updates,
 )
 from lgsteer.gaussian import _Rows, _scale
-from lgsteer.measures import _HIERARCHY_TOL, _en, _pairs, _reports
+from lgsteer.measures import _CLASSES, _HIERARCHY_TOL, _class_codes, _en, _pairs, _reports
 
 from conftest import (
     REF_EN_CAV_SPLIT_PUMPED,
@@ -50,6 +48,7 @@ from conftest import (
     REF_MARGIN_BLUE,
     REF_RMIN_BLUE,
     W1,
+    block,
     make_params,
     params_at,
 )
@@ -89,6 +88,11 @@ def local_symplectic(phi1, r1, phi2, r2) -> np.ndarray:
     out[0:2, 0:2] = s1
     out[2:4, 2:4] = s2
     return out
+
+
+def class_of(zeta_ab: float, zeta_ba: float) -> SteeringClass:
+    """The steering class of one pair of ζ, α steering β first."""
+    return _CLASSES[_class_codes(np.array([[zeta_ab, zeta_ba]]))[0]]
 
 
 def blue_model() -> LinearModel:
@@ -170,6 +174,10 @@ class TestOneVsTwo:
         with pytest.raises(NonPhysicalInput, match="two-mode"):
             min_pt_symplectic(tmsv_plus_vacuum(0.5))
 
+    def test_unknown_mode(self):
+        with pytest.raises(UnknownMode):
+            log_negativity(tmsv_plus_vacuum(0.5), "delta")
+
     def test_two_mode_cut_may_name_either_mode(self):
         cm = noisy_tmsv(0.5, 0.2)
         assert log_negativity(cm, "alpha") == log_negativity(cm)
@@ -228,7 +236,7 @@ class TestResidualContangle:
         # the cavity split is the one that fails
         e_cut = log_negativity(cm, "cavity") ** 2
         e_pairs = [
-            log_negativity(reduce(cm, (m, "cavity"))) ** 2 for m in ("mirror1", "mirror2")
+            log_negativity(block(cm, (m, "cavity"))) ** 2 for m in ("mirror1", "mirror2")
         ]
         assert r_min == pytest.approx(-2.812e-3, rel=1e-3)
         assert r_min == pytest.approx(e_cut - sum(e_pairs), rel=1e-12)
@@ -273,7 +281,7 @@ class TestRenyi2Entropy:
         assert renyi2_entropy(tmsv(0.9)) == pytest.approx(0.0, abs=1e-9)
 
     def test_reduced_squeezed_mode_is_thermal(self):
-        solo = reduce(tmsv(0.7), ("alpha",))
+        solo = block(tmsv(0.7), ("alpha",))
         assert renyi2_entropy(solo) == pytest.approx(
             math.log(math.cosh(2.0 * 0.7)), rel=1e-12
         )
@@ -309,7 +317,7 @@ class TestSteering:
         z_ab = steering(cm, "alpha")
         assert z_ba > 0.05
         assert z_ab == 0.0
-        assert classify(z_ab, z_ba) is SteeringClass.ONE_WAY_BETA_TO_ALPHA
+        assert class_of(z_ab, z_ba) is SteeringClass.ONE_WAY_BETA_TO_ALPHA
 
     def test_direction_from_conditional_state(self):
         # beta steers alpha iff alpha conditioned on a Gaussian measurement
@@ -366,7 +374,7 @@ class TestClassification:
         ],
     )
     def test_classify(self, z_ab, z_ba, expected):
-        assert classify(z_ab, z_ba) is expected
+        assert class_of(z_ab, z_ba) is expected
 
     def test_enum_values(self):
         assert {c.value for c in SteeringClass} == {
@@ -646,10 +654,10 @@ class TestOnePath:
                 continue
             n_stable += 1
             _, cm = steady_covariance(model.drift, model.diffusion)
-            mm = reduce(cm, ("mirror1", "mirror2"))
+            mm = block(cm, ("mirror1", "mirror2"))
             assert r.en_mm == log_negativity(mm)
-            assert r.en_m1c == log_negativity(reduce(cm, ("mirror1", "cavity")))
-            assert r.en_m2c == log_negativity(reduce(cm, ("mirror2", "cavity")))
+            assert r.en_m1c == log_negativity(block(cm, ("mirror1", "cavity")))
+            assert r.en_m2c == log_negativity(block(cm, ("mirror2", "cavity")))
             assert r.zeta_m1_m2 == steering(mm, "mirror1")
             assert r.zeta_m2_m1 == steering(mm, "mirror2")
             assert r.r_min == residual_contangle_min(cm)

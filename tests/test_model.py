@@ -608,6 +608,16 @@ class TestRuleTable:
         sweeps = [serialize_json(run_sweep(SweepSpec(base, axis))) for base in (p, q)]
         assert sweeps[0] == sweeps[1]
 
+    @pytest.mark.parametrize("value", [50.0, np.float64(50.0)])
+    def test_an_integral_float_is_stored_as_an_int(self, value):
+        # the integer rule's one home: a float would reach the JSON as 50.0
+        p = with_updates(table_defaults(), oam_number=value)
+        q = with_updates(table_defaults(), oam_number=50)
+        assert type(p.oam_number) is int and p == q
+        axis = Axis("detuning_ratio", (0.5, 1.0))
+        sweeps = [serialize_json(run_sweep(SweepSpec(base, axis))) for base in (p, q)]
+        assert sweeps[0] == sweeps[1]
+
     @pytest.mark.parametrize("value", [np.longdouble("1e400"), 10**400, np.float32("inf")])
     def test_a_value_beyond_the_double_range_is_not_finite(self, value):
         with warnings.catch_warnings():

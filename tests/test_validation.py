@@ -17,7 +17,6 @@ from lgsteer import (
     log_negativity,
     lyapunov_oracle,
     lyapunov_residual,
-    random_stable_system,
     reference,
     renyi2_entropy,
     run_checks,
@@ -42,8 +41,7 @@ class TestLyapunovOracle:
         assert np.allclose(v.data, np.diag(noise / (2.0 * rates)), atol=1e-12)
 
     def test_residual_is_tiny(self):
-        rng = np.random.default_rng(3)
-        a, d = random_stable_system(rng)
+        (a,), (d,) = validation._random_stable_systems(np.random.default_rng(3), 1)
         v = lyapunov_oracle(a, d)
         assert lyapunov_residual(a, d, v) < 1e-10
 
@@ -95,8 +93,7 @@ class TestIntegrateCovariance:
 
     def test_agrees_with_oracle_on_random_systems(self):
         rng = np.random.default_rng(11)
-        for _ in range(3):
-            a, d = random_stable_system(rng)
+        for a, d in zip(*validation._random_stable_systems(rng, 3)):
             ode = integrate_covariance(a, d, None, 100.0, 0.02)
             oracle = lyapunov_oracle(a, d)
             assert np.max(np.abs(ode.data - oracle.data)) < 1e-6
@@ -154,7 +151,7 @@ class TestIntegrateCovariance:
         # stepping the 21 distinct entries is the 36-entry scheme, from a
         # non-zero symmetric start and after any number of steps
         rng = np.random.default_rng(seed)
-        a, d = random_stable_system(rng)
+        (a,), (d,) = validation._random_stable_systems(rng, 1)
         b = rng.uniform(-1.0, 1.0, size=(6, 6))
         v0 = b @ b.T
         dt = 0.02
@@ -180,7 +177,7 @@ class TestIntegrateCovariance:
     def test_propagator_is_the_stepping_scheme(self, n_steps):
         # the squared propagator is the same discrete scheme as stepping,
         # not just the same limit: it matches the loop after any number of steps
-        a, d = random_stable_system(np.random.default_rng(n_steps))
+        (a,), (d,) = validation._random_stable_systems(np.random.default_rng(n_steps), 1)
         dt = 0.02
         got = integrate_covariance(a, d, None, n_steps * dt, dt).data
         assert np.max(np.abs(got - self._stepped(a, d, n_steps, dt))) < 1e-12
@@ -244,21 +241,18 @@ class TestReferenceStates:
 
 class TestRandomStableSystem:
     def test_margin_is_exactly_half(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            a, d = random_stable_system(rng)
-            margin = float(np.max(np.linalg.eigvals(a).real))
+        a, _ = validation._random_stable_systems(np.random.default_rng(0), 5)
+        for margin in np.linalg.eigvals(a).real.max(axis=-1):
             assert margin == pytest.approx(-0.5, abs=1e-12)
 
     def test_diffusion_is_psd_symmetric(self):
-        rng = np.random.default_rng(1)
-        a, d = random_stable_system(rng)
+        _, (d,) = validation._random_stable_systems(np.random.default_rng(1), 1)
         assert np.array_equal(d, d.T)
         assert np.min(np.linalg.eigvalsh(d)) > -1e-12
 
     def test_seed_reproducibility(self):
-        a1, d1 = random_stable_system(np.random.default_rng(42))
-        a2, d2 = random_stable_system(np.random.default_rng(42))
+        a1, d1 = validation._random_stable_systems(np.random.default_rng(42), 3)
+        a2, d2 = validation._random_stable_systems(np.random.default_rng(42), 3)
         assert np.array_equal(a1, a2)
         assert np.array_equal(d1, d2)
 
@@ -369,13 +363,13 @@ class TestStackedRoutes:
     @pytest.mark.parametrize("seed", [12345, 7, 999])
     def test_equal_to_one_system_calls(self, seed):
         rng = np.random.default_rng(seed)
-        pairs = [random_stable_system(rng) for _ in range(20)]
+        draws = [validation._random_stable_systems(rng, 1) for _ in range(20)]
         a, d = validation._random_stable_systems(np.random.default_rng(seed), 20)
-        assert np.array_equal(a, [p[0] for p in pairs])
-        assert np.array_equal(d, [p[1] for p in pairs])
+        assert np.array_equal(a, np.concatenate([a_k for a_k, _ in draws]))
+        assert np.array_equal(d, np.concatenate([d_k for _, d_k in draws]))
         oracle = validation._lyapunov_oracles(a, d)
         ode = validation._integrate_covariances(a, d, np.zeros_like(a), t_end=100.0, dt=0.02)
-        for k, (a_k, d_k) in enumerate(pairs):
+        for k, ((a_k,), (d_k,)) in enumerate(draws):
             assert np.array_equal(oracle[k], lyapunov_oracle(a_k, d_k).data)
             assert np.array_equal(ode[k], integrate_covariance(a_k, d_k, None, 100.0, 0.02).data)
 
@@ -495,7 +489,7 @@ def test_oracles_share_no_production_solver_code():
                 from_gaussian.add(alias.asname or alias.name)
     assert "lyapunov_residual" in from_gaussian  # the scan sees the imports
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    todo = ["lyapunov_oracle", "integrate_covariance", "random_stable_system"]
+    todo = ["lyapunov_oracle", "integrate_covariance", "_random_stable_systems"]
     scanned = set()
     while todo:
         name = todo.pop()
