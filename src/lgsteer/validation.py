@@ -37,8 +37,9 @@ from .errors import (
 )
 from .gaussian import (
     CovarianceMatrix,
+    _spectra,
+    _stack,
     lyapunov_residual,
-    min_pt_symplectic,
     steady_covariances,
 )
 from . import measures as _measures
@@ -58,12 +59,18 @@ def _generic_labels(n_modes: int) -> tuple[str, ...]:
 
 
 def _square_pair(a, d) -> tuple[np.ndarray, np.ndarray, int]:
-    """``a`` and ``d`` as float arrays of one square shape, and their order."""
+    """``a`` and ``d`` as float arrays of one square shape, and their order.
+
+    Raises :class:`SolveFailure` unless the order is even and positive:
+    two quadratures a mode.
+    """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or d.shape != (n, n):
-        raise SolveFailure(f"expected square matrices, got {a.shape} and {d.shape}")
+    n = len(a) if a.ndim else 0
+    if not n or n % 2 or a.shape != (n, n) or d.shape != (n, n):
+        raise SolveFailure(
+            f"expected square matrices of one positive even order, got {a.shape} and {d.shape}"
+        )
     return a, d, n
 
 
@@ -71,17 +78,37 @@ def _system(failed: np.ndarray) -> str:
     return f"system {np.argmax(failed)}: " if len(failed) > 1 else ""
 
 
+@functools.cache
+def _kron_places(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where ``kron(I, A)`` and ``kron(A, I)`` put the entries of an order-``n`` A.
+
+    Entry (k, l) of A goes to (i n + k, i n + l) in the first and to
+    (k n + i, l n + i) in the second, for every i.  Returns the flat
+    indices in the n^2 x n^2 sum of each term's n^3 placed entries, and
+    the flat indices in A they take, the same for both; all read-only.
+    """
+    i, k, l = np.indices((n, n, n)).reshape(3, -1)
+    tables = ((i * n + k) * n * n + i * n + l, (k * n + i) * n * n + l * n + i, k * n + l)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _kron_sum(a: np.ndarray) -> np.ndarray:
     """``kron(I, A) + kron(A, I)`` of each matrix of an (N, n, n) stack.
 
-    The products are those ``np.kron`` forms, so each matrix is the
-    one-system Kronecker sum bit for bit.
+    Each A's entries are scattered into zeros (see :func:`_kron_places`),
+    so every entry equals that of the ``np.kron`` sum, a diagonal one as
+    the same sum of two entries of A; only a structural zero is +0.0
+    where the two ``np.kron`` products can give -0.0.
     """
     count, n = len(a), a.shape[-1]
-    eye = np.eye(n)
-    left = eye[:, None, :, None] * a[:, None, :, None, :]
-    right = a[:, :, None, :, None] * eye[None, :, None, :]
-    return (left + right).reshape(count, n * n, n * n)
+    left, right, source = _kron_places(n)
+    entries = a.reshape(count, n * n)[:, source]
+    out = np.zeros((count, n**4))
+    out[:, left] = entries
+    out[:, right] += entries
+    return out.reshape(count, n * n, n * n)
 
 
 def _lyapunov_oracles(a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -264,7 +291,10 @@ def reference(name: str, value: float) -> ReferenceState:
     ``thermal``: ``value`` = occupation n, single mode, Renyi-2 entropy
     ``ln(2n+1)``.  ``tmsv``: ``value`` = squeezing r; EN = 2r, both
     steering directions ``ln cosh 2r``, pure so entropy 0, and the
-    smaller partial-transpose eigenvalue is ``exp(-2r)/2``.
+    smaller partial-transpose eigenvalue is ``exp(-2r)/2``.  Raises
+    :class:`ValueError` for a value outside its state's domain: a mode
+    count that is not a positive integer, a negative or non-finite
+    occupation or squeezing, or a squeezing whose ``cosh 2r`` overflows.
     """
     if name == "vacuum":
         m = int(value)
@@ -282,15 +312,20 @@ def reference(name: str, value: float) -> ReferenceState:
         return ReferenceState("vacuum", cm, expected)
     if name == "thermal":
         nbar = float(value)
-        if nbar < 0.0:
-            raise ValueError(f"thermal occupation must be >= 0, got {value}")
+        if not 0.0 <= nbar < math.inf:
+            raise ValueError(f"thermal occupation must be finite and >= 0, got {value}")
         cm = CovarianceMatrix((nbar + 0.5) * np.eye(2), _generic_labels(1))
         return ReferenceState(
             "thermal", cm, {"renyi2_entropy": math.log(2.0 * nbar + 1.0)}
         )
     if name == "tmsv":
         r = float(value)
-        ch = 0.5 * math.cosh(2.0 * r)
+        if not 0.0 <= r < math.inf:
+            raise ValueError(f"tmsv squeezing must be finite and >= 0, got {value}")
+        try:
+            ch = 0.5 * math.cosh(2.0 * r)
+        except OverflowError:
+            raise ValueError(f"tmsv squeezing {value} overflows cosh(2r)") from None
         sh = 0.5 * math.sinh(2.0 * r)
         v = np.array(
             [
@@ -314,6 +349,50 @@ def reference(name: str, value: float) -> ReferenceState:
             },
         )
     raise ValueError(f"unknown reference state {name!r}")
+
+
+# verify's reference states as (name, value, tolerance), in the order it checks them
+_REFERENCES = (
+    *(("tmsv", r, 1e-10) for r in (0.25, 0.5, 1.0, 2.0)),
+    ("vacuum", 2, 1e-12),
+    ("thermal", 3.0, 1e-12),
+)
+# the measures of a two-mode reference state, as _reference_values orders them
+_PAIR_KEYS = (
+    "log_negativity", "steering_ab", "steering_ba", "renyi2_entropy", "min_pt_symplectic"
+)
+
+
+def _reference_values(states: list[CovarianceMatrix]) -> list[dict]:
+    """The measures a :func:`reference` state can declare, of each of ``states``, by key.
+
+    The two-mode states, labelled ``mode1`` and ``mode2``, are one stack
+    through the array stage that sweeps run: one spectrum of their
+    partial transposes gives ``min_pt_symplectic`` and
+    ``log_negativity``, and det(2V) of each state and of its modes the
+    Renyi-2 entropy and the steering by mode1 (``steering_ab``) and by
+    mode2.  Any other state gets its Renyi-2 entropy.  Each value is the
+    one that its key's one-state function returns.
+    """
+    labels = _generic_labels(2)
+    pair = np.array([cm.n_modes == 2 for cm in states])
+    v = np.array([cm.data for cm in states if cm.n_modes == 2])
+    nus = _spectra(_stack(v, labels, ((labels, labels[1]),))[:, 0])
+    dets = np.empty(len(states))
+    dets[pair] = np.linalg.det(2.0 * v)
+    dets[~pair] = [np.linalg.det(2.0 * cm.data) for cm in states if cm.n_modes != 2]
+    singles = np.linalg.det(_stack(2.0 * v, labels, _measures._singles(labels)))
+    entropies = _measures._renyi2(dets)
+    columns = iter(np.column_stack((
+        _measures._en(nus[:, 0], nus[:, -1]),
+        _measures._zetas(dets[pair], singles),
+        entropies[pair],
+        nus[:, 0],
+    )).tolist())
+    return [
+        dict(zip(_PAIR_KEYS, next(columns))) if is_pair else {"renyi2_entropy": s}
+        for is_pair, s in zip(pair.tolist(), entropies.tolist())
+    ]
 
 
 def _random_stable_systems(rng: np.random.Generator, count: int, n: int = 6):
@@ -429,19 +508,11 @@ def run_checks(solver=None, seed: int = _DEFAULT_SEED):
             return f"worst three-route disagreement {worst:g} exceeds 1e-6"
 
     def reference_states():
-        measure = {
-            "log_negativity": _measures.log_negativity,
-            "steering_ab": lambda cm: _measures.steering(cm, "mode1"),
-            "steering_ba": lambda cm: _measures.steering(cm, "mode2"),
-            "renyi2_entropy": _measures.renyi2_entropy,
-            "min_pt_symplectic": min_pt_symplectic,
-        }
-        states = [("tmsv", r, 1e-10) for r in (0.25, 0.5, 1.0, 2.0)]
-        states += [("vacuum", 2, 1e-12), ("thermal", 3.0, 1e-12)]
-        for name, value, tol in states:
-            ref = reference(name, value)
+        refs = [reference(name, value) for name, value, _ in _REFERENCES]
+        measured = _reference_values([ref.cm for ref in refs])
+        for (name, value, tol), ref, got in zip(_REFERENCES, refs, measured):
             for key, want in ref.expected.items():
-                err = abs(measure[key](ref.cm) - want)
+                err = abs(got[key] - want)
                 # a vacuum is separable exactly, not to within rounding
                 if err > (0.0 if (name, key) == ("vacuum", "log_negativity") else tol):
                     return f"{name}({value}) {key} off by {err:g}"

@@ -17,6 +17,7 @@ from lgsteer import (
     log_negativity,
     lyapunov_oracle,
     lyapunov_residual,
+    min_pt_symplectic,
     reference,
     renyi2_entropy,
     run_checks,
@@ -60,6 +61,27 @@ class TestLyapunovOracle:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(SolveFailure, match="square"):
             lyapunov_oracle(-np.eye(6), np.eye(4))
+
+    @pytest.mark.parametrize(
+        "a, d",
+        [
+            pytest.param(1.0, 1.0, id="0-d"),
+            pytest.param(np.zeros((0, 0)), np.zeros((0, 0)), id="empty"),
+            pytest.param(-np.eye(3), np.eye(3), id="odd-order"),
+        ],
+    )
+    def test_rejects_a_shape_without_modes_before_solving(self, a, d, monkeypatch):
+        # both oracles take two quadratures a mode; a 0-d, empty or odd-order
+        # input fails its shape check, never a route's solve
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a rejected input reached a route")
+
+        monkeypatch.setattr(validation, "_lyapunov_oracles", unreachable)
+        monkeypatch.setattr(validation, "_integrate_covariances", unreachable)
+        with pytest.raises(SolveFailure, match="positive even order"):
+            lyapunov_oracle(a, d)
+        with pytest.raises(SolveFailure, match="positive even order"):
+            integrate_covariance(a, d, None, 1.0, 0.1)
 
     def test_generic_labels(self):
         v = lyapunov_oracle(-np.eye(6), np.eye(6))
@@ -238,6 +260,45 @@ class TestReferenceStates:
         with pytest.raises(ValueError, match="unknown"):
             reference("cat_state", 1.0)
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            pytest.param("tmsv", -1.0, "finite and >= 0", id="negative-squeezing"),
+            pytest.param("tmsv", math.inf, "finite and >= 0", id="infinite-squeezing"),
+            pytest.param("tmsv", math.nan, "finite and >= 0", id="nan-squeezing"),
+            pytest.param("tmsv", 400.0, "overflows", id="cosh-overflows"),
+            pytest.param("thermal", math.inf, "finite and >= 0", id="infinite-occupation"),
+            pytest.param("thermal", math.nan, "finite and >= 0", id="nan-occupation"),
+        ],
+    )
+    def test_rejects_a_value_outside_the_closed_forms(self, name, value, message):
+        # the closed forms assume r >= 0 (EN = 2r) and a finite state
+        with pytest.raises(ValueError, match=message):
+            reference(name, value)
+
+    def test_largest_squeezing_below_the_overflow_is_a_state(self):
+        ref = reference("tmsv", 355.0)
+        assert ref.expected["log_negativity"] == 710.0
+        assert math.isfinite(ref.expected["steering_ab"])
+
+    def test_stacked_values_are_the_one_state_values(self):
+        # verify measures its reference states as one stack; each value is,
+        # bit for bit, what the one-state function returns
+        one_state = {
+            "log_negativity": log_negativity,
+            "steering_ab": lambda cm: steering(cm, "mode1"),
+            "steering_ba": lambda cm: steering(cm, "mode2"),
+            "renyi2_entropy": renyi2_entropy,
+            "min_pt_symplectic": min_pt_symplectic,
+        }
+        refs = [reference(name, value) for name, value, _ in validation._REFERENCES]
+        measured = validation._reference_values([ref.cm for ref in refs])
+        assert [len(values) for values in measured] == [5, 5, 5, 5, 5, 1]
+        for ref, values in zip(refs, measured):
+            assert set(ref.expected) <= set(values)
+            for key, got in values.items():
+                assert got == one_state[key](ref.cm), (ref.name, key)
+
 
 class TestRandomStableSystem:
     def test_margin_is_exactly_half(self):
@@ -372,6 +433,14 @@ class TestStackedRoutes:
         for k, ((a_k,), (d_k,)) in enumerate(draws):
             assert np.array_equal(oracle[k], lyapunov_oracle(a_k, d_k).data)
             assert np.array_equal(ode[k], integrate_covariance(a_k, d_k, None, 100.0, 0.02).data)
+
+    @pytest.mark.parametrize("count", [1, 20])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_kron_sum_is_the_kron_form(self, n, count):
+        a = np.random.default_rng(10 * n + count).standard_normal((count, n, n))
+        eye = np.eye(n)
+        want = [np.kron(eye, a_k) + np.kron(a_k, eye) for a_k in a]
+        assert np.array_equal(validation._kron_sum(a), want)
 
     @staticmethod
     def _stack(*drifts):
