@@ -59,7 +59,6 @@ from .measures import (
     CorrelationReport,
     SteeringClass,
     full_report,
-    full_reports,
     log_negativity,
     renyi2_entropy,
     residual_contangle_min,

@@ -119,7 +119,8 @@ class CovarianceMatrix:
             )
         if not np.isfinite(data).all():
             raise NonPhysicalInput("covariance matrix has non-finite entries")
-        sym = 0.5 * (data + data.T)
+        # halved before the sum, so that finite entries stay finite
+        sym = 0.5 * data + 0.5 * data.T
         sym.flags.writeable = False
         object.__setattr__(self, "data", sym)
         object.__setattr__(self, "mode_labels", tuple(self.mode_labels))
@@ -230,12 +231,6 @@ class _Rows:
     def __init__(self, n: int) -> None:
         self.errors: list[LgsteerError | None] = [None] * n
         self.live = np.arange(n)
-
-    def keep(self, mask: np.ndarray, *arrays) -> tuple:
-        """The rows of ``arrays`` where ``mask`` holds; the others leave the batch."""
-        if not mask.all():
-            self.live, *arrays = (x[mask] for x in (self.live, *arrays))
-        return arrays
 
     def run(self, stage, *arrays, chunk: int | None = None) -> tuple:
         """``stage(*arrays)``, the tuple of stacks the live rows go on with.
@@ -428,7 +423,8 @@ def _solve(drifts, diffusions):
     if not stable.any():
         rows.live = rows.live[:0]
         return rows, margins, a[:0]
-    a, d, scale = rows.keep(stable, a, d, scale)
+    if not stable.all():
+        rows.live, a, d, scale = (x[stable] for x in (rows.live, a, d, scale))
     (v,) = rows.run(_lyapunov, a, d, scale, chunk=_CHUNK_ROWS)
     return rows, margins, v
 

@@ -5,10 +5,10 @@ convention.  Entanglement is the logarithmic negativity, from the
 smallest symplectic eigenvalue of a partially transposed state (the
 two-mode pair, or the full three-mode state for a one-versus-two
 split); steering uses the Renyi-2 entropy criterion.
-:func:`full_reports` bundles everything for a block of linearized
-models: it goes on with the rows of one batched solve and computes
-each measure of all stable rows at once, from one stacked spectrum
-per kind of cut, into columns that sweeps keep as they are.  The
+:func:`_report_columns` bundles everything for a block of linearized
+models: it goes on with the rows of one batched solve, computes each
+measure of its stable rows 64 at a time, from one stacked spectrum per
+kind of cut, and writes the reports into the caller's columns.  The
 one-state functions and :func:`full_report` are one-row cases of the
 same array code.
 """
@@ -101,11 +101,10 @@ _HELD = np.array([[0, 1], [0, 2], [1, 2]])
 def _residual_min(pairs: np.ndarray, splits: np.ndarray) -> np.ndarray:
     """:func:`residual_contangle_min` of each row of the pair and split EN of :func:`_pt_en`.
 
-    Each square is Python's ``x**2`` (libm ``pow``): ``x * x`` rounds
+    Each square is libm ``pow``, as Python's ``x**2``: ``x * x`` rounds
     differently on about 0.1 % of doubles, which would move R_min.
     """
-    en = np.concatenate((pairs, splits), axis=1)
-    sq = np.array([e**2 for e in en.ravel().tolist()]).reshape(en.shape)
+    sq = np.float_power(np.concatenate((pairs, splits), axis=1), 2.0)
     res = sq[:, 3:] - sq[:, _HELD[:, 0]] - sq[:, _HELD[:, 1]]
     return np.where((res < -_MONOGAMY_TOL) | (res > 0.0), res, 0.0).min(axis=1)
 
@@ -167,10 +166,10 @@ def steering(cm: CovarianceMatrix, by: str) -> float:
     """
     if cm.n_modes != 2:
         raise NonPhysicalInput(f"steering needs a two-mode state, got {cm.n_modes} modes")
-    singles = _stack(2.0 * cm.data[None], cm.mode_labels, _singles(cm.mode_labels))
-    zetas = _zetas(np.linalg.det(2.0 * cm.data[None]), np.linalg.det(singles))[0].tolist()
     if by not in cm.mode_labels:
         raise UnknownMode(f"mode {by!r} not in {cm.mode_labels}")
+    singles = _stack(2.0 * cm.data[None], cm.mode_labels, _singles(cm.mode_labels))
+    zetas = _zetas(np.linalg.det(2.0 * cm.data[None]), np.linalg.det(singles))[0].tolist()
     return zetas[cm.mode_labels.index(by)]
 
 
@@ -312,11 +311,10 @@ class _Columns(NamedTuple):
     classes: np.ndarray
 
     @classmethod
-    def of(cls, margin: np.ndarray) -> _Columns:
-        """Columns with the margins ``margin`` and no stable row."""
-        n = len(margin)
+    def of(cls, n: int) -> _Columns:
+        """Columns of ``n`` rows with NaN margins and no stable row."""
         values = np.full((n, len(_FLOATS)), np.nan)
-        return cls(np.zeros(n, dtype=bool), margin, values, np.zeros(n, dtype=np.int8))
+        return cls(np.zeros(n, dtype=bool), np.full(n, np.nan), values, np.zeros(n, dtype=np.int8))
 
     def report(self, k: int) -> CorrelationReport:
         """The :class:`CorrelationReport` of row ``k``, which must not be an error row."""
@@ -328,9 +326,15 @@ class _Columns(NamedTuple):
         return CorrelationReport(True, margin, *measures)
 
 
-def _solve_models(models: LinearModel) -> tuple:
-    """The batched solve of a block of models, as ``(rows, margins, v)`` (see
-    :func:`lgsteer.gaussian._solve`), with one row per row of its (N, 6, 6) stacks.
+def _solve_models(models: LinearModel, stage) -> tuple:
+    """The batched solve of a block of models, then ``stage`` on its stable rows, as
+    ``(rows, margins, out)``, with one row per row of its (N, 6, 6) stacks.
+
+    ``rows`` and ``margins`` are those of :func:`lgsteer.gaussian._solve`;
+    ``stage`` runs on the covariances of 64 live rows at a time, which
+    bounds its working arrays, and drops each row it fails (see
+    :meth:`lgsteer.gaussian._Rows.run`).  ``out`` is the tuple of stacks
+    it returns for the rows still live, or None when no row is stable.
 
     At the OPA threshold the drift is not finite; the zero matrix stands
     in for it, with the margin 0 reported there (see :func:`full_report`).
@@ -340,46 +344,33 @@ def _solve_models(models: LinearModel) -> tuple:
     threshold = abs(models.steady.a0) == math.inf
     if np.any(threshold):
         drifts = np.where(np.reshape(threshold, (-1, 1, 1)), 0.0, drifts)
-    return _solve(drifts, np.reshape(models.diffusion, (n, 6, 6)))
+    rows, margins, v = _solve(drifts, np.reshape(models.diffusion, (n, 6, 6)))
+    return rows, margins, (rows.run(stage, v, chunk=_CHUNK_ROWS) if len(v) else None)
 
 
-def _report_columns(models: LinearModel) -> tuple:
-    """:func:`full_reports` as ``(_Columns, {row: its LgsteerError})``.
+def _report_columns(models: LinearModel, table: _Columns, at: np.ndarray) -> dict:
+    """Write the reports of a block of models into rows ``at`` of ``table``, and return
+    ``{row of the block: its LgsteerError}``.
 
-    The measures go on with the rows of the batched solve
-    (:func:`_solve_models`), so one error list covers both, and are
-    computed for 64 stable rows at once (see :func:`_reports`), which
-    bounds their working arrays.  Each error, from the solve or the
-    measures (a steering-entanglement hierarchy breach among them), is
-    tagged with its row's detuning.
+    ``table`` is fresh at those rows (see :meth:`_Columns.of`): each
+    gets its margin, and each stable row its flag, values and class code.
+    The measures (:func:`_reports`) go on with the rows of the batched
+    solve (:func:`_solve_models`), so one error list covers both.  Each
+    error, from the solve or the measures (a steering-entanglement
+    hierarchy breach among them), is tagged with its row's detuning; its
+    row stays not stable.
     """
-    rows, margins, v = _solve_models(models)
-    table = _Columns.of(margins)
-    if len(v):
-        measures, codes = rows.run(_reports, v, chunk=_CHUNK_ROWS)
-        live = rows.live
-        table.stable[live], table.values[live], table.classes[live] = True, measures, codes
+    rows, margins, out = _solve_models(models, _reports)
+    table.margin[at] = margins
+    if out is not None:
+        live = at[rows.live]
+        table.stable[live], table.values[live], table.classes[live] = True, *out
     failed = [k for k, exc in enumerate(rows.errors) if exc is not None]
     if not failed:
-        return table, {}
+        return {}
     derived = models.derived
     ratio = np.broadcast_to(derived.value("detuning") / derived.value("omega_phi1"), len(margins))
-    return table, {k: _tagged(rows.errors[k], float(ratio[k])) for k in failed}
-
-
-def full_reports(models: LinearModel) -> list:
-    """:func:`full_report` of each row of a block of models, as one batch.
-
-    Returns one entry per row of the (N, 6, 6) stacks of ``models`` (see
-    :func:`lgsteer.model.build_model`), in order: its :class:`CorrelationReport`,
-    or the :class:`~lgsteer.errors.LgsteerError` that :func:`full_report`
-    would raise for it alone.  A failing row never fails the batch.  Each
-    measure is computed for 64 stable rows at once (see
-    :func:`_report_columns`), which bounds their working arrays.  Callers
-    bound the rest, about 1-2 KB a row, by passing blocks.
-    """
-    columns, errors = _report_columns(models)
-    return [errors[k] if k in errors else columns.report(k) for k in range(len(columns.margin))]
+    return {k: _tagged(rows.errors[k], float(ratio[k])) for k in failed}
 
 
 def full_report(model: LinearModel) -> CorrelationReport:
@@ -388,16 +379,18 @@ def full_report(model: LinearModel) -> CorrelationReport:
     Solves the steady state once and evaluates the mirror-mirror and
     mirror-cavity entanglement, the three-way residual contangle, and
     the two steering directions with their classification, as the
-    one-row case of :func:`full_reports`.  Solver and measure errors, a
-    breach of the steering-entanglement hierarchy among them, are raised
-    tagged with the detuning of the failing point.
+    one-row case of the block stage that sweeps run
+    (:func:`_report_columns`).  Solver and measure errors, a breach of
+    the steering-entanglement hierarchy among them, are raised tagged
+    with the detuning of the failing point.
 
     At the OPA threshold the mean field diverges and there is no working
     point to linearize about.  The cavity block there has determinant
     kappa^2 + Delta^2 - 4 chi^2 = 0 and trace -2 kappa, so its spectrum
     is {0, -2 kappa}: the point is reported as not stable with margin 0.
     """
-    (report,) = full_reports(model)
-    if isinstance(report, LgsteerError):
-        raise report
-    return report
+    table = _Columns.of(1)
+    errors = _report_columns(model, table, np.arange(1))
+    if errors:
+        raise errors[0]
+    return table.report(0)

@@ -4,9 +4,9 @@ Sweeps evaluate correlation reports over 1-D or 2-D parameter grids in
 blocks of at most 512 points, whose stable rows are solved and measured
 64 at a time, which bounds the working memory of any grid.  Each axis
 is converted to SI and checked once, as one array; a block's models
-are built as one (N, 6, 6) stack by :func:`lgsteer.model.build_model`
-and solved and measured into columns by
-:func:`lgsteer.measures._report_columns`, which the result keeps; its
+are built as one (N, 6, 6) stack by :func:`lgsteer.model.build_model`,
+and :func:`lgsteer.measures._report_columns` solves and measures them
+straight into the one table of the grid, which the result keeps; its
 rows are built only when read.  Axis
 coordinates use the same display units as the configuration surface
 (frequencies as ratios to the left-mirror frequency, phases in radians,
@@ -32,7 +32,6 @@ import numpy as np
 
 from .config import Axis, RunConfig, RunSection, _check_axes, to_si, to_system_params
 from .errors import InvalidSpec, NoStableRegion, UnknownPreset
-from .gaussian import _CHUNK_ROWS
 from .measures import (
     CorrelationReport,
     _Columns,
@@ -176,7 +175,7 @@ def _column(base: SystemParams, which: int, axis: Axis) -> tuple:
 def _evaluate_block(spec: SweepSpec, columns, rows: np.ndarray, table: _Columns,
                     errors: dict) -> None:
     """Fill grid rows ``rows`` of ``table`` and ``errors``: the valid points' models built
-    and reported as one block.
+    as one block and reported into ``table``.
 
     ``columns`` holds each axis's ``(which, field, SI values, {value index:
     its error})``.  A bad point's error is its first in ``columns``
@@ -191,10 +190,7 @@ def _evaluate_block(spec: SweepSpec, columns, rows: np.ndarray, table: _Columns,
     good = np.delete(np.arange(len(rows)), list(failed))
     if len(good):
         swept = {name: values[index[good, which]] for which, name, values, _ in columns}
-        block, block_errors = _report_columns(build_model(spec.base, swept))
-        at = rows[good]
-        for whole, part in zip(table, block):
-            whole[at] = part
+        block_errors = _report_columns(build_model(spec.base, swept), table, rows[good])
         failed.update((int(good[k]), exc) for k, exc in block_errors.items())
     errors.update((int(rows[k]), f"{type(exc).__name__}: {exc}") for k, exc in failed.items())
 
@@ -204,15 +200,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Points are evaluated in blocks of ``_BLOCK_ROWS`` through
     :func:`lgsteer.measures._report_columns`, which solves and measures a
-    block's stable rows 64 at a time: that bounds the working memory
-    whatever the grid size.  The result keeps the blocks' columns, about
-    70 B a row; no row object is built.
+    block's stable rows 64 at a time into the grid's one table: that
+    bounds the working memory whatever the grid size.  The result keeps
+    that table, about 70 B a row; no row object is built.
     """
     n = math.prod(spec.shape)
     axes = enumerate((spec.axis1, spec.axis2))
     columns = [_column(spec.base, which, axis) for which, axis in axes if axis is not None]
     columns.sort(key=lambda column: list(FIELD_RULES).index(column[1]))
-    table, errors = _Columns.of(np.full(n, np.nan)), {}
+    table, errors = _Columns.of(n), {}
     for start in range(0, n, _BLOCK_ROWS):
         rows = np.arange(start, min(n, start + _BLOCK_ROWS))
         _evaluate_block(spec, columns, rows, table, errors)
@@ -243,13 +239,12 @@ def _scores(base: SystemParams, axis: Axis, measure: str) -> list[float]:
     scores = np.full(len(values), -math.inf)
     good = np.delete(np.arange(len(values)), list(errors))
     if len(good):
-        rows, _, v = _solve_models(build_model(base, {name: values[good]}))
-        if len(v):
-            # the pairs read, in _pairs' order: EN_mm, then EN_m1c for ENmc
-            read = 1 if measure == "ENmm" else 2
-            stage = functools.partial(_pairs, pairs=read)
-            en, _ = rows.run(stage, v, chunk=_CHUNK_ROWS)
-            scores[good[rows.live]] = en[:, read - 1]
+        # the pairs read, in _pairs' order: EN_mm, then EN_m1c for ENmc
+        read = 1 if measure == "ENmm" else 2
+        stage = functools.partial(_pairs, pairs=read)
+        rows, _, out = _solve_models(build_model(base, {name: values[good]}), stage)
+        if out is not None:
+            scores[good[rows.live]] = out[0][:, read - 1]
     return scores.tolist()
 
 

@@ -19,7 +19,7 @@ PRESET_NAMES ReferenceState RunConfig RunSection SingularSystem SolveFailure
 SteadyState SteeringClass StepOverflow SweepResult SweepRow SweepSpec
 SystemParams UnknownKey UnknownMode UnknownPreset __version__
 build_diffusion build_drift build_model derive eigenvalues
-format_report_table full_report full_reports hamiltonian hessenberg
+format_report_table full_report hamiltonian hessenberg
 integrate_covariance log_negativity lyapunov_oracle lyapunov_residual
 min_pt_symplectic optimum_detuning parse_config parse_result_csv
 preset_variants real_schur reference renyi2_entropy report_to_json
@@ -206,3 +206,16 @@ def test_no_module_but_measures_names_the_hierarchy_rule():
                 namers.append(path.name)
     assert namers == []
     assert readers == ["_check_hierarchy"]
+
+
+def test_no_module_but_gaussian_and_measures_names_the_chunk_size():
+    # a block's stable rows are solved in ``gaussian`` and measured in
+    # ``measures`` 64 at a time; no other module runs a stage in chunks
+    namers = []
+    for path in sorted(Path(lgsteer.__file__).parent.glob("*.py")):
+        if path.name in ("gaussian.py", "measures.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "_CHUNK_ROWS" in {getattr(node, key, None) for key in ("id", "attr", "name")}:
+                namers.append(path.name)
+    assert namers == []

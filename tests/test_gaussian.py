@@ -97,6 +97,14 @@ class TestCovarianceMatrix:
         cm = CovarianceMatrix(raw, ("solo",))
         assert cm.data[0, 1] == cm.data[1, 0] == 0.1
 
+    def test_largest_entries_stay_finite(self):
+        # halved before they are summed, so the sum cannot overflow, which
+        # the suite's warnings-as-errors filter would also catch
+        big = np.finfo(float).max
+        for top in (1e308, big):
+            cm = CovarianceMatrix(top * np.eye(2), ("solo",))
+            assert cm.data.tolist() == [[top, 0.0], [0.0, top]]
+
     def test_data_is_frozen(self):
         cm = CovarianceMatrix(np.eye(2), ("solo",))
         with pytest.raises(ValueError):

@@ -175,7 +175,7 @@ class TestSteeringClassCells:
         mirrors = (tmsv(0.5).data, noisy, noisy[np.ix_(swap, swap)], 0.5 * np.eye(4))
         v = np.stack([_with_vacuum_cavity(m) for m in mirrors])
         solved = (_Rows(len(v)), np.full(len(v), -0.25), v)
-        monkeypatch.setattr(lgsteer.measures, "_solve_models", lambda models: solved)
+        monkeypatch.setattr(lgsteer.measures, "_solve", lambda drifts, diffusions: solved)
         axis = Axis("detuning_ratio", (0.5, 1.0, 1.5, 2.0))
         result = run_sweep(SweepSpec(make_params(detuning=+W1), axis))
         w1 = result.spec.base.omega_phi1

@@ -23,7 +23,6 @@ from lgsteer import (
     build_model,
     derive,
     full_report,
-    full_reports,
     log_negativity,
     lyapunov_oracle,
     min_pt_symplectic,
@@ -40,7 +39,17 @@ from lgsteer import (
     with_updates,
 )
 from lgsteer.gaussian import _Rows, _scale
-from lgsteer.measures import _CLASSES, _HIERARCHY_TOL, _class_codes, _en, _pairs, _reports
+from lgsteer.measures import (
+    _CLASSES,
+    _HIERARCHY_TOL,
+    _class_codes,
+    _Columns,
+    _en,
+    _pairs,
+    _report_columns,
+    _reports,
+    _residual_min,
+)
 
 from conftest import (
     REF_EN_CAV_SPLIT_PUMPED,
@@ -263,6 +272,19 @@ class TestResidualContangle:
         with pytest.raises(NonPhysicalInput, match="three-mode"):
             residual_contangle_min(tmsv(0.3))
 
+    def test_squares_are_the_pow_squares_bit_for_bit(self):
+        # a split EN x beside no pair EN gives R_min = x**2, and a pair EN x
+        # beside no split EN gives -x**2: Python's squares (libm pow), bit
+        # for bit, on seeded values some of which x * x rounds otherwise
+        x = np.random.default_rng(33).uniform(0.01, 2.0, 20000)
+        squares = [e**2 for e in x.tolist()]
+        assert (x * x != squares).sum() > 5
+        zero, three = np.zeros_like(x), np.full_like(x, 3.0)
+        by_split = _residual_min(np.stack([zero] * 3, axis=1), np.stack([x, three, three], 1))
+        by_pair = _residual_min(np.stack([x, zero, zero], 1), np.stack([zero, three, three], 1))
+        assert by_split.tolist() == squares
+        assert by_pair.tolist() == [-sq for sq in squares]
+
 
 class TestRenyi2Entropy:
     def test_vacuum_is_pure(self):
@@ -308,6 +330,15 @@ class TestSteering:
     def test_unknown_mode(self):
         with pytest.raises(UnknownMode, match="'nope' not in"):
             steering(tmsv(0.5), "nope")
+
+    def test_unknown_mode_before_the_state_is_measured(self):
+        # det(2 V) of this matrix is negative, which the measure rejects;
+        # a mode it does not have is rejected first
+        cm = CovarianceMatrix(np.diag([0.5, 0.5, -1.0, 0.5]), ("a", "b"))
+        with pytest.raises(NonPositiveDeterminant):
+            steering(cm, "a")
+        with pytest.raises(UnknownMode, match="'zzz' not in"):
+            steering(cm, "zzz")
 
     def test_one_way_regime(self):
         # thermal noise on beta breaks the symmetry: the noisy beta can
@@ -533,19 +564,25 @@ _UNENTANGLED_STEERING = np.kron([[1.5, 1.0], [1.0, 1.0]], np.eye(2))
 
 
 class TestReportStage:
-    """The array stage of full_reports on synthetic stacks the model never gives."""
+    """The block stage of sweeps and reports (``_report_columns``) on synthetic stacks
+    the model never gives."""
 
     @pytest.fixture(autouse=True)
     def _patch(self, monkeypatch):
         self.monkeypatch = monkeypatch
 
     def stage(self, *mirrors) -> list:
-        # full_reports of a block, at detuning_ratio 0, 1, 2, ..., whose
-        # solve gives these stable states
+        # each row's report or error, from a block at detuning_ratio 0, 1,
+        # 2, ... whose solve gives these stable states, written into rows
+        # 1, 3, 5, ... of a table twice its size
         v = np.stack([_with_vacuum_cavity(m) for m in mirrors])
         solved = (_Rows(len(v)), np.full(len(v), -0.25), v)
-        self.monkeypatch.setattr(lgsteer.measures, "_solve_models", lambda models: solved)
-        return full_reports(build_model(make_params(), {"detuning": W1 * np.arange(len(v))}))
+        self.monkeypatch.setattr(lgsteer.measures, "_solve", lambda drifts, diffusions: solved)
+        table, at = _Columns.of(2 * len(v)), 2 * np.arange(len(v)) + 1
+        models = build_model(make_params(), {"detuning": W1 * np.arange(len(v))})
+        errors = _report_columns(models, table, at)
+        assert not table.stable[::2].any() and np.isnan(table.margin[::2]).all()
+        return [errors[k] if k in errors else table.report(at[k]) for k in range(len(v))]
 
     def test_tmsv_beside_a_vacuum_cavity(self):
         rs = (0.25, 0.5, 1.0)

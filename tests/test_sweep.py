@@ -584,10 +584,13 @@ class TestColumns:
             Axis("laser_power_w", (0.0, 0.02, 0.05)),
         )
 
-    def test_rows_are_the_per_point_reports(self, monkeypatch):
+    @pytest.mark.parametrize("block_rows", [1, 4, 512])
+    def test_rows_are_the_per_point_reports(self, monkeypatch, block_rows):
         # every row equals, field by field, what full_report gives its
         # point alone, or that point's error text; one stable row is
-        # forced to steer without entanglement, which both paths reject
+        # forced to steer without entanglement, which both paths reject.
+        # Blocks of 4 rows put bad-value rows inside blocks and on their edges
+        monkeypatch.setattr(lgsteer.sweep, "_BLOCK_ROWS", block_rows)
         spec = self._mixed_2d()
         marked = build_model(params_at(spec.base, (("detuning_ratio", 1.0),
                                                     ("laser_power_w", 0.02))))
@@ -682,9 +685,9 @@ class TestOptimumDetuning:
         evaluated = []
         solve = lgsteer.sweep._solve_models
 
-        def counting_solve(models):
+        def counting_solve(models, stage):
             evaluated.append(len(models.drift))
-            return solve(models)
+            return solve(models, stage)
 
         monkeypatch.setattr(lgsteer.sweep, "_solve_models", counting_solve)
         base = table_defaults()
@@ -766,9 +769,9 @@ class TestSearchScores:
             shapes.append(stack.shape)
             return spectra(stack)
 
-        def counted_solve(models):
-            out = solve(models)
-            stable.append(len(out[2]))
+        def counted_solve(models, stage):
+            out = solve(models, stage)
+            stable.append(len(out[0].live))
             return out
 
         monkeypatch.setattr(lgsteer.measures, "_spectra", counted_spectra)
