@@ -18,7 +18,6 @@ rest of the stack alone.  An independent solver lives in
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 
@@ -42,9 +41,6 @@ _MARGIN_FLOOR = 8.0
 # refinement stops once a correction is at most this many eps of max|V|
 _FORWARD_FACTOR = 2.0
 _MAX_REFINE = 8
-# stable rows per call of the Lyapunov and report stages: bounds their
-# working arrays (about 12 KB a row, two 21x21 operators among them)
-_CHUNK_ROWS = 64
 _EYE6 = np.eye(6)
 # the 21 unknowns of a symmetric 6x6 V are its upper triangle, row by row;
 # _SYM[p, i] is the unknown that holds V[p, i], so u[..., _SYM] is V
@@ -117,6 +113,8 @@ class CovarianceMatrix:
                 f"covariance shape {data.shape} does not match "
                 f"{len(self.mode_labels)} mode labels"
             )
+        if len(set(self.mode_labels)) < len(self.mode_labels):
+            raise NonPhysicalInput(f"mode labels {tuple(self.mode_labels)} repeat a mode")
         if not np.isfinite(data).all():
             raise NonPhysicalInput("covariance matrix has non-finite entries")
         # halved before the sum, so that finite entries stay finite
@@ -232,27 +230,15 @@ class _Rows:
         self.errors: list[LgsteerError | None] = [None] * n
         self.live = np.arange(n)
 
-    def run(self, stage, *arrays, chunk: int | None = None) -> tuple:
+    def run(self, stage, *arrays) -> tuple:
         """``stage(*arrays)``, the tuple of stacks the live rows go on with.
 
         The one way a stage drops a failing row: ``arrays`` and the stacks
         ``stage`` returns are aligned with the live rows, and when LAPACK
         or a guard rejects the whole stack, the stage is re-run on no rows
         (for the shapes) and then row by row, and each row that fails
-        alone is dropped with its own exception as its error.  With
-        ``chunk``, the stage runs on at most that many rows at a time,
-        which bounds its working arrays, and a failing row is re-run alone
-        within its chunk.
+        alone is dropped with its own exception as its error.
         """
-        if chunk is not None and len(self.live) > chunk:
-            outs, live = [], []
-            for start in range(0, len(self.live), chunk):
-                part = copy.copy(self)
-                part.live = self.live[start : start + chunk]
-                outs.append(part.run(stage, *(x[start : start + chunk] for x in arrays)))
-                live.append(part.live)
-            self.live = np.concatenate(live)
-            return tuple(np.concatenate(parts) for parts in zip(*outs))
         try:
             return stage(*arrays)
         except (np.linalg.LinAlgError, LgsteerError):
@@ -420,12 +406,8 @@ def _solve(drifts, diffusions):
     margin, a, d, scale = rows.run(_margins, a, d)
     margins[rows.live] = margin
     stable = margin < 0.0
-    if not stable.any():
-        rows.live = rows.live[:0]
-        return rows, margins, a[:0]
-    if not stable.all():
-        rows.live, a, d, scale = (x[stable] for x in (rows.live, a, d, scale))
-    (v,) = rows.run(_lyapunov, a, d, scale, chunk=_CHUNK_ROWS)
+    rows.live, a, d, scale = (x[stable] for x in (rows.live, a, d, scale))
+    (v,) = rows.run(_lyapunov, a, d, scale) if len(a) else (a,)
     return rows, margins, v
 
 
@@ -447,10 +429,11 @@ def steady_covariances(drifts, diffusions):
     Each stage makes batched LAPACK calls over the rows still in play:
     the margins from one ``eigvals`` of the power-of-two-scaled drifts
     (a margin within 8 eps of 0 after scaling reads 0.0, not stable),
-    then, 64 stable rows at a time, the inverses of their 21x21 Lyapunov
-    operators from one ``inv`` and each refinement pass on the rows not
-    yet converged.  Only when LAPACK or a check rejects a call is it
-    re-run one row at a time.
+    then, for all stable rows at once, the inverses of their 21x21
+    Lyapunov operators from one ``inv`` and each refinement pass on the
+    rows not yet converged, in about 9 KB a row that the caller bounds
+    by the rows it passes.  Only when LAPACK or a check rejects a call
+    is it re-run one row at a time.
     """
     rows, margins, v = _solve(drifts, diffusions)
     covariances = np.full((len(margins), 6, 6), np.nan)

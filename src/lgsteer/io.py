@@ -174,7 +174,7 @@ def parse_result_csv(text: str):
     Numeric cells round-trip exactly (they were written as shortest
     round-trip decimals).  Empty measure cells become ``None``; the
     stable column becomes a bool, or the string ``"error"`` for rows
-    that failed to evaluate.
+    that failed to evaluate.  A malformed line raises :class:`BadUnit`.
     """
     lines = text.splitlines()
     if not lines:
@@ -189,20 +189,21 @@ def parse_result_csv(text: str):
         cells = line.split(",")
         if len(cells) != len(header):
             raise BadUnit(f"line {lineno}: expected {len(header)} cells")
-        doc: dict = {}
-        for name, cell in zip(axis_names, cells[:n_axes]):
-            doc[name] = float(cell)
         body = cells[n_axes:]
         if body[0] not in _STABLE_CELLS:
             raise BadUnit(f"line {lineno}: bad stable cell {body[0]!r}")
-        doc["stable"] = _STABLE_CELLS[body[0]]
-        for name, cell in zip(MEASURE_COLUMNS[1:], body[1:]):
-            if cell == "":
-                doc[name] = None
-            elif name == "steering_class":
-                doc[name] = SteeringClass(cell).value
-            else:
-                doc[name] = float(cell)
+        try:
+            doc = {name: float(cell) for name, cell in zip(axis_names, cells)}
+            doc["stable"] = _STABLE_CELLS[body[0]]
+            for name, cell in zip(MEASURE_COLUMNS[1:], body[1:]):
+                if cell == "":
+                    doc[name] = None
+                elif name == "steering_class":
+                    doc[name] = SteeringClass(cell).value
+                else:
+                    doc[name] = float(cell)
+        except ValueError as exc:
+            raise BadUnit(f"line {lineno}: {exc}") from None
         rows.append(doc)
     return axis_names, rows
 

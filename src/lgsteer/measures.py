@@ -7,7 +7,7 @@ two-mode pair, or the full three-mode state for a one-versus-two
 split); steering uses the Renyi-2 entropy criterion.
 :func:`_report_columns` bundles everything for a block of linearized
 models: it goes on with the rows of one batched solve, computes each
-measure of its stable rows 64 at a time, from one stacked spectrum per
+measure of all its stable rows at once, from one stacked spectrum per
 kind of cut, and writes the reports into the caller's columns.  The
 one-state functions and :func:`full_report` are one-row cases of the
 same array code.
@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import LgsteerError, NonPhysicalInput, NonPositiveDeterminant, UnknownMode
 from .gaussian import (
-    _CHUNK_ROWS,
     _EPS,
     MODE_ORDER,
     CovarianceMatrix,
@@ -331,10 +330,10 @@ def _solve_models(models: LinearModel, stage) -> tuple:
     ``(rows, margins, out)``, with one row per row of its (N, 6, 6) stacks.
 
     ``rows`` and ``margins`` are those of :func:`lgsteer.gaussian._solve`;
-    ``stage`` runs on the covariances of 64 live rows at a time, which
-    bounds its working arrays, and drops each row it fails (see
-    :meth:`lgsteer.gaussian._Rows.run`).  ``out`` is the tuple of stacks
-    it returns for the rows still live, or None when no row is stable.
+    ``stage`` runs on the live rows' covariances as one stack and drops
+    each row it fails (see :meth:`lgsteer.gaussian._Rows.run`).  ``out``
+    is the tuple of stacks it returns for the rows still live, or None
+    when no row is stable.
 
     At the OPA threshold the drift is not finite; the zero matrix stands
     in for it, with the margin 0 reported there (see :func:`full_report`).
@@ -345,7 +344,7 @@ def _solve_models(models: LinearModel, stage) -> tuple:
     if np.any(threshold):
         drifts = np.where(np.reshape(threshold, (-1, 1, 1)), 0.0, drifts)
     rows, margins, v = _solve(drifts, np.reshape(models.diffusion, (n, 6, 6)))
-    return rows, margins, (rows.run(stage, v, chunk=_CHUNK_ROWS) if len(v) else None)
+    return rows, margins, (rows.run(stage, v) if len(v) else None)
 
 
 def _report_columns(models: LinearModel, table: _Columns, at: np.ndarray) -> dict:

@@ -1,8 +1,8 @@
 """Grid evaluation of correlation reports with figure presets.
 
 Sweeps evaluate correlation reports over 1-D or 2-D parameter grids in
-blocks of at most 512 points, whose stable rows are solved and measured
-64 at a time, which bounds the working memory of any grid.  Each axis
+blocks of at most 256 points, each solved and measured as one stack,
+which bounds the working memory of any grid.  Each axis
 is converted to SI and checked once, as one array; a block's models
 are built as one (N, 6, 6) stack by :func:`lgsteer.model.build_model`,
 and :func:`lgsteer.measures._report_columns` solves and measures them
@@ -45,10 +45,9 @@ _GRID_1D = 401
 _GRID_2D = 101
 # points the optimum search adds inside the winning coarse bracket
 _REFINE_POINTS = 9
-# grid points per batched evaluation (about 1-2 KB a point to build and
-# take margins); the solve and the measures bound their own working
-# arrays by taking a block's stable rows 64 at a time
-_BLOCK_ROWS = 512
+# grid points per batched evaluation, each solved and measured as one stack:
+# the one bound on a sweep's working memory, about 9 KB a stable point
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -199,9 +198,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid; rows come back in (axis1, axis2) index order.
 
     Points are evaluated in blocks of ``_BLOCK_ROWS`` through
-    :func:`lgsteer.measures._report_columns`, which solves and measures a
-    block's stable rows 64 at a time into the grid's one table: that
-    bounds the working memory whatever the grid size.  The result keeps
+    :func:`lgsteer.measures._report_columns`, which solves and measures
+    each block as one stack into the grid's one table: that bounds the
+    working memory whatever the grid size.  The result keeps
     that table, about 70 B a row; no row object is built.
     """
     n = math.prod(spec.shape)

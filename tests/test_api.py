@@ -208,14 +208,17 @@ def test_no_module_but_measures_names_the_hierarchy_rule():
     assert readers == ["_check_hierarchy"]
 
 
-def test_no_module_but_gaussian_and_measures_names_the_chunk_size():
-    # a block's stable rows are solved in ``gaussian`` and measured in
-    # ``measures`` 64 at a time; no other module runs a stage in chunks
-    namers = []
+def test_no_module_but_sweep_names_the_block_size():
+    # a sweep block is solved and measured as one stack: ``_BLOCK_ROWS``
+    # in ``sweep`` is the one batch size, and no stage takes a chunk size
+    namers, block_names = [], []
     for path in sorted(Path(lgsteer.__file__).parent.glob("*.py")):
-        if path.name in ("gaussian.py", "measures.py"):
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if "_CHUNK_ROWS" in {getattr(node, key, None) for key in ("id", "attr", "name")}:
+            names = {getattr(node, key, None) for key in ("id", "attr", "name", "arg")}
+            chunked = "chunk" in names and isinstance(node, (ast.arg, ast.keyword))
+            if "_CHUNK_ROWS" in names or chunked:
                 namers.append(path.name)
+            if "_BLOCK_ROWS" in names:
+                block_names.append(path.name)
     assert namers == []
+    assert block_names and set(block_names) == {"sweep.py"}

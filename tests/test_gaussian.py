@@ -114,6 +114,13 @@ class TestCovarianceMatrix:
         with pytest.raises(NonPhysicalInput, match="shape"):
             CovarianceMatrix(np.eye(4), ("solo",))
 
+    def test_rejects_repeated_labels(self):
+        # a repeated label would make every cut by name pick the wrong rows
+        data = tmsv(1.0).data
+        with pytest.raises(NonPhysicalInput, match="repeat"):
+            CovarianceMatrix(data, ("a", "a"))
+        CovarianceMatrix(data, ("a", "b"))
+
     def test_rejects_non_finite(self):
         bad = np.eye(2)
         bad[0, 0] = math.nan

@@ -166,6 +166,22 @@ class TestRoundTrip:
         with pytest.raises(BadUnit, match="stable"):
             parse_result_csv("\n".join(lines))
 
+    @pytest.mark.parametrize("column, cell, message", [
+        (0, "abc", "could not convert string to float: 'abc'"),
+        (2, "abc", "could not convert string to float: 'abc'"),
+        (8, "bogus", "'bogus' is not a valid SteeringClass"),
+    ], ids=["coordinate", "measure", "class"])
+    def test_rejects_bad_cell_value(self, column, cell, message):
+        # a stable row's coordinate, measure or class cell that does not parse
+        lines = serialize_csv(boundary_sweep()).splitlines()
+        k = next(i for i, line in enumerate(lines) if ",true," in line)
+        cells = lines[k].split(",")
+        cells[column] = cell
+        lines[k] = ",".join(cells)
+        with pytest.raises(BadUnit) as exc:
+            parse_result_csv("\n".join(lines))
+        assert str(exc.value) == f"line {k + 1}: {message}"
+
 
 class TestSteeringClassCells:
     def test_each_class_through_both_writers(self, monkeypatch):

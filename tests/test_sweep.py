@@ -501,8 +501,8 @@ class TestBlocks:
 
     @staticmethod
     def _gain_spec() -> SweepSpec:
-        # 401 gains at the EN_m1c optimum: every row stable, one block of
-        # the sweep, seven chunks (6 x 64 + 17) of the solve and measures
+        # 401 gains at the EN_m1c optimum: every row stable, two blocks
+        # (256 + 145) of the sweep, each solved and measured as one stack
         base = with_updates(make_params(), omega_phi2=1.5 * W1)
         opt = optimum_detuning(base, "ENmc")
         return SweepSpec(
@@ -511,10 +511,9 @@ class TestBlocks:
         )
 
     def test_peak_memory_is_bounded(self):
-        # a stable row needs about 12 KB of working arrays (two 21x21
-        # operators among them), so a 401-point grid solved as one batch
-        # peaks near 5 MB; solving and measuring a block's stable rows 64
-        # at a time keeps it near 1 MB, with 1-2 KB a point for the block
+        # a stable row needs about 9 KB of working arrays (two 21x21
+        # operators among them): blocks of 256 rows peak near 2.4 MB on
+        # this grid, where one block of 512 rows peaks near 3.7 MB
         spec = self._gain_spec()
         tracemalloc.start()
         try:
@@ -526,11 +525,10 @@ class TestBlocks:
         assert peak < 3e6
 
     @pytest.mark.parametrize("stage", ["eigvals", "inv"])
-    def test_chunks_are_invisible(self, monkeypatch, stage):
-        # every row of the one 401-point block equals its own one-row
-        # full_report bit for bit; a row of the second chunk that fails a
-        # stage alone (the block's stacked eigvals, or its chunk's stacked
-        # inv) is the only error row
+    def test_block_edges_are_invisible(self, monkeypatch, stage):
+        # every row of the two blocks equals its own one-row full_report
+        # bit for bit; a row of the second block that fails a stage alone
+        # (its block's stacked eigvals or stacked inv) is the only error row
         spec = self._gain_spec()
         sizes = []
         lyapunov = lgsteer.gaussian._lyapunov
@@ -541,12 +539,12 @@ class TestBlocks:
 
         monkeypatch.setattr(lgsteer.gaussian, "_lyapunov", counted)
         clean = run_sweep(spec).rows
-        assert sizes == [64] * 6 + [17]
+        assert sizes == [256, 145]
         assert all(row.report.stable for row in clean)
         for row in clean:
             alone = full_report(build_model(params_at(spec.base, row.coords)))
             assert repr(alone) == repr(row.report)
-        k = 100
+        k = 300
         marked = build_model(params_at(spec.base, clean[k].coords))
         target = marked.drift / _scale(marked.drift)
         if stage == "inv":
@@ -561,7 +559,10 @@ class TestBlocks:
         monkeypatch.setattr(np.linalg, stage, forced)
         with pytest.raises(LgsteerError) as alone:
             full_report(marked)
+        sizes.clear()
         rows = run_sweep(spec).rows
+        # the failing row re-runs its own block alone: the first is solved once
+        assert sizes[0] == 256 and 256 not in sizes[1:]
         assert rows[k].report is None
         assert rows[k].error == f"{type(alone.value).__name__}: {alone.value}"
         assert [repr(r) for i, r in enumerate(rows) if i != k] == [
@@ -584,7 +585,7 @@ class TestColumns:
             Axis("laser_power_w", (0.0, 0.02, 0.05)),
         )
 
-    @pytest.mark.parametrize("block_rows", [1, 4, 512])
+    @pytest.mark.parametrize("block_rows", [1, 4, 256])
     def test_rows_are_the_per_point_reports(self, monkeypatch, block_rows):
         # every row equals, field by field, what full_report gives its
         # point alone, or that point's error text; one stable row is
