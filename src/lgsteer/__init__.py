@@ -98,7 +98,6 @@ from .config import (
 from .io import (
     MEASURE_COLUMNS,
     format_report_table,
-    parse_result_csv,
     report_to_json,
     serialize_csv,
     serialize_json,

@@ -22,7 +22,7 @@ from ._version import __version__
 from .config import _FORMATS, _axis_doc, system_to_display
 from .constants import CLIGHT, HBAR, KBOLTZ
 from .errors import BadUnit
-from .measures import _CLASS_AT, _CLASSES, _MEASURE_FIELDS, CorrelationReport, SteeringClass
+from .measures import _CLASS_AT, _CLASSES, _MEASURE_FIELDS, CorrelationReport
 from .sweep import SweepResult
 
 MEASURE_COLUMNS = (
@@ -45,8 +45,6 @@ _BLANKS = "," * (len(MEASURE_COLUMNS) - 1)
 _NOT_STABLE = (False,) + (None,) * (len(MEASURE_COLUMNS) - 2)
 # each steering-class code's cell
 _CLASS_VALUES = tuple(c.value for c in _CLASSES)
-# the stable column's cells and what they read as
-_STABLE_CELLS = {"true": True, "false": False, "error": "error"}
 # a row's item separator at indent=2: its fields sit three levels deep
 _ROW_SEPARATORS = (",\n      ", ": ")
 # single-point outputs put the margin second
@@ -166,46 +164,6 @@ def serialize_json(result: SweepResult) -> str:
     rows = rows.replace("},\n      {", "\n    },\n    {\n      ")
     head = json.dumps(doc, indent=2)[:-2]
     return f'{head},\n  "rows": [\n    {{\n      {rows[2:-2]}\n    }}\n  ]\n}}\n'
-
-
-def parse_result_csv(text: str):
-    """Parse a result CSV back into (axis_names, row dicts).
-
-    Numeric cells round-trip exactly (they were written as shortest
-    round-trip decimals).  Empty measure cells become ``None``; the
-    stable column becomes a bool, or the string ``"error"`` for rows
-    that failed to evaluate.  A malformed line raises :class:`BadUnit`.
-    """
-    lines = text.splitlines()
-    if not lines:
-        raise BadUnit("result CSV is empty")
-    header = lines[0].split(",")
-    n_axes = len(header) - len(MEASURE_COLUMNS)
-    if n_axes < 1 or tuple(header[n_axes:]) != MEASURE_COLUMNS:
-        raise BadUnit("result CSV header does not match the fixed layout")
-    axis_names = header[:n_axes]
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise BadUnit(f"line {lineno}: expected {len(header)} cells")
-        body = cells[n_axes:]
-        if body[0] not in _STABLE_CELLS:
-            raise BadUnit(f"line {lineno}: bad stable cell {body[0]!r}")
-        try:
-            doc = {name: float(cell) for name, cell in zip(axis_names, cells)}
-            doc["stable"] = _STABLE_CELLS[body[0]]
-            for name, cell in zip(MEASURE_COLUMNS[1:], body[1:]):
-                if cell == "":
-                    doc[name] = None
-                elif name == "steering_class":
-                    doc[name] = SteeringClass(cell).value
-                else:
-                    doc[name] = float(cell)
-        except ValueError as exc:
-            raise BadUnit(f"line {lineno}: {exc}") from None
-        rows.append(doc)
-    return axis_names, rows
 
 
 def write_result(result: SweepResult, path: str, fmt: str) -> None:

@@ -4,6 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import lgsteer
 import lgsteer.errors
 
@@ -21,7 +23,7 @@ SystemParams UnknownKey UnknownMode UnknownPreset __version__
 build_diffusion build_drift build_model derive eigenvalues
 format_report_table full_report hamiltonian hessenberg
 integrate_covariance log_negativity lyapunov_oracle lyapunov_residual
-min_pt_symplectic optimum_detuning parse_config parse_result_csv
+min_pt_symplectic optimum_detuning parse_config
 preset_variants real_schur reference renyi2_entropy report_to_json
 residual_contangle_min run_checks run_sweep serialize_config serialize_csv
 serialize_json
@@ -222,3 +224,23 @@ def test_no_module_but_sweep_names_the_block_size():
                 block_names.append(path.name)
     assert namers == []
     assert block_names and set(block_names) == {"sweep.py"}
+
+
+def test_the_version_is_stated_only_in_its_module():
+    # pyproject.toml reads the version from lgsteer._version, which JSON
+    # results write as metadata.version, rather than stating it again
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "pyproject.toml").read_text(encoding="utf-8")
+    doc = tomllib.loads(text)
+    assert "version" not in doc["project"]
+    assert doc["project"]["dynamic"] == ["version"]
+    assert doc["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "lgsteer._version.__version__"
+    }
+    assert lgsteer.__version__ not in text
+    stating = [
+        path.name for path in (root / "src" / "lgsteer").glob("*.py")
+        if lgsteer.__version__ in path.read_text(encoding="utf-8")
+    ]
+    assert stating == ["_version.py"]

@@ -333,6 +333,19 @@ class TestConversion:
             back = to_system_params(parse_config(text))
             assert back == p
 
+    def test_si_value_that_no_decimal_converts_back_to_keeps_its_quotient(self):
+        # a detuning set in Python is no decimal times omega_phi1: no decimal
+        # of up to 16 digits converts back to it, so the spec names the
+        # plain quotient, which converts back one ulp away
+        params = with_updates(table_defaults(), detuning=4146122.0249091685)
+        display = system_to_display(params)
+        ratio = display["detuning_ratio"]
+        assert ratio == params.detuning / params.omega_phi1 == 0.06598758149264726
+        text = json.dumps({"system": display, "run": {"mode": "point"}})
+        back = to_system_params(parse_config(text))
+        assert back == with_updates(params, detuning=back.detuning)
+        assert abs(back.detuning - params.detuning) == math.ulp(params.detuning)
+
     @pytest.mark.parametrize("hz", [1e7, 1.2e7, 2e7, 3.3e6])
     def test_scaled_keys_come_back_as_written(self, hz):
         # a scaled key's quotient by its scale can be one ulp off the run

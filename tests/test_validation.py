@@ -405,6 +405,28 @@ class TestRunChecks:
         )
         assert [name for name, r in by_name.items() if not r.passed] == ["route_agreement"]
 
+    @pytest.mark.parametrize("name, route, swallowed, detail", [
+        ("integrator_overflow", "integrate_covariance", StepOverflow,
+         "unstable drift did not trigger StepOverflow"),
+        ("marginal_rejected", "lyapunov_oracle", SingularSystem,
+         "marginally stable drift was not rejected"),
+    ], ids=["integrator_overflow", "marginal_rejected"])
+    def test_route_that_stops_rejecting_fails_its_check(
+        self, monkeypatch, name, route, swallowed, detail
+    ):
+        # the route passes every call through but swallows its rejection
+        original = getattr(validation, route)
+
+        def lenient(*args):
+            try:
+                return original(*args)
+            except swallowed:
+                return None
+
+        monkeypatch.setattr(validation, route, lenient)
+        failed = [r for r in run_checks() if not r.passed]
+        assert [(r.name, r.detail) for r in failed] == [(name, detail)]
+
     @pytest.mark.parametrize("kwargs", [{"seed": -1}])
     def test_bad_seed_or_count_raises_before_any_check(self, kwargs):
         calls = []
