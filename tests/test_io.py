@@ -100,10 +100,10 @@ class TestSerializeCsv:
         assert margin > 0.0  # boundary location survives serialization
 
     def test_error_rows_are_marked(self):
-        bad, good = (line.split(",") for line in serialize_csv(error_sweep()).splitlines()[1:])
+        text = serialize_csv(error_sweep())
+        bad = text.splitlines()[1].split(",")
         assert bad[1] == "error"
         assert bad[2:] == [""] * (len(MEASURE_COLUMNS) - 1)
-        assert good[1] == "true"
 
     def test_stable_rows_are_complete(self):
         text = serialize_csv(mini_2d_sweep())
@@ -130,6 +130,18 @@ class TestRoundTrip:
                 if isinstance(v, float):
                     assert float(cell) == v
         assert {row.report.stable for row in result.rows} == {True, False}
+
+    def test_error_rows_round_trip(self):
+        # an error row keeps its coordinate and "error"; the next row is whole
+        result = error_sweep()
+        bad, good = (line.split(",") for line in serialize_csv(result).splitlines()[1:])
+        (_, x_bad), (_, x_good) = (row.coords[0] for row in result.rows)
+        assert result.rows[0].report is None
+        assert bad == [repr(x_bad), "error"] + [""] * (len(MEASURE_COLUMNS) - 1)
+        w1 = result.spec.base.omega_phi1
+        values = lgsteer.io._report_values(result.rows[1].report, w1).values()
+        assert good == [repr(x_good)] + [lgsteer.io._fmt(v) for v in values]
+        assert good[1] == "true"
 
 
 class TestSteeringClassCells:
