@@ -1,9 +1,8 @@
 """Result serialization: CSV tables and the JSON mirror.
 
 The CSV layout is fixed: axis coordinate columns first, then
-``stable,EN_mm,EN_m1c,EN_m2c,zeta_m1_m2,zeta_m2_m1,zeta_M,
-steering_class,R_min,stability_margin_ratio``.  Numbers are written as
-shortest round-trip decimals, lines end with LF, and files are UTF-8.
+``MEASURE_COLUMNS``.  Numbers are written as shortest round-trip
+decimals, lines end with LF, and files are UTF-8.
 Unstable rows print ``false`` with empty measure cells; rows whose
 evaluation raised an error print ``error`` in the stable column (the
 message itself survives only in the JSON mirror, which carries the same
@@ -22,33 +21,20 @@ from ._version import __version__
 from .config import _FORMATS, _axis_doc, system_to_display
 from .constants import CLIGHT, HBAR, KBOLTZ
 from .errors import BadUnit
-from .measures import _CLASS_AT, _CLASSES, _MEASURE_FIELDS, CorrelationReport
+from .measures import _CLASSES, _COLUMNS, CorrelationReport, SteeringClass, _measure_columns
 from .sweep import SweepResult
 
-MEASURE_COLUMNS = (
-    "stable",
-    "EN_mm",
-    "EN_m1c",
-    "EN_m2c",
-    "zeta_m1_m2",
-    "zeta_m2_m1",
-    "zeta_M",
-    "steering_class",
-    "R_min",
-    "stability_margin_ratio",
-)
-
-
+_STABLE, _MARGIN, *_MEASURES = (name for _, name in _COLUMNS)
+# a sweep row's columns: the stable cell, the measures, then the margin ratio
+MEASURE_COLUMNS = (_STABLE, *_MEASURES, _MARGIN)
 # the cells after the stable cell of a row that is not stable, but for its margin
-_BLANKS = "," * (len(MEASURE_COLUMNS) - 1)
+_BLANKS = "," * (len(_MEASURES) + 1)
 # the values of a row that is not stable, from its stable cell to its margin
-_NOT_STABLE = (False,) + (None,) * (len(MEASURE_COLUMNS) - 2)
+_NOT_STABLE = (False,) + (None,) * len(_MEASURES)
 # each steering-class code's cell
 _CLASS_VALUES = tuple(c.value for c in _CLASSES)
 # a row's item separator at indent=2: its fields sit three levels deep
 _ROW_SEPARATORS = (",\n      ", ": ")
-# single-point outputs put the margin second
-_POINT_ORDER = ("stable", "stability_margin_ratio") + MEASURE_COLUMNS[1:-1]
 
 
 def _fmt(value) -> str:
@@ -61,13 +47,18 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _point_values(report: CorrelationReport, omega_phi1: float) -> dict:
+    """A report's values keyed by output name in field order, as single-point outputs print
+    them: the class as its cell, the margin as a ratio to ``omega_phi1``."""
+    values = {name: getattr(report, field) for field, name in _COLUMNS}
+    values[_MARGIN] /= omega_phi1
+    return {name: v.value if isinstance(v, SteeringClass) else v for name, v in values.items()}
+
+
 def _report_values(report: CorrelationReport, omega_phi1: float) -> dict:
     """A report's values keyed by ``MEASURE_COLUMNS``: stable, its measures, margin ratio."""
-    measures = [getattr(report, name) for name in _MEASURE_FIELDS]
-    if report.stable:
-        measures[_CLASS_AT] = measures[_CLASS_AT].value
-    margin = report.stability_margin / omega_phi1
-    return dict(zip(MEASURE_COLUMNS, (report.stable, *measures, margin)))
+    values = _point_values(report, omega_phi1)
+    return {name: values[name] for name in MEASURE_COLUMNS}
 
 
 def _report_cells(report: CorrelationReport, omega_phi1: float) -> list[str]:
@@ -90,9 +81,7 @@ def _stable_columns(result: SweepResult, numbers) -> tuple[list[int], list[list]
     """
     table = result.columns
     stable = np.flatnonzero(table.stable)
-    columns = [numbers(column) for column in table.values[stable].T.tolist()]
-    columns.insert(_CLASS_AT, [_CLASS_VALUES[code] for code in table.classes[stable].tolist()])
-    return stable.tolist(), columns
+    return stable.tolist(), _measure_columns(table.values[stable], numbers, _CLASS_VALUES)
 
 
 def _not_stable(result: SweepResult):
@@ -134,7 +123,7 @@ def _row_docs(result: SweepResult) -> list[dict]:
         if error is None:
             docs[k] = dict(zip(keys, coords[k] + _NOT_STABLE + (margins[k],)))
         else:
-            docs[k] = {**dict(zip(names, coords[k])), "stable": "error", "error": error}
+            docs[k] = {**dict(zip(names, coords[k])), _STABLE: "error", "error": error}
     return docs
 
 
@@ -173,11 +162,6 @@ def write_result(result: SweepResult, path: str, fmt: str) -> None:
     payload = serialize_csv(result) if fmt == "csv" else serialize_json(result)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(payload)
-
-
-def _point_values(report: CorrelationReport, omega_phi1: float) -> dict:
-    values = _report_values(report, omega_phi1)
-    return {name: values[name] for name in _POINT_ORDER}
 
 
 def format_report_table(report: CorrelationReport, omega_phi1: float) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -243,11 +243,18 @@ class CorrelationReport:
         _check_hierarchy(self.zeta_m1_m2, self.zeta_m2_m1, self.en_mm)
 
 
-# every field after the stability margin is a measure: the one statement of their row order
-_MEASURE_FIELDS = tuple(f.name for f in fields(CorrelationReport))[2:]
-_CLASS_AT = _MEASURE_FIELDS.index("steering_class")
-# every measure but the class is a float: the columns of ``_Columns.values``
-_FLOATS = _MEASURE_FIELDS[:_CLASS_AT] + _MEASURE_FIELDS[_CLASS_AT + 1 :]
+# each CorrelationReport field, in field order, and its output column: the one statement
+# of the result layout.  A point prints it in this order; a sweep row puts the margin last.
+_COLUMNS = (
+    ("stable", "stable"), ("stability_margin", "stability_margin_ratio"),
+    ("en_mm", "EN_mm"), ("en_m1c", "EN_m1c"), ("en_m2c", "EN_m2c"),
+    ("zeta_m1_m2", "zeta_m1_m2"), ("zeta_m2_m1", "zeta_m2_m1"), ("zeta_asym", "zeta_M"),
+    ("steering_class", "steering_class"), ("r_min", "R_min"),
+)
+# every field after the stability margin is a measure
+_MEASURE_FIELDS = tuple(name for name, _ in _COLUMNS[2:])
+# the measured floats, the columns of ``_Columns.values``; ζ_M and the class derive from ζ
+_FLOATS = tuple(name for name in _MEASURE_FIELDS if name not in ("zeta_asym", "steering_class"))
 _MIRRORS = (("mirror1", "mirror2"), None)
 _SINGLES = _singles(_MIRRORS[0])
 # mirror-mirror, mirror 1-cavity, mirror 2-cavity; then each mode | rest
@@ -282,24 +289,34 @@ def _pairs(v: np.ndarray, pairs: int = 3) -> tuple:
 def _reports(v: np.ndarray) -> tuple:
     """Stage of :func:`_report_columns`: the measures of a (K, 6, 6) stack of stable states.
 
-    :func:`_pairs`, then the one-vs-two splits, R_min and the classes, each
-    measure for all rows at once.  Returns the rows' ``_Columns.values``,
-    one column per name in ``_FLOATS``, and class codes (K,).  A measure
-    that fails raises.
+    :func:`_pairs`, then the one-vs-two splits and R_min, each measure for
+    all rows at once.  Returns the rows' ``_Columns.values``, one column
+    per name in ``_FLOATS``.  A measure that fails raises.
     """
     pairs, zetas = _pairs(v)
-    asym = steering_asymmetry(zetas[:, 0], zetas[:, 1])
     r_min = _residual_min(pairs, _pt_en(v, MODE_ORDER, _SPLIT_CUTS))
-    values = np.concatenate((pairs, zetas, asym[:, None], r_min[:, None]), axis=1)
-    return values, _class_codes(zetas)
+    return (np.concatenate((pairs, zetas, r_min[:, None]), axis=1),)
+
+
+def _measure_columns(values: np.ndarray, numbers=list, classes=_CLASSES) -> list:
+    """The measures of rows of ``_Columns.values``, one list per name in ``_MEASURE_FIELDS``:
+    ζ_M is |ζ₁ − ζ₂| and the class is :func:`_class_codes` of the two ζ, so neither is
+    stored.  ``numbers`` maps each float column, as a list, and ``classes`` holds each
+    class code's entry."""
+    columns = dict(zip(_FLOATS, values.T))
+    zetas = columns["zeta_m1_m2"], columns["zeta_m2_m1"]
+    columns["zeta_asym"] = steering_asymmetry(*zetas)
+    lists = {name: numbers(column.tolist()) for name, column in columns.items()}
+    lists["steering_class"] = [classes[c] for c in _class_codes(np.stack(zetas, 1)).tolist()]
+    return [lists[name] for name in _MEASURE_FIELDS]
 
 
 class _Columns(NamedTuple):
     """The reports of N rows as arrays, one entry per row.
 
-    ``values`` holds each stable row's float measures, one column per
-    name in ``_FLOATS``, and ``classes`` its steering-class code (an
-    index into ``_CLASSES``); both are filler on the other rows.  The
+    ``values`` holds each stable row's measured floats, one column per
+    name in ``_FLOATS``, and is filler on the other rows; the report's
+    other measures derive from them (see :func:`_measure_columns`).  The
     margin is NaN where a row failed before its margin was taken.  A row
     with an error is not stable; the errors are kept beside the columns.
     """
@@ -307,22 +324,19 @@ class _Columns(NamedTuple):
     stable: np.ndarray
     margin: np.ndarray
     values: np.ndarray
-    classes: np.ndarray
 
     @classmethod
     def of(cls, n: int) -> _Columns:
         """Columns of ``n`` rows with NaN margins and no stable row."""
-        values = np.full((n, len(_FLOATS)), np.nan)
-        return cls(np.zeros(n, dtype=bool), np.full(n, np.nan), values, np.zeros(n, dtype=np.int8))
+        return cls(np.zeros(n, dtype=bool), np.full(n, np.nan), np.full((n, len(_FLOATS)), np.nan))
 
     def report(self, k: int) -> CorrelationReport:
         """The :class:`CorrelationReport` of row ``k``, which must not be an error row."""
         margin = float(self.margin[k])
         if not self.stable[k]:
             return CorrelationReport(False, margin)
-        measures = self.values[k].tolist()
-        measures.insert(_CLASS_AT, _CLASSES[self.classes[k]])
-        return CorrelationReport(True, margin, *measures)
+        measures = _measure_columns(self.values[k : k + 1])
+        return CorrelationReport(True, margin, *(column[0] for column in measures))
 
 
 def _solve_models(models: LinearModel, stage) -> tuple:
@@ -352,7 +366,7 @@ def _report_columns(models: LinearModel, table: _Columns, at: np.ndarray) -> dic
     ``{row of the block: its LgsteerError}``.
 
     ``table`` is fresh at those rows (see :meth:`_Columns.of`): each
-    gets its margin, and each stable row its flag, values and class code.
+    gets its margin, and each stable row its flag and values.
     The measures (:func:`_reports`) go on with the rows of the batched
     solve (:func:`_solve_models`), so one error list covers both.  Each
     error, from the solve or the measures (a steering-entanglement
@@ -363,7 +377,7 @@ def _report_columns(models: LinearModel, table: _Columns, at: np.ndarray) -> dic
     table.margin[at] = margins
     if out is not None:
         live = at[rows.live]
-        table.stable[live], table.values[live], table.classes[live] = True, *out
+        table.stable[live], table.values[live] = True, *out
     failed = [k for k, exc in enumerate(rows.errors) if exc is not None]
     if not failed:
         return {}

@@ -269,14 +269,15 @@ class LinearModel:
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose occupation n̄ of a mode at ``omega`` (rad/s) and temperature (K).
 
-    Satisfies 2*n̄ + 1 = coth(hbar*omega / (2*kB*T)); returns 0 at T = 0
-    and wherever e^(hbar*omega/(kB*T)) overflows a double (n̄ < 1e-308).
+    Satisfies 2*n̄ + 1 = coth(hbar*omega / (2*kB*T)); returns 0 at T = 0,
+    where kB*T underflows and wherever e^(hbar*omega/(kB*T)) overflows a
+    double (n̄ < 1e-308), and inf where hbar*omega/(kB*T) underflows.
     """
-    if temperature == 0.0:
+    kt = KBOLTZ * temperature
+    if kt == 0.0:
         return 0.0
-    x = HBAR * omega / (KBOLTZ * temperature)
     try:
-        return 1.0 / math.expm1(x)
+        return _over(1.0, math.expm1(HBAR * omega / kt))
     except OverflowError:
         return 0.0
 
@@ -285,12 +286,22 @@ def thermal_occupation(omega: float, temperature: float) -> float:
 _VECTORIZED = {math.pow: np.float_power, math.sqrt: np.sqrt, abs: lambda z: np.hypot(z.real, z.imag)}
 
 
+def _over(num, den):
+    """``num / den``, IEEE's inf or NaN where ``den``, a positive product, underflowed
+    to 0: Python's ``/`` raises there, and NumPy's gives the same for a block."""
+    return num / den if isinstance(den, np.ndarray) or den else num * math.inf
+
+
 def _each(fn, *args):
     """``fn`` of numbers, or of each element of a block's arrays: every step
     beyond IEEE arithmetic, so a block's row equals the one-model build bit
-    for bit (NumPy's cos, sin and expm1 may round otherwise)."""
+    for bit (NumPy's cos, sin and expm1 may round otherwise).  A number whose
+    result overflows (``math.pow``, ``abs``) gets the ufunc's inf, as a row does."""
     if np.ndarray not in map(type, args):
-        return fn(*args)
+        try:
+            return fn(*args)
+        except OverflowError:
+            return float(_VECTORIZED[fn](*args))
     if fn in _VECTORIZED:
         return _VECTORIZED[fn](*args)
     with np.errstate(all="ignore"):  # the calls handle their own overflow
@@ -353,7 +364,7 @@ def derive(params: SystemParams, swept: dict | None = None) -> DerivedParams:
     swept = dict(swept or {})
     f = {**vars(params), **swept}
     length, w1, w2 = f["cavity_length"], f["omega_phi1"], f["omega_phi2"]
-    kappa = math.pi * CLIGHT / (2.0 * f["finesse"] * length)
+    kappa = _over(math.pi * CLIGHT, 2.0 * f["finesse"] * length)
     if f["kappa_override"] is not None:
         kappa = f["kappa_override"]
     inertia = f["mirror_mass"] * _each(math.pow, f["mirror_radius"], 2.0) / 2.0
@@ -363,11 +374,13 @@ def derive(params: SystemParams, swept: dict | None = None) -> DerivedParams:
         kappa=kappa,
         gamma_m=w1 / f["quality_factor"],
         inertia=inertia,
-        g1=coupling_prefactor * _each(math.sqrt, HBAR / (inertia * w1)),
-        g2=coupling_prefactor * _each(math.sqrt, HBAR / (inertia * w2)),
+        g1=coupling_prefactor * _each(math.sqrt, _over(HBAR, inertia * w1)),
+        g2=coupling_prefactor * _each(math.sqrt, _over(HBAR, inertia * w2)),
         nbar1=_each(thermal_occupation, w1, f["temperature"]),
         nbar2=_each(thermal_occupation, w2, f["temperature"]),
-        drive_amplitude=_each(math.sqrt, 2.0 * kappa * f["laser_power"] / (HBAR * laser_freq)),
+        drive_amplitude=_each(
+            math.sqrt, _over(2.0 * kappa * f["laser_power"], HBAR * laser_freq)
+        ),
         laser_freq=laser_freq,
         params=params,
         swept=swept,
@@ -457,11 +470,14 @@ def build_diffusion(derived: DerivedParams) -> np.ndarray:
     return (damping * (2.0 * occupation + 1.0))[..., None] * _EYE6
 
 
+@np.errstate(all="ignore")
 def build_model(params: SystemParams, swept: dict | None = None) -> LinearModel:
     """Full pipeline: params -> derived -> steady state -> (A, D).
 
     With ``swept``, fields replaced by (N,) arrays of values checked by
-    :func:`check_field`, a block with (N, 6, 6) drift and diffusion.
+    :func:`check_field`, a block with (N, 6, 6) drift and diffusion.  A
+    number that overflows or is undefined is left as inf or NaN, silently:
+    the solve's input check fails its row.
     """
     derived = derive(params, swept)
     steady = steady_state(derived)

@@ -201,7 +201,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     :func:`lgsteer.measures._report_columns`, which solves and measures
     each block as one stack into the grid's one table: that bounds the
     working memory whatever the grid size.  The result keeps
-    that table, about 70 B a row; no row object is built.
+    that table, about 60 B a row; no row object is built.
     """
     n = math.prod(spec.shape)
     axes = enumerate((spec.axis1, spec.axis2))

@@ -1,6 +1,7 @@
 """The public names the package exports."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -224,6 +225,23 @@ def test_no_module_but_sweep_names_the_block_size():
                 block_names.append(path.name)
     assert namers == []
     assert block_names and set(block_names) == {"sweep.py"}
+
+
+def test_no_module_but_measures_names_a_result_column():
+    # one table in ``measures`` pairs each report field, in field order,
+    # with its output column; every other module derives the names from it
+    names = set(lgsteer.MEASURE_COLUMNS)
+    namers = {}
+    for path in sorted(Path(lgsteer.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in names:
+                namers.setdefault(path.name, set()).add(node.value)
+    assert namers == {"measures.py": names}
+    table = lgsteer.measures._COLUMNS
+    assert [field for field, _ in table] == [
+        field.name for field in dataclasses.fields(lgsteer.CorrelationReport)
+    ]
+    assert sorted(name for _, name in table) == sorted(names)
 
 
 def test_the_version_is_stated_only_in_its_module():

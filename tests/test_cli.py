@@ -338,6 +338,22 @@ class TestSweep:
             assert [r["stable"] for r in rows] == [True, False]
             assert rows[1]["detuning_ratio"] == 1e150
 
+    def test_axis_value_whose_product_underflows_is_an_error_row(self, tmp_path, capsys):
+        # hbar * omega_phi2 / (kB T) underflows to 0 at the first value, so
+        # mirror 2's occupation is inf: that row is an error and the grid
+        # goes on, its second row the point at the same value
+        out = tmp_path / "scan.csv"
+        axis = {"name": "omega_phi2_ratio", "values": [1e-300, 1.0]}
+        cfg = write_config(tmp_path, {"run": {"mode": "sweep", "axis1": axis}})
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        first, second = out.read_text().splitlines()[1:]
+        assert first == "1e-300,error" + "," * (len(MEASURE_COLUMNS) - 1)
+        system = {"omega_phi2_ratio": 1.0}
+        cfg = write_config(tmp_path, {"system": system, "run": {"mode": "point"}}, "point.json")
+        capsys.readouterr()
+        assert main(["point", "--format", "csv", "--config", cfg]) == 0
+        assert second == "1.0," + capsys.readouterr().out.splitlines()[1]
+
     def test_point_whose_square_overflows_exits_zero(self, tmp_path, capsys):
         system = {"detuning_ratio": 1e150}
         cfg = write_config(tmp_path, {"system": system, "run": {"mode": "point"}})

@@ -396,17 +396,38 @@ class TestSerialization:
         assert cfg.output.format == "csv"
 
 
+# values that pass the run-file checks but whose products in the model underflow to 0
+# (a division by it, an n̄ of 1/expm1(0)) or overflow (R squared), or that overflow in the
+# drift or diffusion
+_FAR_VALUES = [
+    ("mirror_mass_kg", 1e-320),
+    ("mirror_radius_m", 1e-300),
+    ("mirror_radius_m", 1e300),
+    ("omega_phi1_hz", 1e-300),
+    ("omega_phi2_ratio", 1e-300),
+    ("laser_wavelength_m", 1e300),
+    ("temperature_k", 1e-320),
+    ("quality_factor", 1e-300),
+    ("finesse", 1e-300),
+    ("cavity_length_m", 1e-320),
+]
+
+
 class TestExtremeValues:
-    @pytest.mark.parametrize("key", [k for k, v in _SYSTEM_KEYS.items() if v[2]])
-    def test_far_from_default_evaluates_or_raises_package_error(self, key):
-        # six orders of magnitude either side of the default, on both
-        # sides of resonance: a point is a report or a LgsteerError,
-        # never an uncaught Python exception (sub-microkelvin thermal
-        # occupations used to overflow in expm1)
-        default = _SYSTEM_KEYS[key][2]
-        for factor in (1e-6, 1e6):
+    @pytest.mark.parametrize(
+        "key, values",
+        [pytest.param(k, (v[2] * 1e-6, v[2] * 1e6), id=k) for k, v in _SYSTEM_KEYS.items() if v[2]]
+        + [pytest.param(k, (v,), id=f"{k}={v!r}") for k, v in _FAR_VALUES],
+    )
+    def test_far_from_default_evaluates_or_raises_package_error(self, key, values):
+        # six orders of magnitude either side of the default, and values
+        # at the ends of the double range, on both sides of resonance: a
+        # point is a report or a LgsteerError, never an uncaught Python
+        # exception or warning (sub-microkelvin thermal occupations used
+        # to overflow in expm1)
+        for value in values:
             for detuning in (1.0, -1.0):
-                system = {key: default * factor}
+                system = {key: value}
                 if key != "detuning_ratio":
                     system["detuning_ratio"] = detuning
                 doc = json.dumps({"system": system, "run": {"mode": "point"}})

@@ -625,8 +625,8 @@ class TestReportStage:
         assert [reports[0], reports[2]] == self.stage(*clean)
 
     def test_no_rows(self):
-        values, codes = _reports(np.zeros((0, 6, 6)))
-        assert values.shape == (0, 7) and codes.shape == (0,)
+        (values,) = _reports(np.zeros((0, 6, 6)))
+        assert values.shape == (0, 6)
 
 
 class TestHierarchyRule:
